@@ -638,7 +638,7 @@ def bench_population(scale: float, seed: int, workers: int = 4) -> Dict[str, obj
     }
 
     # Compressed-codec resend sizes: same synthetic model state through
-    # each delta codec (json-b64 inner so the payload is JSON-measurable),
+    # delta and delta-q8 (json-b64 inner so the payload is JSON-measurable),
     # first send establishing the base, second send the steady-state
     # incremental broadcast whose bytes a fleet round actually pays.
     rng = np.random.default_rng(seed)
@@ -651,7 +651,7 @@ def bench_population(scale: float, seed: int, workers: int = 4) -> Dict[str, obj
         for key, value in base.items()
     }
     sizes: Dict[str, int] = {}
-    for name in ("delta", "delta-q8", "delta-topk"):
+    for name in ("delta", "delta-q8"):
         codec = WIRE_FORMATS.create(name, inner="json-b64")
         codec.decode(codec.encode(base, channel="bench"), channel="bench")
         payload = codec.encode(bumped, channel="bench")
@@ -659,7 +659,6 @@ def bench_population(scale: float, seed: int, workers: int = 4) -> Dict[str, obj
         codec.decode(payload, channel="bench")
     result["resend_bytes"] = sizes
     result["q8_compression_ratio"] = sizes["delta"] / sizes["delta-q8"]
-    result["topk_compression_ratio"] = sizes["delta"] / sizes["delta-topk"]
     return result
 
 
@@ -692,9 +691,8 @@ def main(argv=None) -> int:
         "(headroom under the 2x multi-core target, since logical CPUs "
         "overstate physical cores), population fleet serial==parallel "
         "bitwise under delta-q8 with >= 1 sampled device-round/s, and "
-        "compressed-delta resends >= 3x (q8) / >= 2.5x (topk) smaller "
-        "than the lossless delta resend, and metrics-enabled stream "
-        "steps <= 5% slower than disabled",
+        "delta-q8 resends >= 3x smaller than the lossless delta resend, "
+        "and metrics-enabled stream steps <= 5% slower than disabled",
     )
     args = parser.parse_args(argv)
 
@@ -842,15 +840,14 @@ def main(argv=None) -> int:
         report["population"] = bench_population(scale, seed, workers=args.workers)
         print(
             "  population: {} devices, K={} x {} rounds -> {:.1f} sampled "
-            "devices/s (identical={}); codec resend ratios q8 {:.2f}x "
-            "topk {:.2f}x over delta".format(
+            "devices/s (identical={}); delta-q8 resend ratio {:.2f}x "
+            "over delta".format(
                 report["population"]["devices"],
                 report["population"]["participants"],
                 report["population"]["rounds"],
                 report["population"]["sampled_devices_per_s"],
                 report["population"]["results_identical"],
                 report["population"]["q8_compression_ratio"],
-                report["population"]["topk_compression_ratio"],
             )
         )
     report["total_wall_s"] = time.perf_counter() - t0
@@ -957,11 +954,6 @@ def _check_thresholds(report: Dict[str, object]) -> List[str]:
             failures.append(
                 "delta-q8 resend compression "
                 f"{population['q8_compression_ratio']:.2f}x < 3x floor over delta"
-            )
-        if population["topk_compression_ratio"] < 2.5:
-            failures.append(
-                "delta-topk resend compression "
-                f"{population['topk_compression_ratio']:.2f}x < 2.5x floor over delta"
             )
     obs = report.get("obs")
     if obs is not None:

@@ -75,53 +75,5 @@ __all__ = [
     "register_encoder",
     "register_policy",
     "register_scenario",
-    "quickstart_components",
 ]
 
-
-def quickstart_components(
-    dataset: str = "cifar10",
-    buffer_size: int = 32,
-    stc: int = 64,
-    seed: int = 0,
-):
-    """Deprecated: build a ready-to-run (learner, stream, dataset) triple.
-
-    Use :class:`repro.session.Session` instead — it owns the same wiring
-    plus probes, callbacks, and checkpointing (the README quickstart and
-    every example go through it).  Kept only so pre-Session scripts keep
-    running.
-    """
-    import warnings
-
-    warnings.warn(
-        "repro.quickstart_components is deprecated; use repro.Session "
-        "(e.g. Session.from_config(...).run())",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.data.stream import TemporalStream
-    from repro.experiments.config import default_config
-    from repro.session import build_augment, build_components
-
-    config = default_config(dataset, seed=seed).with_(buffer_size=buffer_size, stc=stc)
-    comp = build_components(config)
-    policy = create_policy(
-        "contrast-scoring",
-        scorer=comp.scorer,
-        capacity=buffer_size,
-        rng=comp.rngs.get("policy"),
-    )
-    learner = OnDeviceContrastiveLearner(
-        comp.encoder,
-        comp.projector,
-        policy,
-        buffer_size,
-        comp.rngs.get("augment"),
-        temperature=config.temperature,
-        lr=config.lr,
-        weight_decay=config.weight_decay,
-        augment=build_augment(config),
-    )
-    stream = TemporalStream(comp.dataset, stc, comp.rngs.get("stream"))
-    return learner, stream, comp.dataset

@@ -69,7 +69,6 @@ checkpoint/resume bitwise.
 
 from __future__ import annotations
 
-import base64
 import zlib
 from typing import Iterator, List, Optional, Protocol, Tuple, runtime_checkable
 
@@ -133,7 +132,9 @@ class StreamSource(Protocol):
 
 
 # ----------------------------------------------------------------------
-# Wrapper RNG derivation and array codec (checkpointable lookahead).
+# Wrapper RNG derivation.  Checkpointed lookahead arrays go through the
+# shared array codec, repro.experiments.wire, imported inside the
+# state_dict methods: the repro.experiments package imports this one.
 # ----------------------------------------------------------------------
 def derive_wrapper_rng(
     rng: np.random.Generator, layer: int, name: str
@@ -155,22 +156,6 @@ def derive_wrapper_rng(
     probe = int(scratch.integers(0, 2**63))
     entropy = [probe, int(layer), zlib.crc32(name.encode("ascii"))]
     return np.random.default_rng(np.random.SeedSequence(entropy=entropy))
-
-
-def _encode_array(array: np.ndarray) -> dict:
-    """Lossless JSON-safe encoding of one ndarray (dtype/shape/bytes)."""
-    data = np.ascontiguousarray(array)
-    return {
-        "dtype": str(data.dtype),
-        "shape": list(data.shape),
-        "data": base64.b64encode(data.tobytes()).decode("ascii"),
-    }
-
-
-def _decode_array(payload: dict) -> np.ndarray:
-    raw = base64.b64decode(payload["data"].encode("ascii"))
-    array = np.frombuffer(raw, dtype=np.dtype(payload["dtype"]))
-    return array.reshape(payload["shape"]).copy()
 
 
 # ----------------------------------------------------------------------
@@ -762,12 +747,14 @@ class AdversarialStream(StreamWrapper):
         return self._position
 
     def state_dict(self) -> dict:
+        from repro.experiments.wire import encode_array
+
         state = super().state_dict()
         state.update(
             position=self._position,
             offset=self._offset,
             pending=[
-                {"images": _encode_array(i), "labels": _encode_array(l)}
+                {"images": encode_array(i), "labels": encode_array(l)}
                 for i, l in self._pending
             ],
             last_hist=(
@@ -779,11 +766,13 @@ class AdversarialStream(StreamWrapper):
         return state
 
     def load_state_dict(self, state: dict) -> None:
+        from repro.experiments.wire import decode_array
+
         super().load_state_dict(state)
         self._position = int(state["position"])
         self._offset = int(state["offset"])
         self._pending = [
-            (_decode_array(p["images"]), _decode_array(p["labels"]))
+            (decode_array(p["images"]), decode_array(p["labels"]))
             for p in state["pending"]
         ]
         self._last_hist = (
@@ -911,6 +900,8 @@ class BurstyWrapper(StreamWrapper):
         return self._position
 
     def state_dict(self) -> dict:
+        from repro.experiments.wire import encode_array
+
         state = super().state_dict()
         state.update(
             position=self._position,
@@ -919,22 +910,24 @@ class BurstyWrapper(StreamWrapper):
                 None
                 if self._buf_labels is None
                 else {
-                    "images": _encode_array(self._buf_images),
-                    "labels": _encode_array(self._buf_labels),
+                    "images": encode_array(self._buf_images),
+                    "labels": encode_array(self._buf_labels),
                 }
             ),
             run=(
                 None
                 if self._run_labels is None
                 else {
-                    "images": _encode_array(self._run_images),
-                    "labels": _encode_array(self._run_labels),
+                    "images": encode_array(self._run_images),
+                    "labels": encode_array(self._run_labels),
                 }
             ),
         )
         return state
 
     def load_state_dict(self, state: dict) -> None:
+        from repro.experiments.wire import decode_array
+
         super().load_state_dict(state)
         self._position = int(state["position"])
         self._run_pos = int(state["run_pos"])
@@ -942,14 +935,14 @@ class BurstyWrapper(StreamWrapper):
         if buffer is None:
             self._buf_images = self._buf_labels = None
         else:
-            self._buf_images = _decode_array(buffer["images"])
-            self._buf_labels = _decode_array(buffer["labels"])
+            self._buf_images = decode_array(buffer["images"])
+            self._buf_labels = decode_array(buffer["labels"])
         run = state["run"]
         if run is None:
             self._run_images = self._run_labels = None
         else:
-            self._run_images = _decode_array(run["images"])
-            self._run_labels = _decode_array(run["labels"])
+            self._run_images = decode_array(run["images"])
+            self._run_labels = decode_array(run["labels"])
 
 
 # ----------------------------------------------------------------------

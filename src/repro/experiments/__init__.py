@@ -4,12 +4,6 @@ paper's evaluation (plus the ablations listed in DESIGN.md).
 Sweep-shaped harnesses (``run_multi_seed``, ``run_table2``,
 ``run_stc_sweep``, ``run_learning_curves``) accept ``workers=`` to fan
 out over processes via :mod:`repro.experiments.parallel`.
-
-The re-exported ``make_policy`` and ``build_components`` are
-deprecation shims kept for pre-registry call sites; new code uses
-:func:`repro.registry.create_policy`,
-:func:`repro.session.build_components`, and
-:class:`repro.session.Session` (see docs/API.md).
 """
 
 from repro.experiments.config import (
@@ -23,8 +17,6 @@ from repro.experiments.runner import (
     POLICY_LABELS,
     POLICY_NAMES,
     StreamRunResult,
-    build_components,
-    make_policy,
     run_stream_experiment,
 )
 from repro.experiments.fig3 import Fig3Result, format_fig3, run_fig3, run_supervised_reference
@@ -93,8 +85,6 @@ __all__ = [
     "POLICY_NAMES",
     "POLICY_LABELS",
     "StreamRunResult",
-    "build_components",
-    "make_policy",
     "run_stream_experiment",
     "Fig3Result",
     "run_fig3",

@@ -76,7 +76,6 @@ __all__ = [
     "SweepSpec",
     "JobTimings",
     "JobResults",
-    "SweepResults",
     "WorkerCrashedError",
     "run_sweep",
     "run_jobs",
@@ -137,19 +136,6 @@ class JobTimings:
             self.transport_s
         )
 
-    def merged_with(self, other: "JobTimings") -> "JobTimings":
-        """Accumulate two fan-outs (used to total per-round timings)."""
-        return JobTimings(
-            jobs=self.jobs + other.jobs,
-            workers=max(self.workers, other.workers),
-            wall_s=self.wall_s + other.wall_s,
-            compute_s=self.compute_s + other.compute_s,
-            transport_s=self.transport_s + other.transport_s,
-            serialize_s=self.serialize_s + other.serialize_s,
-            merge_s=self.merge_s + other.merge_s,
-            crashes=self.crashes + other.crashes,
-        )
-
 
 def format_timings_footer(timings: Optional[Dict[str, Any]]) -> Optional[str]:
     """One-line per-stage breakdown for experiment tables, or ``None``
@@ -170,16 +156,9 @@ def format_timings_footer(timings: Optional[Dict[str, Any]]) -> Optional[str]:
 
 
 class JobResults(list):
-    """``run_jobs`` output: an ordinary result list (in payload order)
-    that additionally carries the fan-out's :class:`JobTimings`."""
-
-    def __init__(self, values: Sequence[Any], timings: Optional[JobTimings] = None):
-        super().__init__(values)
-        self.timings = timings if timings is not None else JobTimings()
-
-
-class SweepResults(list):
-    """``run_sweep`` output: a list of results plus its timings."""
+    """``run_jobs``/``run_sweep`` output: an ordinary result list (in
+    payload order) that additionally carries the fan-out's
+    :class:`JobTimings`."""
 
     def __init__(self, values: Sequence[Any], timings: Optional[JobTimings] = None):
         super().__init__(values)
@@ -399,7 +378,7 @@ def run_sweep(
     specs: Sequence[SweepSpec],
     workers: int = 1,
     start_method: Optional[str] = None,
-) -> SweepResults:
+) -> JobResults:
     """Run every spec and return results in spec order.
 
     Parameters
@@ -425,7 +404,7 @@ def run_sweep(
         start = time.perf_counter()
         results = [_run_spec(spec) for spec in specs]
         wall = time.perf_counter() - start
-        return SweepResults(
+        return JobResults(
             results,
             JobTimings(jobs=len(specs), workers=1, wall_s=wall, compute_s=wall),
         )
@@ -449,7 +428,7 @@ def run_sweep(
     timings.serialize_s += serialize_s
     timings.merge_s += time.perf_counter() - merge_start
     timings.record("sweep")
-    return SweepResults(results, timings)
+    return JobResults(results, timings)
 
 
 def result_fingerprint(result: StreamRunResult) -> Dict[str, Any]:

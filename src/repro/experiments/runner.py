@@ -5,32 +5,19 @@ which executes one full stage-1 run (stream → selective replacement →
 contrastive update) while periodically probing the encoder (stage 2) to
 record a learning curve.
 
-As of the registry/Session redesign this module is a thin compatibility
-layer: the canonical implementation lives in :class:`repro.session.
-Session` (execution, checkpoint/resume, lifecycle callbacks) and
-:mod:`repro.registry` (component construction).  ``make_policy`` and
-``build_components`` are kept as deprecation shims so existing call
-sites keep working; new code should use
-``repro.session.build_components`` and ``repro.registry.create_policy``.
+The canonical implementation lives in :class:`repro.session.Session`
+(execution, checkpoint/resume, lifecycle callbacks) and
+:mod:`repro.registry` (component construction:
+``repro.session.build_components``, ``repro.registry.create_policy``).
 """
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Mapping
 from typing import Iterator, Optional
 
-import numpy as np
-
-from repro.core.scoring import ContrastScorer
-from repro.registry import create_policy, policy_labels
-from repro.selection.base import ReplacementPolicy
-from repro.session import (
-    ExperimentComponents,
-    Session,
-    StreamRunResult,
-    build_components as _build_components,
-)
+from repro.registry import policy_labels
+from repro.session import ExperimentComponents, Session, StreamRunResult
 from repro.experiments.config import StreamExperimentConfig
 
 __all__ = [
@@ -38,8 +25,6 @@ __all__ = [
     "POLICY_LABELS",
     "ExperimentComponents",
     "StreamRunResult",
-    "build_components",
-    "make_policy",
     "run_stream_experiment",
 ]
 
@@ -71,44 +56,6 @@ class _LivePolicyLabels(Mapping):
 
 #: Pretty labels matching the paper's figures (live registry metadata).
 POLICY_LABELS = _LivePolicyLabels()
-
-
-def build_components(config: StreamExperimentConfig) -> ExperimentComponents:
-    """Deprecated shim: use :func:`repro.session.build_components`."""
-    warnings.warn(
-        "repro.experiments.runner.build_components is deprecated; "
-        "use repro.session.build_components",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _build_components(config)
-
-
-def make_policy(
-    name: str,
-    scorer: ContrastScorer,
-    capacity: int,
-    rng: np.random.Generator,
-    temperature: float = 0.5,
-    lazy_interval: Optional[int] = None,
-    score_momentum: float = 0.0,
-) -> ReplacementPolicy:
-    """Deprecated shim: use :func:`repro.registry.create_policy`."""
-    warnings.warn(
-        "repro.experiments.runner.make_policy is deprecated; "
-        "use repro.registry.create_policy",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return create_policy(
-        name,
-        scorer=scorer,
-        capacity=capacity,
-        rng=rng,
-        temperature=temperature,
-        lazy_interval=lazy_interval,
-        score_momentum=score_momentum,
-    )
 
 
 def run_stream_experiment(

@@ -34,12 +34,12 @@ codecs:
     most ``(max(x, 0) - min(x, 0)) / 255``; exact zeros stay exactly
     zero; integer/bool/small arrays and every full (first) send stay
     bitwise.  ~4x smaller changed-array traffic.
-``delta-topk``
-    ``delta`` shipping only the top-k (by |change|) elements of each
-    changed float array as sparse index/value pairs.  **Lossy**:
-    shipped elements are exact, every other element keeps the
-    receiver's previous value, so its deviation is bounded by the
-    smallest shipped |change| of that send.
+
+:func:`encode_array`/:func:`decode_array` are the one place an array
+becomes JSON-safe bytes: the ``json-b64`` table, the serve TCP
+requests (:mod:`repro.serve.net`), scenario checkpoints and the
+fleet's global-model overlay all use them, and :func:`decode_array`
+rejects malformed specs with :class:`WireProtocolError`.
 
 The lossless formats are exact: ``decode(encode(arrays))`` is
 bitwise-identical to the input for every dtype/shape, including
@@ -79,8 +79,9 @@ __all__ = [
     "ShmFormat",
     "DeltaFormat",
     "DeltaQ8Format",
-    "DeltaTopKFormat",
     "array_hash",
+    "encode_array",
+    "decode_array",
     "lossless_wire_format_names",
     "create_wire_format",
     "get_wire_format",
@@ -103,8 +104,9 @@ _SHM_ALIGN = 64
 
 
 class WireProtocolError(RuntimeError):
-    """A wire payload could not be decoded (missing delta base, hash
-    mismatch, unknown segment): the transport-level named error."""
+    """A wire payload could not be decoded (malformed array spec,
+    missing delta base, hash mismatch, unknown segment): the
+    transport-level named error."""
 
 
 class WireFormat:
@@ -121,9 +123,9 @@ class WireFormat:
     name: str = "base"
 
     #: Whether ``decode(encode(x))`` is bitwise ``x`` on *every* send.
-    #: Lossy codecs (``delta-q8``/``delta-topk``) set this False and
-    #: document their error bound; identity tests that require an exact
-    #: broadcast leg enumerate :func:`lossless_wire_format_names`.
+    #: Lossy codecs (``delta-q8``) set this False and document their
+    #: error bound; identity tests that require an exact broadcast leg
+    #: enumerate :func:`lossless_wire_format_names`.
     lossless: bool = True
 
     @property
@@ -263,8 +265,74 @@ def array_hash(value: Any) -> str:
 
 
 # ----------------------------------------------------------------------
-# json-b64: the bit-exact, JSON-compatible reference codec.
+# The per-array JSON codec, and json-b64 (the bit-exact reference
+# format) built on it.
 # ----------------------------------------------------------------------
+def encode_array(value: Any) -> Dict[str, Any]:
+    """One array as ``{"dtype", "shape", "data"}``: ``dtype.str``, the
+    shape as a list, and base64 of the raw C-order bytes."""
+    array = np.asarray(value)
+    # ascontiguousarray promotes 0-d to 1-d, so record the true shape
+    # first; the raw bytes are identical either way.  The encoder reads
+    # the buffer in place through a memoryview — state_dict() already
+    # owns fresh copies, so materializing a second one via tobytes()
+    # would be pure overhead (DESIGN.md §7).
+    contiguous = np.ascontiguousarray(array)
+    return {
+        "dtype": array.dtype.str,
+        "shape": list(array.shape),
+        "data": base64.b64encode(_raw_view(contiguous)).decode("ascii"),
+    }
+
+
+def decode_array(spec: Any) -> np.ndarray:
+    """Exact inverse of :func:`encode_array`, returning an owned array.
+
+    Also reads the ``str(dtype)`` spelling (``"float32"``) that older
+    scenario checkpoints carry.  Specs arrive from other processes and
+    from the network, so every defect is a :class:`WireProtocolError`:
+    a non-dict spec or missing key, an unknown, object or unsized
+    dtype, a negative or non-integer dimension, undecodable data, or a
+    byte count other than ``itemsize * prod(shape)``.
+    """
+    if not isinstance(spec, dict):
+        raise WireProtocolError(
+            f"array spec must be an object, got {type(spec).__name__}"
+        )
+    missing = [key for key in ("dtype", "shape", "data") if key not in spec]
+    if missing:
+        raise WireProtocolError(f"array spec is missing {', '.join(missing)}")
+    name, shape = spec["dtype"], spec["shape"]
+    dtype = None
+    if isinstance(name, str):
+        try:
+            dtype = np.dtype(name)
+        except (TypeError, ValueError):
+            pass
+    if dtype is None or dtype.hasobject or dtype.itemsize == 0:
+        raise WireProtocolError(
+            f"array dtype {name!r} is not a numpy dtype with fixed-size raw "
+            "bytes (unknown, object or unsized)"
+        )
+    if not isinstance(shape, (list, tuple)) or not all(
+        type(dim) is int and dim >= 0 for dim in shape
+    ):
+        raise WireProtocolError(
+            f"array shape must list non-negative integers, got {shape!r}"
+        )
+    try:
+        raw = base64.b64decode(spec["data"])
+    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        raise WireProtocolError(f"array data is not base64 ({exc})") from None
+    expected = dtype.itemsize * math.prod(shape)
+    if len(raw) != expected:
+        raise WireProtocolError(
+            f"array data holds {len(raw)} bytes; dtype {dtype.str} with shape "
+            f"{list(shape)} needs {expected}"
+        )
+    return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+
+
 @register_wire_format(
     "json-b64", label="Base64 JSON", aliases=("json", "b64"), lossless=True
 )
@@ -276,33 +344,15 @@ class JsonB64Format(WireFormat):
     def encode(
         self, arrays: Dict[str, np.ndarray], *, channel: Optional[str] = None
     ) -> Dict[str, Any]:
-        out: Dict[str, Dict[str, Any]] = {}
-        for key, value in arrays.items():
-            array = np.asarray(value)
-            # ascontiguousarray promotes 0-d to 1-d, so record the true
-            # shape first; the raw bytes are identical either way.  The
-            # encoder reads the buffer in place through a memoryview —
-            # state_dict() already owns fresh copies, so materializing
-            # a second one via tobytes() would be pure overhead
-            # (DESIGN.md §7).
-            contiguous = np.ascontiguousarray(array)
-            out[key] = {
-                "dtype": array.dtype.str,
-                "shape": list(array.shape),
-                "data": base64.b64encode(_raw_view(contiguous)).decode("ascii"),
-            }
-        return {"wire": self.name, "arrays": out}
+        return {
+            "wire": self.name,
+            "arrays": {key: encode_array(value) for key, value in arrays.items()},
+        }
 
     def decode(
         self, payload: Dict[str, Any], *, channel: Optional[str] = None
     ) -> Dict[str, np.ndarray]:
-        out: Dict[str, np.ndarray] = {}
-        for key, value in payload["arrays"].items():
-            flat = np.frombuffer(
-                base64.b64decode(value["data"]), dtype=np.dtype(value["dtype"])
-            )
-            out[key] = flat.reshape(tuple(value["shape"])).copy()
-        return out
+        return {key: decode_array(spec) for key, spec in payload["arrays"].items()}
 
     def payload_nbytes(self, payload: Dict[str, Any]) -> int:
         # base64 expands 3 raw bytes into 4 characters (padded).
@@ -511,8 +561,8 @@ class DeltaFormat(WireFormat):
     sides run the same deterministic arithmetic, so the receiver's
     hash verification still catches any cache drift while agreeing
     bitwise on the lossy payload itself.  Lossy subclasses set
-    ``lossless = False`` and keep per-channel reconstruction bases so
-    the next send diffs against what the receiver truly has.
+    ``lossless = False``; since the sent hashes are reconstruction
+    hashes, the next send diffs against what the receiver truly holds.
     """
 
     name = "delta"
@@ -526,10 +576,6 @@ class DeltaFormat(WireFormat):
             raise ValueError("delta cannot nest inside itself")
         self._inner: WireFormat = WIRE_FORMATS.create(self.inner_name)
         self._sent_hashes: Dict[str, Dict[str, str]] = {}  # sender side
-        # Sender-side reconstruction bases (lossy subclasses only): the
-        # arrays the receiver holds after decoding — the diff base for
-        # the next send, since the receiver never saw the exact state.
-        self._sent_bases: Dict[str, Dict[str, np.ndarray]] = {}
         self._cache: Dict[str, Dict[str, np.ndarray]] = {}  # receiver side
 
     @property
@@ -538,24 +584,19 @@ class DeltaFormat(WireFormat):
 
     # -- compression hooks (identity in the lossless base class) --------
     def _compress(
-        self, key: str, array: np.ndarray, base: Optional[np.ndarray]
+        self, key: str, array: np.ndarray
     ) -> Tuple[Dict[str, np.ndarray], Optional[Dict[str, Any]], np.ndarray]:
         """Compress one changed array into wire entries.
 
         Returns ``(entries, meta, reconstruction)``: the inner-codec
         arrays to ship (keys namespaced by the codec), a JSON-ish meta
         dict (``None`` = shipped raw), and the array the receiver will
-        reconstruct — bitwise equal to ``array`` iff lossless.  ``base``
-        is the receiver's current copy (``None`` when unknown).
+        reconstruct — bitwise equal to ``array`` iff lossless.
         """
         return {key: array}, None, array
 
     def _decompress(
-        self,
-        key: str,
-        entries: Dict[str, np.ndarray],
-        meta: Dict[str, Any],
-        base: Optional[np.ndarray],
+        self, key: str, entries: Dict[str, np.ndarray], meta: Dict[str, Any]
     ) -> np.ndarray:
         """Inverse of :meth:`_compress` for entries carrying meta."""
         raise WireProtocolError(
@@ -566,12 +607,10 @@ class DeltaFormat(WireFormat):
         self, arrays: Dict[str, np.ndarray], *, channel: Optional[str] = None
     ) -> Dict[str, Any]:
         prev = self._sent_hashes.get(channel) if channel is not None else None
-        prev_bases = self._sent_bases.get(channel, {})
         full = prev is None  # first send (or invalidated, or channel-less)
         hashes: Dict[str, str] = {}
         changed: Dict[str, np.ndarray] = {}
         codec: Dict[str, Dict[str, Any]] = {}
-        new_bases: Dict[str, np.ndarray] = {}
         for key, value in arrays.items():
             array = np.asarray(value)
             if full:
@@ -579,33 +618,21 @@ class DeltaFormat(WireFormat):
                 # (re)establish the exact base after respawn/invalidate.
                 changed[key] = array
                 hashes[key] = array_hash(array)
-                if not self.lossless:
-                    new_bases[key] = array
                 continue
             true_hash = array_hash(array)
             if prev.get(key) == true_hash:
                 hashes[key] = true_hash
-                if not self.lossless:
-                    new_bases[key] = prev_bases.get(key, array)
                 continue
-            entries, meta, recon = self._compress(key, array, prev_bases.get(key))
+            entries, meta, recon = self._compress(key, array)
             recon_hash = true_hash if meta is None else array_hash(recon)
+            hashes[key] = recon_hash
             if prev.get(key) == recon_hash:
-                # Compresses to exactly what the receiver already holds.
-                hashes[key] = recon_hash
-                if not self.lossless:
-                    new_bases[key] = prev_bases.get(key, recon)
-                continue
+                continue  # compresses to exactly what the receiver holds
             changed.update(entries)
             if meta is not None:
                 codec[key] = meta
-            hashes[key] = recon_hash
-            if not self.lossless:
-                new_bases[key] = recon
         if channel is not None:
             self._sent_hashes[channel] = hashes
-            if not self.lossless:
-                self._sent_bases[channel] = new_bases
         return {
             "wire": self.name,
             "channel": channel,
@@ -637,7 +664,7 @@ class DeltaFormat(WireFormat):
         for key, expected in hashes.items():
             meta = codec.get(key)
             if meta is not None:
-                value = self._decompress(key, changed, meta, base.get(key))
+                value = self._decompress(key, changed, meta)
                 if array_hash(value) != expected:
                     raise WireProtocolError(
                         f"codec reconstruction of {key!r} on channel "
@@ -671,12 +698,6 @@ class DeltaFormat(WireFormat):
         self._sent_hashes[channel] = {
             key: array_hash(value) for key, value in arrays.items()
         }
-        if not self.lossless:
-            # The receiver handed these arrays back losslessly (reply
-            # legs use the inner codec), so they ARE its current base.
-            self._sent_bases[channel] = {
-                key: np.asarray(value).copy() for key, value in arrays.items()
-            }
 
     def note_received(self, channel: str, arrays: Dict[str, np.ndarray]) -> None:
         self._cache[channel] = dict(arrays)
@@ -684,16 +705,14 @@ class DeltaFormat(WireFormat):
     def invalidate(self, channel: Optional[str] = None) -> None:
         if channel is None:
             self._sent_hashes.clear()
-            self._sent_bases.clear()
             self._cache.clear()
         else:
             self._sent_hashes.pop(channel, None)
-            self._sent_bases.pop(channel, None)
             self._cache.pop(channel, None)
 
 
 # ----------------------------------------------------------------------
-# Compressed deltas: lossy codecs for bandwidth-constrained broadcasts.
+# Compressed delta: the lossy codec for bandwidth-constrained broadcasts.
 # ----------------------------------------------------------------------
 @register_wire_format(
     "delta-q8",
@@ -734,7 +753,7 @@ class DeltaQ8Format(DeltaFormat):
             raise ValueError(f"min_size must be >= 1, got {min_size}")
         self.min_size = int(min_size)
 
-    def _compress(self, key, array, base):
+    def _compress(self, key, array):
         if (
             array.dtype.kind != "f"
             or array.size < self.min_size
@@ -765,83 +784,10 @@ class DeltaQ8Format(DeltaFormat):
     ) -> np.ndarray:
         return ((q.astype(np.float64) - zero_point) * scale).astype(dtype)
 
-    def _decompress(self, key, entries, meta, base):
+    def _decompress(self, key, entries, meta):
         q = entries.get(key)
         if q is None:
             raise WireProtocolError(f"delta-q8 payload is missing array {key!r}")
         return self._dequantize(
             q, float(meta["scale"]), int(meta["zero_point"]), np.dtype(meta["dtype"])
         )
-
-
-@register_wire_format(
-    "delta-topk",
-    label="Sparse top-k delta",
-    aliases=("topk", "sparse"),
-    lossless=False,
-)
-class DeltaTopKFormat(DeltaFormat):
-    """``delta`` shipping only each changed float array's largest moves.
-
-    For a changed array with a known receiver base, only the
-    ``ceil(fraction * size)`` elements with the largest ``|new - base|``
-    are shipped, as a sorted int64 index vector plus the *exact* new
-    values (two inner entries per array).  The receiver overlays them
-    on its base.
-
-    Tolerance contract (docs/FLEET.md codec table): shipped elements
-    are exact; every other element keeps the receiver's previous value,
-    so its deviation from the true array is at most the smallest
-    shipped ``|change|`` of that send.  Non-float dtypes, arrays with
-    no usable base (first send, shape/dtype change), ``k >= size``, and
-    full sends ship raw — bitwise.  Reply legs use the lossless inner
-    codec.
-    """
-
-    name = "delta-topk"
-    lossless = False
-
-    def __init__(self, inner: Optional[str] = None, fraction: float = 0.1) -> None:
-        super().__init__(inner=inner)
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-        self.fraction = float(fraction)
-
-    def _compress(self, key, array, base):
-        if (
-            array.dtype.kind != "f"
-            or base is None
-            or base.shape != array.shape
-            or base.dtype != array.dtype
-            or array.size == 0
-        ):
-            return {key: array}, None, array
-        k = max(1, int(math.ceil(self.fraction * array.size)))
-        if k >= array.size:
-            return {key: array}, None, array
-        flat_new = np.ascontiguousarray(array).reshape(-1)
-        flat_base = np.ascontiguousarray(base).reshape(-1)
-        moves = np.abs(flat_new.astype(np.float64) - flat_base.astype(np.float64))
-        picked = np.argpartition(moves, array.size - k)[array.size - k :]
-        indices = np.sort(picked).astype(np.int64)
-        values = flat_new[indices].copy()
-        recon = flat_base.copy()
-        recon[indices] = values
-        recon = recon.reshape(array.shape)
-        meta = {"kind": "topk", "k": int(k)}
-        return {f"{key}\x00idx": indices, f"{key}\x00val": values}, meta, recon
-
-    def _decompress(self, key, entries, meta, base):
-        if base is None:
-            raise WireProtocolError(
-                f"delta-topk payload for {key!r} has no cached base array"
-            )
-        indices = entries.get(f"{key}\x00idx")
-        values = entries.get(f"{key}\x00val")
-        if indices is None or values is None:
-            raise WireProtocolError(
-                f"delta-topk payload is missing the index/value pair for {key!r}"
-            )
-        recon = np.ascontiguousarray(base).reshape(-1).copy()
-        recon[indices] = values
-        return recon.reshape(base.shape)

@@ -75,8 +75,10 @@ from repro.experiments.wire import (
     WireFormat,
     WireProtocolError,
     create_wire_format,
+    decode_array,
     decode_state_payload,
     default_wire_format,
+    encode_array,
     get_wire_format,
     resolve_wire_format,
 )
@@ -148,22 +150,6 @@ def _nan_if_none(value: Optional[float]) -> float:
     return float("nan") if value is None else float(value)
 
 
-# ----------------------------------------------------------------------
-# Array wire format plumbing.  The codecs themselves live in the
-# WIRE_FORMATS registry (repro.experiments.wire); these two names are
-# kept as the stable aliases of the reference codec.
-# ----------------------------------------------------------------------
-def encode_arrays(arrays: Dict[str, np.ndarray]) -> Dict[str, Dict[str, Any]]:
-    """JSON-compatible, bitwise-lossless encoding of an array dict
-    (the ``json-b64`` reference wire format's array table)."""
-    return get_wire_format("json-b64").encode(arrays)["arrays"]
-
-
-def decode_arrays(payload: Dict[str, Dict[str, Any]]) -> Dict[str, np.ndarray]:
-    """Inverse of :func:`encode_arrays` (exact round trip)."""
-    return get_wire_format("json-b64").decode({"arrays": payload})
-
-
 def _device_round_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Run one device for one round (module-level so every
     multiprocessing start method can import it).
@@ -180,9 +166,9 @@ def _device_round_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
     rounds of a sticky worker's devices.
 
     ``payload["global_overlay"]``, if present, carries the current
-    global model as an :func:`encode_arrays` table — a device sampled
-    into the fleet for the first time after a broadcast starts from
-    the global model rather than from scratch.  ``inject_crash`` is
+    global model as a ``{key: encode_array(value)}`` table — a device
+    sampled into the fleet for the first time after a broadcast starts
+    from the global model rather than from scratch.  ``inject_crash`` is
     the chaos harness's crash fault: honored only inside a pool worker
     process (never in the parent), it kills the process exactly the
     way a real device crash would, exercising respawn + serial-re-run
@@ -212,7 +198,9 @@ def _device_round_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
             # consuming any stream or RNG state.
             session.run(stop_after=0)
             fresh = session.state_dict()
-            fresh["learner"].update(decode_arrays(overlay))
+            fresh["learner"].update(
+                {key: decode_array(spec) for key, spec in overlay.items()}
+            )
             session = Session.from_state_dict(fresh)
     else:
         if wire_name is not None:
@@ -947,6 +935,7 @@ class FleetCoordinator:
         serialize_start = time.perf_counter()
         response_wire = wire.response_format if wire is not None else None
         payloads = []
+        overlay: Optional[Dict[str, Any]] = None
         for i in active:
             plan = self._plans[i]
             if self._device_states[i] is None:
@@ -965,9 +954,14 @@ class FleetCoordinator:
                 }
                 if self._global_state is not None:
                     # First participation after a broadcast: start from
-                    # the global model, not from scratch (raw lossless
-                    # table; overlays are rare, so no delta channel).
-                    entry["global_overlay"] = encode_arrays(self._global_state)
+                    # the global model, not from scratch (one lossless
+                    # table per round, shared by every fresh device).
+                    if overlay is None:
+                        overlay = {
+                            key: encode_array(value)
+                            for key, value in self._global_state.items()
+                        }
+                    entry["global_overlay"] = overlay
             else:
                 state = self._device_states[i]
                 if wire is None:

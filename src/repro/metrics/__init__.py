@@ -1,9 +1,8 @@
-"""Metrics: accuracy, learning curves, speedup and timing statistics."""
+"""Metrics: accuracy, learning curves, speedup and buffer diversity."""
 
 from repro.metrics.accuracy import confusion_matrix, per_class_accuracy, top1_accuracy
 from repro.metrics.curves import LearningCurve, speedup_at_accuracy
 from repro.metrics.diversity import class_entropy, distinct_classes, effective_num_classes
-from repro.metrics.timing import BatchTimeAccumulator, relative_batch_time
 
 __all__ = [
     "top1_accuracy",
@@ -14,6 +13,4 @@ __all__ = [
     "effective_num_classes",
     "distinct_classes",
     "speedup_at_accuracy",
-    "BatchTimeAccumulator",
-    "relative_batch_time",
 ]

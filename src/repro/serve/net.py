@@ -4,8 +4,10 @@ A thin network skin over a running :class:`~repro.serve.ScoringServer`:
 each connection carries newline-delimited JSON requests and responses,
 so any language with sockets and JSON can talk to the service (the
 ``repro serve --port`` mode).  Arrays travel as
-``{"dtype", "shape", "data"}`` with base64-encoded raw bytes — the same
-wire idiom as the fleet checkpoint codec.
+``{"dtype", "shape", "data"}`` with base64-encoded raw bytes — the
+shared array codec :func:`repro.experiments.wire.encode_array`, whose
+decoder answers a malformed sample with a named
+:class:`~repro.experiments.wire.WireProtocolError`.
 
 Operations (``{"op": ...}`` per line):
 
@@ -26,7 +28,6 @@ pipelined lines) micro-batch together exactly like in-process callers.
 from __future__ import annotations
 
 import asyncio
-import base64
 import json
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -34,25 +35,33 @@ import numpy as np
 
 from repro.serve.server import Decision, ScoringServer
 
+# The shared array codec (repro.experiments.wire) is imported inside the
+# functions that use it: the repro.experiments package imports this one.
+
 __all__ = ["serve_tcp", "TcpClient"]
 
 _MAX_LINE = 64 * 1024 * 1024  # generous: one CHW frame per line
 
 
-def _encode_array(array: np.ndarray) -> Dict[str, Any]:
-    array = np.ascontiguousarray(array)
-    return {
-        "dtype": array.dtype.str,
-        "shape": list(array.shape),
-        "data": base64.b64encode(array.tobytes()).decode("ascii"),
+def _score_request(
+    sample: np.ndarray,
+    device_id: str,
+    model_version: Optional[int],
+    deadline_ms: Optional[float],
+) -> Dict[str, Any]:
+    """One ``score`` request (shared by every :class:`TcpClient` path)."""
+    from repro.experiments.wire import encode_array
+
+    message: Dict[str, Any] = {
+        "op": "score",
+        "sample": encode_array(sample),
+        "device_id": device_id,
     }
-
-
-def _decode_array(payload: Dict[str, Any]) -> np.ndarray:
-    raw = base64.b64decode(payload["data"])
-    return np.frombuffer(raw, dtype=np.dtype(payload["dtype"])).reshape(
-        payload["shape"]
-    )
+    if model_version is not None:
+        message["model_version"] = model_version
+    if deadline_ms is not None:
+        message["deadline_ms"] = deadline_ms
+    return message
 
 
 async def _handle_line(server: ScoringServer, message: Dict[str, Any]) -> Dict[str, Any]:
@@ -62,8 +71,10 @@ async def _handle_line(server: ScoringServer, message: Dict[str, Any]) -> Dict[s
     if op == "stats":
         return {"ok": True, "stats": server.stats()}
     if op == "score":
+        from repro.experiments.wire import decode_array
+
         decision = await server.submit(
-            _decode_array(message["sample"]),
+            decode_array(message["sample"]),
             device_id=message.get("device_id", "tcp"),
             model_version=message.get("model_version"),
             deadline_ms=message.get("deadline_ms"),
@@ -182,15 +193,7 @@ class TcpClient:
         model_version: Optional[int] = None,
         deadline_ms: Optional[float] = None,
     ) -> Decision:
-        message: Dict[str, Any] = {
-            "op": "score",
-            "sample": _encode_array(np.asarray(sample)),
-            "device_id": device_id,
-        }
-        if model_version is not None:
-            message["model_version"] = model_version
-        if deadline_ms is not None:
-            message["deadline_ms"] = deadline_ms
+        message = _score_request(sample, device_id, model_version, deadline_ms)
         return Decision.from_dict((await self._roundtrip(message))["decision"])
 
     async def score_stream(
@@ -206,15 +209,7 @@ class TcpClient:
         read, so the server's batcher sees them together.
         """
         for sample in samples:
-            message: Dict[str, Any] = {
-                "op": "score",
-                "sample": _encode_array(np.asarray(sample)),
-                "device_id": device_id,
-            }
-            if model_version is not None:
-                message["model_version"] = model_version
-            if deadline_ms is not None:
-                message["deadline_ms"] = deadline_ms
+            message = _score_request(sample, device_id, model_version, deadline_ms)
             self._writer.write(json.dumps(message).encode("utf-8") + b"\n")
         await self._writer.drain()
         decisions: List[Decision] = []

@@ -306,6 +306,37 @@ class TestStateRoundTrip:
         np.testing.assert_array_equal(after.images, replay.images)
         assert after.start_index == replay.start_index
 
+    @pytest.mark.parametrize("name", ["adversarial", "bursty(imbalanced)"])
+    def test_str_dtype_checkpoints_still_resume(self, dataset, name):
+        """Lookahead arrays checkpointed with the ``str(dtype)`` spelling
+        (``"float32"``, the format before the shared wire codec) load
+        and resume bitwise."""
+        respelled = []
+
+        def respell(value):
+            if isinstance(value, list):
+                return [respell(v) for v in value]
+            if not isinstance(value, dict):
+                return value
+            if {"dtype", "shape", "data"} <= value.keys():
+                respelled.append(value["dtype"])
+                return dict(value, dtype=str(np.dtype(value["dtype"])))
+            return {key: respell(v) for key, v in value.items()}
+
+        source = make(name, dataset)
+        source.next_segment(12)
+        state = respell(source.state_dict())
+        rng_state = source.rng.bit_generator.state
+        after = source.next_segment(16)
+        assert respelled
+
+        clone = make(name, dataset)
+        clone.load_state_dict(state)
+        clone.rng.bit_generator.state = rng_state
+        replay = clone.next_segment(16)
+        np.testing.assert_array_equal(after.labels, replay.labels)
+        np.testing.assert_array_equal(after.images, replay.images)
+
     def test_drift_state_dict_json_serializable(self, dataset):
         import json
 

@@ -1,13 +1,15 @@
 """FleetCoordinator: eager validation, single-device identity,
 heterogeneous fleets, checkpoint/resume and parallel bitwiseness."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.experiments.config import StreamExperimentConfig
 from repro.experiments.parallel import result_fingerprint
+from repro.experiments.wire import decode_array, encode_array
 from repro.fleet import DeviceSpec, FleetConfig, FleetCoordinator
-from repro.fleet.coordinator import decode_arrays, encode_arrays
 from repro.registry import BACKENDS
 from repro.session import Session
 
@@ -42,6 +44,8 @@ def fleet_config(devices, rounds=2, aggregator="fedavg", **overrides):
 
 class TestWireFormat:
     def test_array_round_trip_is_bitwise(self):
+        """The global-overlay table (``{key: encode_array(value)}``) is a
+        bitwise-lossless, JSON-compatible encoding of an array dict."""
         rng = np.random.default_rng(0)
         arrays = {
             "f32": rng.normal(size=(3, 4)).astype(np.float32),
@@ -50,12 +54,47 @@ class TestWireFormat:
             "empty": np.zeros((0, 5), dtype=np.float32),
             "noncontig": np.asarray(rng.normal(size=(4, 4)))[::2, ::2],
         }
-        decoded = decode_arrays(encode_arrays(arrays))
+        table = json.loads(
+            json.dumps({key: encode_array(value) for key, value in arrays.items()})
+        )
+        decoded = {key: decode_array(spec) for key, spec in table.items()}
         assert set(decoded) == set(arrays)
         for key, value in arrays.items():
             assert decoded[key].dtype == value.dtype
             assert decoded[key].shape == value.shape
             assert np.array_equal(decoded[key], value)
+
+
+class TestGlobalOverlay:
+    def test_fresh_devices_share_one_overlay_per_round(self, monkeypatch):
+        """Devices sampled for the first time after a broadcast start
+        from the global model; the coordinator encodes that overlay once
+        per round, not once per fresh device."""
+        import repro.fleet.coordinator as coordinator_mod
+
+        overlays = []
+        real_run_jobs = coordinator_mod.run_jobs
+
+        def recording_run_jobs(fn, payloads, **kwargs):
+            overlays.append(
+                [p["global_overlay"] for p in payloads if "global_overlay" in p]
+            )
+            return real_run_jobs(fn, payloads, **kwargs)
+
+        monkeypatch.setattr(coordinator_mod, "run_jobs", recording_run_jobs)
+        config = tiny_config().with_(
+            fleet=FleetConfig(
+                devices=tuple(DeviceSpec() for _ in range(6)),
+                rounds=2,
+                participants=3,
+                sampler="round-robin",
+            ),
+            aggregator="fedavg",
+        )
+        FleetCoordinator(config, workers=1).run()
+        assert overlays[0] == []  # no global model before the first broadcast
+        assert len(overlays[1]) == 3
+        assert all(overlay is overlays[1][0] for overlay in overlays[1])
 
 
 class TestEagerValidation:

@@ -1,4 +1,5 @@
-"""Shared test utilities: finite-difference gradient checking."""
+"""Shared test utilities: finite-difference gradient checking and
+malformed wire-array specs."""
 
 from __future__ import annotations
 
@@ -68,3 +69,19 @@ def leaf(rng: np.random.Generator, *shape: int, scale: float = 1.0) -> Tensor:
     return Tensor(
         rng.normal(0.0, scale, size=shape).astype(np.float64), requires_grad=True
     )
+
+
+#: Array specs ``repro.experiments.wire.decode_array`` must reject with a
+#: ``WireProtocolError``, keyed by defect (serve TCP requests and wire
+#: payloads are both checked against these).
+MALFORMED_ARRAY_SPECS = {
+    "not-a-dict": 42,
+    "missing-key": {"dtype": "<f4", "shape": [2]},
+    "shape-not-a-list": {"dtype": "<f4", "shape": 2, "data": "AAAAAAAAAAA="},
+    "negative-dim": {"dtype": "<f4", "shape": [-1], "data": "AAAAAAAAAAA="},
+    "non-integer-dim": {"dtype": "<f4", "shape": [2.0], "data": "AAAAAAAAAAA="},
+    "unknown-dtype": {"dtype": "<q9", "shape": [2], "data": "AAAAAAAAAAA="},
+    "object-dtype": {"dtype": "|O", "shape": [1], "data": "AAAAAAAAAAA="},
+    "not-base64": {"dtype": "<f4", "shape": [1], "data": "AAAAA"},
+    "truncated": {"dtype": "<f4", "shape": [3], "data": "AAAAAAAAAAA="},
+}

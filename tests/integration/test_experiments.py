@@ -5,9 +5,7 @@ import pytest
 
 from repro.experiments import (
     POLICY_NAMES,
-    build_components,
     default_config,
-    make_policy,
     run_fig3,
     run_learning_curves,
     run_stream_experiment,
@@ -16,6 +14,8 @@ from repro.experiments import (
     run_table2,
 )
 from repro.experiments.config import StreamExperimentConfig, scaled_config
+from repro.registry import create_policy
+from repro.session import build_components
 
 
 @pytest.fixture
@@ -97,15 +97,21 @@ class TestRunner:
     def test_make_policy_all_names(self, tiny_config):
         comp = build_components(tiny_config)
         for name in POLICY_NAMES:
-            policy = make_policy(
-                name, comp.scorer, 8, comp.rngs.get("p"), temperature=0.5
+            policy = create_policy(
+                name,
+                scorer=comp.scorer,
+                capacity=8,
+                rng=comp.rngs.get("p"),
+                temperature=0.5,
             )
             assert policy.name == name
 
     def test_make_policy_unknown(self, tiny_config):
         comp = build_components(tiny_config)
         with pytest.raises(ValueError):
-            make_policy("bogus", comp.scorer, 8, comp.rngs.get("p"))
+            create_policy(
+                "bogus", scorer=comp.scorer, capacity=8, rng=comp.rngs.get("p")
+            )
 
     @pytest.mark.parametrize("policy", POLICY_NAMES)
     def test_run_stream_experiment_all_policies(self, tiny_config, policy):

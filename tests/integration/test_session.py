@@ -355,44 +355,3 @@ class TestPluginPolicy:
         finally:
             POLICIES.unregister("not-a-policy-test")
 
-
-class TestDeprecationShims:
-    def test_make_policy_warns_once_per_call(self, tiny_config):
-        from repro.experiments.runner import make_policy
-
-        comp = build_components(tiny_config)
-        with pytest.warns(DeprecationWarning, match="make_policy is deprecated") as rec:
-            policy = make_policy(
-                "fifo", comp.scorer, 8, comp.rngs.get("policy")
-            )
-        assert isinstance(policy, FIFOPolicy)
-        assert len([w for w in rec if w.category is DeprecationWarning]) == 1
-
-    def test_build_components_warns_once_per_call(self, tiny_config):
-        from repro.experiments import runner
-
-        with pytest.warns(
-            DeprecationWarning, match="build_components is deprecated"
-        ) as rec:
-            comp = runner.build_components(tiny_config)
-        assert comp.dataset.num_classes == 10
-        assert len([w for w in rec if w.category is DeprecationWarning]) == 1
-
-    def test_quickstart_components_warns_once_per_call(self):
-        import repro
-
-        with pytest.warns(
-            DeprecationWarning, match="quickstart_components is deprecated"
-        ) as rec:
-            learner, stream, dataset = repro.quickstart_components(
-                dataset="cifar10", buffer_size=8, stc=4, seed=0
-            )
-        assert dataset.num_classes == 10
-        assert len([w for w in rec if w.category is DeprecationWarning]) == 1
-
-    def test_new_surface_does_not_warn(self, tiny_config, recwarn):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            Session(tiny_config, "fifo").with_eval_points(1).run()

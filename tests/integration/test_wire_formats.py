@@ -1,7 +1,11 @@
-"""Wire formats: registry semantics, bitwise round-trips, shm segment
-lifecycle (success AND crash paths), the delta protocol, and the
+"""Wire formats: registry semantics, bitwise round-trips, the shared
+array codec's named errors, shm segment lifecycle (success AND crash
+paths), the delta protocol, pinned delta-q8 payload bytes, and the
 fleet-level identity contract under every registered codec."""
 
+import base64
+import hashlib
+import json
 import multiprocessing
 import os
 
@@ -14,13 +18,16 @@ from repro.experiments.wire import (
     WIRE_FORMAT_ENV,
     WireProtocolError,
     create_wire_format,
+    decode_array,
     decode_state_payload,
     default_wire_format,
+    encode_array,
     outstanding_shm_segments,
     resolve_wire_format,
     shm_available,
 )
 from repro.registry import UnknownComponentError, WIRE_FORMATS
+from tests.helpers import MALFORMED_ARRAY_SPECS
 
 needs_shm = pytest.mark.skipif(
     not shm_available(), reason="POSIX shared memory unavailable"
@@ -56,6 +63,7 @@ def sample_state(seed=0):
         "empty": np.zeros((0, 4), dtype=np.float32),  # zero-size
         "mask": rng.integers(0, 2, size=(5,)).astype(bool),
         "fortran": np.asfortranarray(rng.normal(size=(4, 6)).astype(np.float32)),
+        "strided": rng.normal(size=(4, 4))[::2, ::2],  # non-contiguous view
     }
 
 
@@ -70,8 +78,8 @@ def formats_under_test():
 
 def lossless_formats_under_test():
     """The bitwise-identity contract only covers lossless codecs; the
-    lossy delta codecs (delta-q8, delta-topk) carry documented
-    tolerances instead (tests/property/test_codec_properties.py)."""
+    lossy delta-q8 codec carries a documented tolerance instead
+    (tests/property/test_codec_properties.py)."""
     from repro.experiments.wire import lossless_wire_format_names
 
     return [n for n in formats_under_test() if n in lossless_wire_format_names()]
@@ -79,7 +87,7 @@ def lossless_formats_under_test():
 
 class TestRegistry:
     def test_builtins_registered(self):
-        assert {"json-b64", "shm", "delta"} <= set(WIRE_FORMATS.names())
+        assert set(WIRE_FORMATS.names()) == {"json-b64", "shm", "delta", "delta-q8"}
 
     def test_aliases_resolve(self):
         assert WIRE_FORMATS.get("json").name == "json-b64"
@@ -133,6 +141,38 @@ class TestRoundTrip:
         codec = create_wire_format(name)
         assert codec.decode(codec.encode({})) == {}
         assert outstanding_shm_segments() == []
+
+
+class TestArrayCodec:
+    def test_spec_layout(self):
+        spec = encode_array(np.arange(3, dtype=np.int16).reshape(1, 3))
+        assert spec == {
+            "dtype": "<i2",
+            "shape": [1, 3],
+            "data": base64.b64encode(np.arange(3, dtype=np.int16).tobytes()).decode(
+                "ascii"
+            ),
+        }
+
+    def test_reads_str_dtype_spelling(self):
+        """Scenario checkpoints written before the shared codec spell
+        dtypes ``str(dtype)``; they still decode bitwise."""
+        value = np.arange(6, dtype=np.float32).reshape(2, 3)
+        spec = dict(encode_array(value), dtype=str(value.dtype))
+        assert spec["dtype"] == "float32"
+        decoded = decode_array(spec)
+        assert decoded.dtype == value.dtype
+        np.testing.assert_array_equal(decoded, value)
+
+    def test_decoded_array_is_owned(self):
+        decoded = decode_array(encode_array(np.ones(4, dtype=np.float32)))
+        assert decoded.flags.owndata and decoded.flags.writeable
+
+    @pytest.mark.parametrize("defect", sorted(MALFORMED_ARRAY_SPECS))
+    def test_malformed_spec_is_a_named_error(self, defect):
+        payload = {"wire": "json-b64", "arrays": {"x": MALFORMED_ARRAY_SPECS[defect]}}
+        with pytest.raises(WireProtocolError, match="array"):
+            decode_state_payload(payload)
 
 
 @needs_shm
@@ -224,9 +264,67 @@ class TestDeltaProtocol:
         sender.encode(state, channel="a")
         assert sender.encode(state, channel="b")["full"]
 
+    def test_q8_sender_keeps_hashes_not_arrays(self):
+        """A fleet sender holds one channel per device ever sampled, so
+        its per-channel state must be content hashes only: no second
+        copy of the arrays the receiver holds."""
+
+        def arrays_in(value):
+            if isinstance(value, np.ndarray):
+                return 1
+            if isinstance(value, dict):
+                return sum(arrays_in(v) for v in value.values())
+            return 0
+
+        sender = WIRE_FORMATS.create("delta-q8", inner="json-b64")
+        state = sample_state()
+        sender.encode(state, channel="a")
+        sender.encode({**state, "conv.weight": state["conv.weight"] * 2}, channel="a")
+        sender.note_sent("b", state)
+        assert set(sender._sent_hashes) == {"a", "b"}
+        assert arrays_in(vars(sender)) == 0
+
     def test_delta_cannot_nest(self):
         with pytest.raises(ValueError, match="nest"):
             DeltaFormat(inner="delta")
+
+
+#: sha256 of ``json.dumps(payload, sort_keys=True)`` for the three sends
+#: of :meth:`TestPinnedQ8Payloads.test_three_send_digests`, recorded
+#: while the sender still kept per-channel reconstruction arrays: q8
+#: payloads depend on content hashes only.
+Q8_DIGESTS = (
+    "67bea396ca3c3b19142bd505004ed2eaa878e754fe13e9d30ab0dcb7ed85a870",
+    "1f64788664a359039cef066acb15c9a0f193ea159ac51c3d3b3d50f870c56b99",
+    "7de32e2acc483c3bdb4b561537b64919db0305dc9dd7c6e6999819da8816b0f8",
+)
+
+
+class TestPinnedQ8Payloads:
+    def test_three_send_digests(self):
+        """One channel, three sends: a float array that moves every
+        send (quantized after the first), an unchanged float array
+        (diffed away), and an int array (shipped raw).  Every value is
+        exact in float32, so the bytes are platform-independent."""
+        idx = np.arange(256)
+        base = (((idx * 37) % 101) - 50).astype(np.float32) / 8
+        step = (((idx * 13) % 29) - 14).astype(np.float32) / 16
+        frozen = ((idx % 17) - 8).astype(np.float32) / 4
+        sender = WIRE_FORMATS.create("delta-q8", inner="json-b64")
+        receiver = WIRE_FORMATS.create("delta-q8", inner="json-b64")
+        digests = []
+        for t in range(3):
+            state = {
+                "w": base + np.float32(t) * step,
+                "frozen": frozen,
+                "count": np.arange(6, dtype=np.int64) + 100 * t,
+            }
+            payload = sender.encode(state, channel="c")
+            receiver.decode(payload, channel="c")
+            text = json.dumps(payload, sort_keys=True)
+            digests.append(hashlib.sha256(text.encode("utf-8")).hexdigest())
+            assert sorted(payload["codec"]) == ([] if t == 0 else ["w"])
+        assert tuple(digests) == Q8_DIGESTS
 
 
 class TestFleetIdentity:

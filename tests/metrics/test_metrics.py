@@ -1,11 +1,10 @@
-"""Tests for accuracy metrics, learning curves, and timing."""
+"""Tests for accuracy metrics and learning curves."""
 
 import numpy as np
 import pytest
 
 from repro.metrics.accuracy import confusion_matrix, per_class_accuracy, top1_accuracy
 from repro.metrics.curves import LearningCurve, speedup_at_accuracy
-from repro.metrics.timing import BatchTimeAccumulator, relative_batch_time
 
 
 class TestAccuracy:
@@ -112,32 +111,3 @@ class TestSpeedup:
         slow.add(10, 0.2)
         assert speedup_at_accuracy(fast, slow, 0.8) is None
 
-
-class TestTiming:
-    def test_accumulate_and_means(self):
-        acc = BatchTimeAccumulator()
-        acc.record(0.1, 0.2)
-        acc.record(0.3, 0.4)
-        assert acc.steps == 2
-        assert acc.mean_select() == pytest.approx(0.2)
-        assert acc.mean_train() == pytest.approx(0.3)
-        assert acc.mean_total() == pytest.approx(0.5)
-
-    def test_negative_raises(self):
-        with pytest.raises(ValueError):
-            BatchTimeAccumulator().record(-0.1, 0.2)
-
-    def test_relative_batch_time(self):
-        acc = BatchTimeAccumulator()
-        acc.record(0.05, 0.1)
-        assert relative_batch_time(acc, 0.1) == pytest.approx(1.5)
-
-    def test_relative_requires_positive_baseline(self):
-        acc = BatchTimeAccumulator()
-        acc.record(0.0, 0.1)
-        with pytest.raises(ValueError):
-            relative_batch_time(acc, 0.0)
-
-    def test_empty_accumulator_means_zero(self):
-        acc = BatchTimeAccumulator()
-        assert acc.mean_total() == 0.0

@@ -1,6 +1,8 @@
 """ScoringServer: micro-batching, caching, versioning, admission, TCP."""
 
 import asyncio
+import base64
+import json
 
 import numpy as np
 import pytest
@@ -15,7 +17,9 @@ from repro.serve import (
     TcpClient,
     serve_tcp,
 )
+from repro.serve.net import _score_request
 from repro.session import Session, build_components
+from tests.helpers import MALFORMED_ARRAY_SPECS
 
 
 def tiny_config(**overrides):
@@ -561,8 +565,30 @@ class TestClientsAndTcp:
 
         asyncio.run(run())
 
+    def test_score_request_bytes_are_pinned(self):
+        """``score`` and ``score_stream`` send one request layout, byte
+        for byte what a hand-written client (the benchmark's load
+        generator among them) puts on the wire."""
+        image = np.arange(12, dtype=np.float32).reshape(3, 2, 2)
+        by_hand = {
+            "op": "score",
+            "sample": {
+                "dtype": image.dtype.str,
+                "shape": list(image.shape),
+                "data": base64.b64encode(image.tobytes()).decode("ascii"),
+            },
+            "device_id": "dev-0",
+        }
+        assert json.dumps(_score_request(image, "dev-0", None, None)) == json.dumps(
+            by_hand
+        )
+        assert json.dumps(_score_request(image, "dev-0", 3, 5.0)) == json.dumps(
+            dict(by_hand, model_version=3, deadline_ms=5.0)
+        )
+
     def test_tcp_bad_payload_answers_error_and_survives(self, published):
-        # A dict message with a non-dict sample raises TypeError inside
+        # Every malformed sample (a non-dict, a missing key, a bad shape
+        # or dtype, a truncated buffer) is a named decode error inside
         # the handler; it must come back as an error line, not kill the
         # responder or leak the connection.
         async def run():
@@ -571,9 +597,10 @@ class TestClientsAndTcp:
                 port = tcp.sockets[0].getsockname()[1]
                 client = await TcpClient.connect("127.0.0.1", port)
                 try:
-                    with pytest.raises(RuntimeError, match="server error"):
-                        await client._roundtrip({"op": "score", "sample": 42})
-                    assert await client.ping()  # connection survives
+                    for spec in MALFORMED_ARRAY_SPECS.values():
+                        with pytest.raises(RuntimeError, match="server error: array"):
+                            await client._roundtrip({"op": "score", "sample": spec})
+                        assert await client.ping()  # connection survives
                 finally:
                     await client.close()
                     tcp.close()
