@@ -9,7 +9,9 @@ beat (ROADMAP: "fast as the hardware allows"):
    default encoder.
 2. **conv** — convolution forward under autograd, forward under
    ``no_grad`` (im2col workspace reuse), and forward+backward; plus the
-   workspace hit rate.
+   workspace hit rate, and the unfold and fold alone (``im2col`` fresh
+   and workspace-backed, ``col2im``) at the stream's scoring batch
+   (N=128) and training batch (N=32).
 3. **stream** — end-to-end stage-1 stream steps of one short
    contrast-scoring :class:`~repro.session.Session` run.
 4. **sweep** — a 4-seed multi-seed sweep, serial vs.
@@ -78,11 +80,11 @@ from repro.experiments.config import bench_scale, bench_seed, default_config
 from repro.experiments.multi_seed import run_multi_seed
 from repro.nn import functional as F
 from repro.nn.backend import use_backend
-from repro.nn.im2col import default_workspace
+from repro.nn.im2col import col2im, default_workspace, im2col
 from repro.nn.tensor import Tensor, no_grad
 from repro.session import Session, build_components
 
-BENCH_VERSION = 7
+BENCH_VERSION = 8
 
 
 def _warm_pool(workers: int) -> None:
@@ -167,6 +169,28 @@ def bench_conv(scale: float, seed: int) -> Dict[str, object]:
         "forward_nograd": fwd_nograd,
         "forward_backward": fwd_bwd,
         "workspace": workspace_stats,
+        "unfold": {
+            name: _time_unfold(rng, batch, repeats)
+            for name, batch in (("scoring", 128), ("training", 32))
+        },
+    }
+
+
+def _time_unfold(rng: np.random.Generator, batch: int, repeats: int) -> Dict[str, object]:
+    """The 3x3 stride-1 unfold and fold of the stream encoder's widest
+    stage alone: ``im2col`` as autograd calls it (fresh columns), as
+    gradient-free forwards call it (workspace-backed), and ``col2im``."""
+    shape = (batch, 12, 12, 12)
+    x = rng.normal(size=shape).astype(np.float32)
+    ws = default_workspace()
+    cols = im2col(x, (3, 3), 1, 1)
+    return {
+        "input": list(shape),
+        "im2col_grad": _time(lambda: im2col(x, (3, 3), 1, 1), repeats=repeats),
+        "im2col_nograd": _time(
+            lambda: im2col(x, (3, 3), 1, 1, workspace=ws), repeats=repeats
+        ),
+        "col2im": _time(lambda: col2im(cols, shape, (3, 3), 1, 1), repeats=repeats),
     }
 
 
@@ -731,6 +755,17 @@ def main(argv=None) -> int:
             report["conv"]["workspace"]["hit_rate"],
         )
     )
+    for name, unfold in report["conv"]["unfold"].items():
+        print(
+            "    {} N={}: im2col(grad) {:.5f}s  im2col(no_grad) {:.5f}s  "
+            "col2im {:.5f}s".format(
+                name,
+                unfold["input"][0],
+                unfold["im2col_grad"]["best_s"],
+                unfold["im2col_nograd"]["best_s"],
+                unfold["col2im"]["best_s"],
+            )
+        )
     report["stream"] = bench_stream(scale, seed)
     print(
         "  stream: {:.4f}s/step over {} iterations".format(

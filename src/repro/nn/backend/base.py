@@ -187,7 +187,7 @@ class ArrayBackend:
 
     def relu(self, x: np.ndarray) -> np.ndarray:
         """Reference ReLU: bit-compatible with ``where(x > 0, x, 0)``."""
-        return np.where(x > 0, x, 0.0).astype(x.dtype)
+        return np.where(x > 0, x, 0.0).astype(x.dtype, copy=False)
 
     # -- reductions -----------------------------------------------------
     def sum(self, x: np.ndarray, axis=None, keepdims: bool = False) -> np.ndarray:

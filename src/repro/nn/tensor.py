@@ -407,7 +407,7 @@ class Tensor:
             # cheapest single-pass rectification.
             return Tensor(get_backend().relu(a.data))
         mask = a.data > 0
-        data = np.where(mask, a.data, 0.0).astype(a.data.dtype)
+        data = np.where(mask, a.data, 0.0).astype(a.data.dtype, copy=False)
         return self._make(data, (a,), lambda g: (g * mask,))
 
     def abs(self) -> "Tensor":

@@ -1,5 +1,7 @@
 """Tests for im2col/col2im against naive sliding-window references."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,25 @@ def naive_im2col(x, kernel, stride, padding):
     return cols
 
 
+def naive_col2im(cols, input_shape, kernel, stride, padding):
+    """Scatter-add every column entry, kernel offset (ki, kj) outermost.
+
+    A pixel gets at most one addition per offset, so this fixes the
+    order of each pixel's sum: (ki, kj) row-major, starting from zero.
+    """
+    kh, kw = kernel
+    n, c, h, w = input_shape
+    out_h, out_w = cols.shape[1:3]
+    padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
+    cols6 = cols.reshape(n, out_h, out_w, c, kh, kw)
+    for ki in range(kh):
+        for kj in range(kw):
+            for i in range(out_h):
+                for j in range(out_w):
+                    padded[:, :, i * stride + ki, j * stride + kj] += cols6[:, i, j, :, ki, kj]
+    return padded[:, :, padding : padding + h, padding : padding + w]
+
+
 class TestConvOutputSize:
     def test_basic(self):
         assert conv_output_size(8, 3, 1, 1) == 8
@@ -47,17 +68,34 @@ class TestIm2col:
             ((2, 4, 6, 6), (1, 1), 1, 0),
             ((1, 2, 7, 9), (3, 3), 2, 1),
             ((3, 2, 4, 4), (2, 2), 2, 0),
+            ((2, 4, 7, 7), (1, 1), 2, 0),
         ],
     )
     def test_matches_naive(self, rng, shape, kernel, stride, padding):
-        x = rng.normal(size=shape).astype(np.float32)
-        fast = im2col(x, kernel, stride, padding)
-        slow = naive_im2col(x, kernel, stride, padding)
-        np.testing.assert_allclose(fast, slow, rtol=1e-6)
+        for dtype in (np.float32, np.float64):
+            x = rng.normal(size=shape).astype(dtype)
+            fast = im2col(x, kernel, stride, padding)
+            slow = naive_im2col(x, kernel, stride, padding)
+            assert fast.dtype == dtype and fast.flags.c_contiguous
+            np.testing.assert_array_equal(fast, slow)
 
     def test_rejects_non_4d(self, rng):
         with pytest.raises(ValueError):
             im2col(rng.normal(size=(3, 8, 8)), (3, 3), 1, 1)
+
+    def test_fresh_unfold_allocates_no_full_size_temporary(self, rng):
+        """At the scoring shape a fresh unfold allocates the column matrix
+        and the padded input, plus only a small staging chunk: a
+        transpose through a full-size temporary would double the peak."""
+        x = rng.normal(size=(128, 12, 12, 12)).astype(np.float32)
+        padded_bytes = 128 * 14 * 14 * 12 * x.itemsize
+        tracemalloc.start()
+        try:
+            cols = im2col(x, (3, 3), 1, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * (cols.nbytes + padded_bytes)
 
     def test_column_layout_matches_weight_flatten(self, rng):
         """cols @ w.reshape(F,-1).T must equal direct convolution."""
@@ -106,6 +144,29 @@ class TestCol2im:
         out = col2im(cols, x_shape, (2, 2), 1, 0)
         expected = np.array([[1, 2, 1], [2, 4, 2], [1, 2, 1]], dtype=float)
         np.testing.assert_allclose(out[0, 0], expected)
+
+    @pytest.mark.parametrize(
+        "shape,kernel,stride,padding",
+        [
+            ((2, 3, 8, 8), (3, 3), 1, 1),
+            ((1, 1, 5, 5), (3, 3), 2, 0),
+            ((2, 2, 6, 6), (2, 2), 1, 0),
+            ((1, 2, 7, 9), (3, 3), 2, 1),
+            ((2, 4, 7, 7), (1, 1), 2, 0),
+            ((1, 3, 4, 5), (3, 3), 1, 2),
+        ],
+    )
+    def test_matches_naive_fold_exactly(self, rng, shape, kernel, stride, padding):
+        """Same additions in the same (ki, kj) order: equal bits, signed
+        zeros included (0.0 + -0.0 is +0.0)."""
+        cols_shape = naive_im2col(np.zeros(shape), kernel, stride, padding).shape
+        for dtype in (np.float32, np.float64):
+            cols = rng.normal(size=cols_shape).astype(dtype)
+            cols[np.abs(cols) < 0.2] = -0.0
+            out = col2im(cols, shape, kernel, stride, padding)
+            ref = naive_col2im(cols, shape, kernel, stride, padding)
+            assert out.dtype == dtype and out.flags.c_contiguous
+            assert out.tobytes() == np.ascontiguousarray(ref).tobytes()
 
 
 class TestIm2colWorkspace:
