@@ -92,12 +92,11 @@ def _warm_pool(workers: int) -> None:
     parallel timings below measure steady-state dispatch (the pool is
     what fleet rounds and repeated sweeps actually reuse), not one-time
     process startup."""
-    from repro.experiments.pool import POOL_UNAVAILABLE_ERRORS, get_worker_pool
+    from repro.experiments.pool import get_worker_pool
 
-    try:
-        get_worker_pool(workers).warm()
-    except POOL_UNAVAILABLE_ERRORS:
-        pass
+    pool = get_worker_pool(workers)
+    if pool is not None:  # None: no multiprocessing here, runs go serial
+        pool.warm()
 
 
 def _time(fn: Callable[[], object], repeats: int, warmup: int = 1) -> Dict[str, float]:

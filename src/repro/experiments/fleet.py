@@ -24,11 +24,15 @@ NAME --wire-format NAME``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence
 
 from repro.experiments.config import StreamExperimentConfig, default_config
-from repro.experiments.parallel import result_fingerprint
+from repro.experiments.parallel import (
+    JobTimings,
+    format_timings_footer,
+    result_fingerprint,
+)
 from repro.experiments.runner import StreamRunResult, run_stream_experiment
 from repro.fleet.faults import FaultPlan
 from repro.fleet.spec import DeviceSpec, FleetConfig
@@ -201,18 +205,17 @@ def format_fleet(result: FleetExperimentResult) -> str:
         f"single {single_knn:.3f})"
     )
     lines = [format_table(header, rows), summary]
-    if fleet.timings:
-        totals = {
-            key: sum(entry.get(key, 0.0) for entry in fleet.timings)
-            for key in ("serialize_s", "transport_s", "compute_s", "merge_s", "wall_s")
-        }
-        workers = max(entry.get("workers", 1) for entry in fleet.timings)
-        lines.append(
-            f"transport: wire={fleet.wire_format or 'raw'} workers={workers} "
-            f"serialize {totals['serialize_s']:.3f}s "
-            f"transport {totals['transport_s']:.3f}s "
-            f"compute {totals['compute_s']:.3f}s "
-            f"merge {totals['merge_s']:.3f}s "
-            f"wall {totals['wall_s']:.3f}s"
-        )
+    # One footer for the run: each JobTimings field summed over the
+    # per-round records, except workers (the widest round's pool).
+    records = fleet.timings
+    totals: Dict[str, Any] = {
+        f.name: sum(entry[f.name] for entry in records) for f in fields(JobTimings)
+    }
+    totals.update(
+        workers=max((entry["workers"] for entry in records), default=1),
+        wire=fleet.wire_format,
+    )
+    footer = format_timings_footer(totals)
+    if footer is not None:
+        lines.append(footer)
     return "\n".join(lines)

@@ -14,12 +14,7 @@ from typing import Any, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.experiments.config import StreamExperimentConfig, default_config
-from repro.experiments.parallel import (
-    JobTimings,
-    SweepSpec,
-    format_timings_footer,
-    run_sweep,
-)
+from repro.experiments.parallel import SweepSpec, format_timings_footer, run_sweep
 from repro.experiments.runner import StreamRunResult
 from repro.registry import canonical_policy_names
 from repro.utils.tables import format_table
@@ -105,9 +100,7 @@ def run_multi_seed(
         for seed in seeds
     ]
     sweep = run_sweep(specs, workers=workers)
-    timings: Optional[JobTimings] = getattr(sweep, "timings", None)
-    if timings is not None:
-        result.timings = timings.to_dict()
+    result.timings = sweep.timings.to_dict()
     sweep_runs = iter(sweep)
     for policy in policies:
         aggregate = SeedAggregate(policy=policy)

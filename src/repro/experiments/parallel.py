@@ -26,8 +26,8 @@ This module fans such grids out over a **persistent**
   draws from numpy's global RNG.  The equivalence tests in
   ``tests/integration/test_parallel.py`` enforce this.
 * **Warm workers** — pools persist across :func:`run_jobs` calls
-  (keyed by size + start method), so repeated fan-outs — fleet rounds,
-  sweep batches — pay worker startup once per process, not per call.
+  (one per size), so repeated fan-outs — fleet rounds, sweep batches —
+  pay worker startup once per process, not per call.
 * **Crash containment** — a worker dying mid-job is a
   :class:`~repro.experiments.pool.WorkerCrashedError`, not a raw
   pickling/queue error: the affected jobs are re-run serially in the
@@ -43,10 +43,10 @@ This module fans such grids out over a **persistent**
   (:mod:`repro.nn.backend`) rides each spec's config: ``config.backend``
   crosses the process boundary inside the ``config_to_dict`` payload
   and the worker's Session activates it, so a sweep of ``fused`` runs
-  behaves identically under any worker count or start method.  A
-  ``None`` backend inherits the worker's process default
-  (``REPRO_BACKEND``, which both ``fork`` and ``spawn`` children see —
-  though with a persistent pool the value is read at first pool use).
+  behaves identically under any worker count.  A ``None`` backend
+  inherits the worker's process default (``REPRO_BACKEND``, which both
+  ``fork`` and ``spawn`` children see — though with a persistent pool
+  the value is read at first pool use).
 
 ``run_multi_seed``, ``run_table2``, ``run_stc_sweep``, and
 ``run_learning_curves`` accept ``workers=`` and build on this engine;
@@ -57,12 +57,11 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.experiments.config import StreamExperimentConfig
 from repro.experiments.pool import (
-    POOL_UNAVAILABLE_ERRORS,
     WorkerCrashedError,
     WorkerPool,
     default_start_method,
@@ -113,22 +112,14 @@ class JobTimings:
     crashes: int = 0
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "jobs": self.jobs,
-            "workers": self.workers,
-            "wall_s": self.wall_s,
-            "compute_s": self.compute_s,
-            "transport_s": self.transport_s,
-            "serialize_s": self.serialize_s,
-            "merge_s": self.merge_s,
-            "crashes": self.crashes,
-        }
+        return asdict(self)
 
     def record(self, engine: str) -> None:
         """Mirror this fan-out into the process metrics registry
-        (``jobs.*`` counters labelled by engine), making the registry
-        the single telemetry source while the dict/footers stay as thin
-        views for existing callers."""
+        (``jobs.*`` counters labelled by engine).  Each engine calls it
+        once per fan-out, whether or not metrics are enabled: like
+        ``pool.jobs`` and ``jobs.retries``, these are infrastructure
+        counters, never gated."""
         registry = metrics()
         registry.counter("jobs.wall_seconds", engine=engine).inc(self.wall_s)
         registry.counter("jobs.compute_seconds", engine=engine).inc(self.compute_s)
@@ -138,21 +129,20 @@ class JobTimings:
 
 
 def format_timings_footer(timings: Optional[Dict[str, Any]]) -> Optional[str]:
-    """One-line per-stage breakdown for experiment tables, or ``None``
-    when there is nothing to report (serial runs skip the footer)."""
-    if not timings or timings.get("workers", 1) <= 1:
+    """One-line per-stage breakdown of a :meth:`JobTimings.to_dict`
+    record (plus the fleet's ``wire``, if given) for experiment tables,
+    or ``None`` when there is nothing to report (serial runs skip the
+    footer)."""
+    if not timings or timings["workers"] <= 1:
         return None
-    parts = [
-        f"timings: jobs={timings.get('jobs', 0)} workers={timings.get('workers', 1)}",
-        f"serialize {timings.get('serialize_s', 0.0):.3f}s",
-        f"transport {timings.get('transport_s', 0.0):.3f}s",
-        f"compute {timings.get('compute_s', 0.0):.3f}s",
-        f"merge {timings.get('merge_s', 0.0):.3f}s",
-        f"wall {timings.get('wall_s', 0.0):.3f}s",
-    ]
-    if timings.get("crashes"):
-        parts.append(f"crashes {timings['crashes']}")
-    return " ".join(parts)
+    wire = f" wire={timings['wire']}" if "wire" in timings else ""
+    stages = " ".join(
+        f"{stage} {timings[stage + '_s']:.3f}s"
+        for stage in ("serialize", "transport", "compute", "merge", "wall")
+    )
+    crashes = f" crashes {timings['crashes']}" if timings["crashes"] else ""
+    head = f"timings: jobs={timings['jobs']} workers={timings['workers']}{wire}"
+    return f"{head} {stages}{crashes}"
 
 
 class JobResults(list):
@@ -160,9 +150,9 @@ class JobResults(list):
     payload order) that additionally carries the fan-out's
     :class:`JobTimings`."""
 
-    def __init__(self, values: Sequence[Any], timings: Optional[JobTimings] = None):
+    def __init__(self, values: Sequence[Any], timings: JobTimings):
         super().__init__(values)
-        self.timings = timings if timings is not None else JobTimings()
+        self.timings = timings
 
 
 @dataclass(frozen=True)
@@ -206,18 +196,6 @@ class SweepSpec:
         return cls(**payload)
 
 
-def _run_spec(spec: SweepSpec) -> StreamRunResult:
-    """Execute one spec in the current process."""
-    return run_stream_experiment(
-        spec.config,
-        spec.policy,
-        eval_points=spec.eval_points,
-        label_fraction=spec.label_fraction,
-        lazy_interval=spec.lazy_interval,
-        score_momentum=spec.score_momentum,
-    )
-
-
 def _worker(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Pool worker: payload in, result payload out (must be module-level
     so every start method can import it).
@@ -228,41 +206,26 @@ def _worker(payload: Dict[str, Any]) -> Dict[str, Any]:
     and merges it before the result dict is parsed, so it can never
     reach a fingerprint.
     """
-    result = _run_spec(SweepSpec.from_payload(payload)).to_dict()
+    spec = SweepSpec.from_payload(payload)
+    result = run_stream_experiment(
+        spec.config,
+        spec.policy,
+        eval_points=spec.eval_points,
+        label_fraction=spec.label_fraction,
+        lazy_interval=spec.lazy_interval,
+        score_momentum=spec.score_momentum,
+    ).to_dict()
     telemetry = collect_worker_telemetry()
     if telemetry is not None:
         result["_telemetry"] = telemetry
     return result
 
 
-def _run_serial(
-    worker: Callable[[Any], Any], payloads: Sequence[Any]
-) -> JobResults:
-    start = time.perf_counter()
-    values = []
-    compute = 0.0
-    for payload in payloads:
-        job_start = time.perf_counter()
-        values.append(worker(payload))
-        compute += time.perf_counter() - job_start
-    return JobResults(
-        values,
-        JobTimings(
-            jobs=len(values),
-            workers=1,
-            wall_s=time.perf_counter() - start,
-            compute_s=compute,
-        ),
-    )
-
-
 def run_jobs(
     worker: Callable[[Any], Any],
     payloads: Sequence[Any],
     workers: int = 1,
-    start_method: Optional[str] = None,
     *,
-    sticky: bool = False,
     sticky_keys: Optional[Sequence[int]] = None,
     pool: Optional[WorkerPool] = None,
     refresh: Optional[Callable[[int, Any], Any]] = None,
@@ -301,41 +264,29 @@ def run_jobs(
     of varying job lists.
 
     The returned list is a :class:`JobResults` carrying
-    :class:`JobTimings`.
+    :class:`JobTimings`, on every call (zero payloads included).
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     payloads = list(payloads)
-    if not payloads:
-        return JobResults([], JobTimings(workers=min(workers, 1)))
     workers = min(workers, len(payloads))
-    if workers == 1 and pool is None:
+    if pool is None and workers > 1:
+        pool = get_worker_pool(workers)
+    start = time.perf_counter()
+    if pool is None:
         # A caller-supplied pool is used even for a single payload:
         # sticky channel state (delta caches) lives in its workers, so
         # downgrading to in-parent serial would strand those caches.
-        return _run_serial(worker, payloads)
-    if pool is None:
-        try:
-            pool = get_worker_pool(workers, start_method)
-        except POOL_UNAVAILABLE_ERRORS as exc:
-            # Pool *creation* failing (e.g. missing POSIX semaphores in
-            # a restricted sandbox) degrades to serial.  Errors raised
-            # by the jobs themselves propagate: silently rerunning a
-            # failing sweep serially would double its wall clock and
-            # bury the real error.
-            warnings.warn(
-                f"multiprocessing unavailable ({exc}); running jobs serially",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return _run_serial(worker, payloads)
+        values = [worker(payload) for payload in payloads]
+        wall = time.perf_counter() - start
+        return JobResults(
+            values, JobTimings(jobs=len(values), wall_s=wall, compute_s=wall)
+        )
 
-    start = time.perf_counter()
     raw: Dict[str, Any] = {}
     values = pool.map(
         worker,
         payloads,
-        sticky=sticky,
         sticky_keys=sticky_keys,
         return_exceptions=True,
         timings=raw,
@@ -374,11 +325,7 @@ def run_jobs(
     return JobResults(values, timings)
 
 
-def run_sweep(
-    specs: Sequence[SweepSpec],
-    workers: int = 1,
-    start_method: Optional[str] = None,
-) -> JobResults:
+def run_sweep(specs: Sequence[SweepSpec], workers: int = 1) -> JobResults:
     """Run every spec and return results in spec order.
 
     Parameters
@@ -386,37 +333,19 @@ def run_sweep(
     specs: the runs to execute.
     workers: worker process count.  1 (the default) runs serially
         in-process; values above the spec count are clamped.
-    start_method: multiprocessing start method (default:
-        :func:`default_start_method`).
 
-    Serial and parallel execution produce identical results on every
+    Serial and parallel runs take the same payload round trip through
+    :func:`run_jobs` and produce identical results on every
     deterministic field — see :func:`result_fingerprint` — because runs
-    share no state and the cross-process round trip is lossless.  The
-    returned list carries :class:`JobTimings` as ``.timings`` (the
-    sweep tables' per-stage breakdown).
+    share no state and the round trip is lossless.  The returned list
+    carries :class:`JobTimings` as ``.timings`` (the sweep tables'
+    per-stage breakdown), mirrored into the ``jobs.*{engine=sweep}``
+    counters.
     """
-    specs = list(specs)
-    if workers == 1 or len(specs) <= 1:
-        # In-process fast path: skip the payload round trip entirely
-        # (it is lossless, so results are identical either way).
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        start = time.perf_counter()
-        results = [_run_spec(spec) for spec in specs]
-        wall = time.perf_counter() - start
-        return JobResults(
-            results,
-            JobTimings(jobs=len(specs), workers=1, wall_s=wall, compute_s=wall),
-        )
     serialize_start = time.perf_counter()
     payloads = [spec.to_payload() for spec in specs]
     serialize_s = time.perf_counter() - serialize_start
-    result_payloads = run_jobs(
-        _worker,
-        payloads,
-        workers=workers,
-        start_method=start_method,
-    )
+    result_payloads = run_jobs(_worker, payloads, workers=workers)
     merge_start = time.perf_counter()
     results = []
     for payload in result_payloads:

@@ -3,8 +3,8 @@
 The old parallel path paid worker startup (fork + import + allocator
 warmup) on *every* :func:`repro.experiments.parallel.run_jobs` call —
 a fleet of R rounds spawned R pools.  This module keeps one pool of
-long-lived workers per ``(size, start_method)`` and reuses it across
-calls (:func:`get_worker_pool`), which is what lets fleet rounds ship
+long-lived workers per size and reuses it across calls
+(:func:`get_worker_pool`), which is what lets fleet rounds ship
 deltas: a worker that stays alive keeps its decoded state caches.
 
 Design points:
@@ -41,6 +41,7 @@ import multiprocessing
 import multiprocessing.connection
 import time
 import traceback
+import warnings
 from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -54,7 +55,7 @@ __all__ = [
 ]
 
 #: Exceptions meaning "multiprocessing itself is unavailable here"
-#: (restricted sandboxes): callers degrade to serial on these.
+#: (restricted sandboxes): :func:`get_worker_pool` degrades on these.
 POOL_UNAVAILABLE_ERRORS = (ImportError, OSError, PermissionError)
 
 #: Seconds between liveness polls while waiting on worker pipes.
@@ -154,12 +155,10 @@ class WorkerPool:
     construct directly only for isolated lifecycles (tests).
     """
 
-    def __init__(self, workers: int, start_method: Optional[str] = None) -> None:
+    def __init__(self, workers: int) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        method = start_method if start_method is not None else default_start_method()
-        self._context = multiprocessing.get_context(method)
-        self.start_method = method
+        self._context = multiprocessing.get_context(default_start_method())
         self.size = int(workers)
         # Start the resource tracker *before* forking so every worker
         # inherits the parent's tracker: shared-memory segments are
@@ -429,17 +428,17 @@ class WorkerPool:
 
 
 # ----------------------------------------------------------------------
-# The shared pools: one per (size, start method), created on demand,
-# kept warm for the life of the process.
+# The shared pools: one per size, created on demand, kept warm for the
+# life of the process.
 # ----------------------------------------------------------------------
-_POOLS: Dict[Tuple[int, str], WorkerPool] = {}
+_POOLS: Dict[int, WorkerPool] = {}
 
 
-def get_worker_pool(workers: int, start_method: Optional[str] = None) -> WorkerPool:
-    """The process-wide persistent pool for this size/start method.
-
-    Raises one of :data:`POOL_UNAVAILABLE_ERRORS` where multiprocessing
-    cannot run; callers degrade to serial on those.
+def get_worker_pool(workers: int) -> Optional[WorkerPool]:
+    """The process-wide persistent pool of this size, or ``None`` where
+    multiprocessing cannot run: pool creation failing with one of
+    :data:`POOL_UNAVAILABLE_ERRORS` (e.g. no POSIX semaphores in a
+    restricted sandbox) warns and callers run their jobs serially.
 
     Note the fork caveat: workers inherit the parent's modules as of
     pool creation.  Components registered *after* that (test plugins)
@@ -448,12 +447,19 @@ def get_worker_pool(workers: int, start_method: Optional[str] = None) -> WorkerP
     post-fork will differ.  :func:`shutdown_worker_pools` forces fresh
     workers when that matters.
     """
-    method = start_method if start_method is not None else default_start_method()
-    key = (int(workers), method)
+    key = int(workers)
     pool = _POOLS.get(key)
     if pool is not None and pool.alive:
         return pool
-    pool = WorkerPool(workers, start_method=method)
+    try:
+        pool = WorkerPool(key)
+    except POOL_UNAVAILABLE_ERRORS as exc:
+        warnings.warn(
+            f"multiprocessing unavailable ({exc}); running jobs serially",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        return None
     _POOLS[key] = pool
     return pool
 

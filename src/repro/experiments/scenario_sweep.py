@@ -115,8 +115,7 @@ def run_scenario_sweep(
     result = ScenarioSweepResult(
         config=base, scenarios=roster, policies=policies, seeds=tuple(seeds)
     )
-    if getattr(sweep, "timings", None) is not None:
-        result.timings = sweep.timings.to_dict()
+    result.timings = sweep.timings.to_dict()
     for scenario in roster:
         for policy in policies:
             runs = [next(sweep_runs) for _ in seeds]

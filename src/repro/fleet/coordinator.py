@@ -3,21 +3,27 @@
 :class:`FleetCoordinator` simulates a device fleet learning from
 private streams with periodic model synchronization — the setting the
 source paper targets (many edge devices adapting on-device) scaled out
-to the ROADMAP's production framing.  One *round* is:
+to the ROADMAP's production framing.  One *round* runs these phases,
+one :class:`FleetCoordinator` method each:
 
-1. **local training** — every device advances its own
-   :class:`~repro.session.Session` by ``~1/rounds`` of its stream.
+1. **cast** — the client sampler and the fault plan pick the sampled,
+   active, dropped, late and crashing devices;
+2. **stage** — pick the pool and codec, build one payload per device;
+3. **dispatch** — local training: every active device advances its
+   own :class:`~repro.session.Session` by ``~1/rounds`` of its stream.
    Devices are independent jobs fanned out through
    :func:`repro.experiments.parallel.run_jobs` (the same engine under
    ``run_sweep``), so ``workers > 1`` runs them in parallel processes
    with results bitwise-identical to the serial order;
-2. **aggregation** — the registered aggregator
+4. **collect** — decode the replies into device states and reports;
+5. **aggregate** — the registered aggregator
    (:mod:`repro.fleet.aggregators`) folds the per-device model arrays
    into a new global model (or declines, for ``local-only``);
-3. **broadcast** — the global model overwrites every device's encoder
+6. **broadcast** — the global model overwrites every device's encoder
    and projector arrays (optimizer moments and buffers stay local);
-4. **evaluation** — the global model takes a training-free kNN probe
-   on fixed pools, giving the per-round accuracy column.
+7. **evaluate** — the global model takes a training-free kNN probe
+   on fixed pools, giving the per-round accuracy column;
+8. **record** — the stats row, the timing record and the metrics.
 
 Device state crosses rounds (and process boundaries) as the
 ``Session.state_dict()`` payload, with the array dict encoded by a
@@ -31,8 +37,8 @@ fleet mid-run with bitwise-identical results.  Parallel rounds reuse a
 persistent :mod:`~repro.experiments.pool` worker pool with sticky
 device→worker routing, which is what lets the ``delta`` format rebuild
 Sessions from just the broadcast-changed arrays each round; per-round
-serialize/transport/compute/merge timings land in
-:attr:`FleetCoordinator.timings` (never in fingerprints).
+the fan-out's :class:`~repro.experiments.parallel.JobTimings` record
+lands in :attr:`FleetCoordinator.timings` (never in fingerprints).
 
 Population-scale rounds change only the cast, not the contract: when
 ``FleetConfig.participants`` is set, a registered ``CLIENT_SAMPLERS``
@@ -55,22 +61,22 @@ import json
 import math
 import os
 import time
-import warnings
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.device.cost_model import DEVICE_PROFILES, iteration_compute_cost
 from repro.data.scenarios import canonical_scenario
 from repro.experiments.config import StreamExperimentConfig
-from repro.experiments.parallel import JobTimings, result_fingerprint, run_jobs
-from repro.experiments import pool as pool_module
-from repro.experiments.pool import (
-    POOL_UNAVAILABLE_ERRORS,
-    WorkerPool,
-    get_worker_pool,
+from repro.experiments.parallel import (
+    JobResults,
+    JobTimings,
+    result_fingerprint,
+    run_jobs,
 )
+from repro.experiments import pool as pool_module
+from repro.experiments.pool import WorkerPool, get_worker_pool
 from repro.experiments.wire import (
     WireFormat,
     WireProtocolError,
@@ -109,6 +115,8 @@ from repro.registry import (
 from repro.session import (
     Session,
     StreamRunResult,
+    _nan_if_none,
+    _none_if_nan,
     build_components,
     config_from_dict,
     config_to_dict,
@@ -139,15 +147,6 @@ _BUDGET_LAZY_LADDER: Tuple[Optional[int], ...] = (None, 2, 4, 8, 16, 32, 64)
 #: Per-process coordinator counter: makes delta channels unique across
 #: coordinator instances that share the persistent worker pool.
 _FLEET_COUNTER = itertools.count()
-
-
-def _none_if_nan(value: float) -> Optional[float]:
-    """NaN -> None so round stats stay strict-JSON."""
-    return None if isinstance(value, float) and np.isnan(value) else value
-
-
-def _nan_if_none(value: Optional[float]) -> float:
-    return float("nan") if value is None else float(value)
 
 
 def _device_round_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -244,6 +243,17 @@ def _device_round_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 # Round bookkeeping.
 # ----------------------------------------------------------------------
+class _Cast(NamedTuple):
+    """One round's cast: ``active`` and ``dropped`` split ``sampled``;
+    ``late`` and ``crashing`` are active devices."""
+
+    sampled: List[int]
+    active: List[int]
+    dropped: List[int]
+    late: List[int]
+    crashing: set
+
+
 @dataclass
 class DeviceRoundStats:
     """One device's contribution to one round of the fleet table."""
@@ -429,8 +439,6 @@ class FleetCoordinator:
         :func:`repro.experiments.parallel.run_jobs` (reusing the
         persistent worker pool, with sticky device→worker routing);
         results are bitwise-identical to ``workers=1``.
-    start_method:
-        Multiprocessing start method (None = platform default).
     wire_format:
         ``WIRE_FORMATS`` codec for device state crossing the process
         boundary (``json-b64``, ``shm``, ``delta``, or a plugin).
@@ -452,7 +460,6 @@ class FleetCoordinator:
         eval_points: int = 1,
         label_fraction: float = 1.0,
         workers: int = 1,
-        start_method: Optional[str] = None,
         wire_format: Optional[str] = None,
     ) -> None:
         if config.fleet is None:
@@ -515,7 +522,6 @@ class FleetCoordinator:
         self._eval_points = int(eval_points)
         self._label_fraction = float(label_fraction)
         self._workers = int(workers)
-        self._start_method = start_method
         self._aggregator: Aggregator = create_aggregator(aggregator_name)
         # transport: the resolved codec selection (None = pick per
         # round), the sender-side codec instance (built lazily), a
@@ -583,7 +589,6 @@ class FleetCoordinator:
         self._global_version = 0
         self._pending: List[Dict[str, Any]] = []
         self._force_full: set = set()
-        self._active_devices: List[int] = list(range(num))
 
     # -- construction helpers -------------------------------------------
     @classmethod
@@ -735,9 +740,9 @@ class FleetCoordinator:
 
     @property
     def timings(self) -> List[Dict[str, Any]]:
-        """Per-round transport/stage seconds (serialize / transport /
-        compute / merge), labeled with the wire format used.  Pure
-        instrumentation: never part of fingerprints or checkpoints."""
+        """One record per round: ``round``, ``wire`` and the round's
+        :class:`JobTimings` fields.  Pure instrumentation: never part of
+        fingerprints or checkpoints."""
         return [dict(entry) for entry in self._timings]
 
     @property
@@ -792,64 +797,62 @@ class FleetCoordinator:
         """The device's transport channel id (delta cache key)."""
         return f"{self._channel_prefix}/device{device_index}"
 
-    def _sender_codec(self, wire_name: Optional[str]) -> Optional[WireFormat]:
-        """The coordinator's sender-side codec instance (lazy, reused
-        across rounds so delta hash state survives)."""
-        if wire_name is None:
-            return None
-        if self._wire is None or self._wire_name != wire_name:
-            self._wire = create_wire_format(wire_name)
-            self._wire_name = wire_name
-        return self._wire
-
-    def _fallback_payload(self, index: int, payload: Dict[str, Any]) -> Dict[str, Any]:
+    def _fallback_payload(
+        self, device_index: int, payload: Dict[str, Any]
+    ) -> Dict[str, Any]:
         """A standalone payload for the in-parent serial re-run of a
         crashed device job: raw state, no wire round trip (the crashed
         worker's channel caches are gone, so a delta payload could not
         decode here).
 
-        ``index`` is the *job* index into this round's payload list
-        (the device index when every device runs; a position in the
-        participant list on sampled rounds).  The device is marked for
-        a full resend next round: whatever channel cache its sticky
-        worker held is no longer trustworthy after a mid-round crash
-        or transport-state retry."""
-        device_index = self._active_devices[index]
+        The device is marked for a full resend next round: whatever
+        channel cache its sticky worker held is no longer trustworthy
+        after a mid-round crash or transport-state retry."""
         self._force_full.add(device_index)
-        if payload.get("state") is None:
-            return dict(payload, wire=None, response_wire=None, inject_crash=False)
-        state = self._device_states[device_index]
-        assert state is not None
-        return {
-            "state": state,
-            "wire": None,
-            "response_wire": None,
-            "channel": payload.get("channel"),
-            "stop_after": payload["stop_after"],
-        }
+        raw = None if payload["state"] is None else self._device_states[device_index]
+        return dict(
+            payload, state=raw, wire=None, response_wire=None, inject_crash=False
+        )
 
     def _run_round(self) -> None:
-        """One fleet round, wrapped in the ``fleet.round`` trace span
-        with the logical round clock and timed into the
-        ``fleet.round_seconds`` histogram."""
+        """One fleet round: the phases in order, wrapped in the
+        ``fleet.round`` trace span with the logical round clock and
+        timed into the ``fleet.round_seconds`` histogram."""
         set_clock(round=self._round)
         with trace_span("fleet.round"):
             start = time.perf_counter()
-            self._run_round_inner()
+            cast = self._cast()
+            pool, wire_name, wire = self._transport(cast.active)
+            serialize_start = time.perf_counter()
+            payloads = self._stage(cast, wire_name, wire)
+            serialize_s = time.perf_counter() - serialize_start
+            outputs = self._dispatch(payloads, cast.active, pool, wire)
+            merge_start = time.perf_counter()
+            reports, devices = self._collect(cast, outputs, wire)
+            new_global = (
+                self._aggregator.aggregate(self._global_state, reports)
+                if reports
+                else None
+            )
+            timings = outputs.timings
+            timings.serialize_s = serialize_s
+            timings.merge_s = time.perf_counter() - merge_start  # decode + aggregate
+            synchronized = self._broadcast(new_global)
+            accuracy = self._evaluate(devices)
+            self._record(cast, devices, accuracy, synchronized, wire_name, timings)
             if metrics_enabled():
                 metrics().histogram("fleet.round_seconds").observe(
                     time.perf_counter() - start
                 )
 
-    def _run_round_inner(self) -> None:
+    def _cast(self) -> _Cast:
+        """Cast: who trains, who drops, who straggles.  Every draw is
+        either from the checkpointed sampler RNG or a stateless
+        fault_rng derivation, so an interrupted run resumes (and a
+        plan+seed replays) with the identical cast."""
         num = len(self._plans)
         round_index = self._round
         fault_plan = self._fault_plan
-
-        # -- population cast: who trains, who drops, who straggles.
-        # Every draw is either from the checkpointed sampler RNG or a
-        # stateless fault_rng derivation, so an interrupted run resumes
-        # (and a plan+seed replays) with the identical cast.
         if self._sampler is not None:
             assert self._sampler_rng is not None and self._participants is not None
             sampled = list(
@@ -863,95 +866,94 @@ class FleetCoordinator:
             )
         else:
             sampled = list(range(num))
-        dropped: List[int] = []
-        late: List[int] = []
-        crashing: set = set()
-        if fault_plan is not None:
-            active: List[int] = []
-            for i in sampled:
-                if fault_plan.drops(round_index, i):
-                    dropped.append(i)
-                    continue
-                active.append(i)
-                if fault_plan.crashes(round_index, i):
-                    crashing.add(i)
-                if (
-                    self._deadline is not None
-                    and fault_plan.delay(i) > self._deadline
-                ):
-                    late.append(i)
-        else:
-            active = sampled
-        late_set = set(late)
-        self._active_devices = active
+        if fault_plan is None:
+            return _Cast(sampled, sampled, [], [], set())
+        cast = _Cast(sampled, [], [], [], set())
+        for i in sampled:
+            if fault_plan.drops(round_index, i):
+                cast.dropped.append(i)
+                continue
+            cast.active.append(i)
+            if fault_plan.crashes(round_index, i):
+                cast.crashing.add(i)
+            if self._deadline is not None and fault_plan.delay(i) > self._deadline:
+                cast.late.append(i)
+        return cast
 
-        # Transport selection: an explicitly chosen wire format is
-        # always exercised (the fleet-of-1 identity hook); otherwise
-        # state is encoded exactly when it crosses a process boundary,
-        # with the default codec.  Lossless codecs never affect
-        # results; the lossy delta codecs trade their documented
-        # tolerance for bandwidth.  The pool is sized for the whole
-        # fleet (not this round's participants) so sticky device ->
-        # worker routing stays stable across sampled rounds.
-        workers = min(self._workers, num)
-        pool: Optional[WorkerPool] = None
-        if workers > 1 and active:
-            try:
-                pool = get_worker_pool(workers, self._start_method)
-            except POOL_UNAVAILABLE_ERRORS as exc:
-                warnings.warn(
-                    f"multiprocessing unavailable ({exc}); running device "
-                    "rounds serially",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-                workers = 1
+    def _transport(
+        self, active: List[int]
+    ) -> Tuple[Optional[WorkerPool], Optional[str], Optional[WireFormat]]:
+        """Stage, part one: the round's pool, wire-format name and
+        sender codec (built lazily, reused across rounds so delta hash
+        state survives).
+
+        An explicitly chosen wire format is always exercised (the
+        fleet-of-1 identity hook); otherwise state is encoded exactly
+        when it crosses a process boundary, with the default codec.
+        Lossless codecs never affect results; the lossy delta codecs
+        trade their documented tolerance for bandwidth.  The pool is
+        sized for the whole fleet (not this round's participants) so
+        sticky device -> worker routing stays stable across sampled
+        rounds.
+        """
+        workers = min(self._workers, len(self._plans))
+        pool = get_worker_pool(workers) if workers > 1 and active else None
         wire_name = self._wire_selection
         if wire_name is None and pool is not None:
             wire_name = default_wire_format()
-        wire = self._sender_codec(wire_name)
+        if wire_name is None:
+            return pool, None, None
+        if self._wire_name != wire_name:
+            self._wire = create_wire_format(wire_name)
+            self._wire_name = wire_name
+        wire = self._wire
 
         # Channel-stateful codecs (delta) diff against what the sticky
         # worker's process holds; if that slot was respawned since the
         # device's last round (or the device has never run), or the
         # device's last round ended in a serial-fallback re-run
         # (_force_full), invalidate so this round ships the full state.
-        if wire is not None:
-            generations = pool.generations() if pool is not None else None
-            for i in active:
-                generation = (
-                    generations[pool.sticky_worker(i)]
-                    if pool is not None and generations is not None
-                    else -1
-                )
-                if (
-                    self._worker_generations.get(i) != generation
-                    or i in self._force_full
-                ):
-                    wire.invalidate(self._channel(i))
-                    self._worker_generations[i] = generation
-            self._force_full.difference_update(active)
-
-        serialize_start = time.perf_counter()
-        response_wire = wire.response_format if wire is not None else None
-        payloads = []
-        overlay: Optional[Dict[str, Any]] = None
+        generations = pool.generations() if pool is not None else []
         for i in active:
+            generation = generations[pool.sticky_worker(i)] if pool is not None else -1
+            if self._worker_generations.get(i) != generation or i in self._force_full:
+                wire.invalidate(self._channel(i))
+                self._worker_generations[i] = generation
+        self._force_full.difference_update(active)
+        return pool, wire_name, wire
+
+    def _stage(
+        self, cast: _Cast, wire_name: Optional[str], wire: Optional[WireFormat]
+    ) -> List[Dict[str, Any]]:
+        """Stage, part two: one payload per active device, summing the
+        broadcast volume in the same pass."""
+        response_wire = wire.response_format if wire is not None else None
+        # Per-codec broadcast volume: approximate encoded array bytes
+        # against the raw in-process footprint (the compression-ratio
+        # gauge).  Raw rounds ship nothing over a codec, so both stay 0.
+        count_bytes = wire is not None and metrics_enabled()
+        bytes_sent = raw_bytes = 0
+        overlay: Optional[Dict[str, Any]] = None
+        payloads = []
+        for i in cast.active:
             plan = self._plans[i]
-            if self._device_states[i] is None:
-                entry: Dict[str, Any] = {
-                    "state": None,
-                    "wire": wire_name,
-                    "response_wire": response_wire,
-                    "channel": self._channel(i),
-                    "config": config_to_dict(plan.config),
-                    "policy": plan.policy,
-                    "eval_points": self._eval_points,
-                    "label_fraction": self._label_fraction,
-                    "lazy_interval": plan.lazy_interval,
-                    "score_momentum": 0.0,
-                    "stop_after": plan.steps_per_round,
-                }
+            state = self._device_states[i]
+            entry: Dict[str, Any] = {
+                "state": None,
+                "wire": wire_name,
+                "response_wire": response_wire,
+                "channel": self._channel(i),
+                "stop_after": plan.steps_per_round,
+            }
+            if state is None:
+                entry.update(
+                    config=config_to_dict(plan.config),
+                    policy=plan.policy,
+                    eval_points=self._eval_points,
+                    label_fraction=self._label_fraction,
+                    lazy_interval=plan.lazy_interval,
+                    score_momentum=0.0,
+                )
                 if self._global_state is not None:
                     # First participation after a broadcast: start from
                     # the global model, not from scratch (one lossless
@@ -962,91 +964,78 @@ class FleetCoordinator:
                             for key, value in self._global_state.items()
                         }
                     entry["global_overlay"] = overlay
+            elif wire is None:
+                entry["state"] = state
             else:
-                state = self._device_states[i]
-                if wire is None:
-                    state_payload: Dict[str, Any] = state
-                else:
-                    state_payload = {
-                        "meta": state["meta"],
-                        "learner": wire.encode(
-                            state["learner"], channel=self._channel(i)
-                        ),
-                    }
-                entry = {
-                    "state": state_payload,
-                    "wire": wire_name,
-                    "response_wire": response_wire,
-                    "channel": self._channel(i),
-                    "stop_after": plan.steps_per_round,
-                }
-            if i in crashing:
+                learner = wire.encode(state["learner"], channel=entry["channel"])
+                entry["state"] = {"meta": state["meta"], "learner": learner}
+                if count_bytes:
+                    bytes_sent += wire.payload_nbytes(learner)
+                    raw_bytes += sum(
+                        np.asarray(value).nbytes for value in state["learner"].values()
+                    )
+            if i in cast.crashing:
                 entry["inject_crash"] = True
             payloads.append(entry)
-        serialize_s = time.perf_counter() - serialize_start
+        if bytes_sent:
+            registry = metrics()
+            registry.counter("fleet.bytes_sent", wire=wire_name).inc(bytes_sent)
+            registry.gauge("fleet.compression_ratio", wire=wire_name).set(
+                raw_bytes / bytes_sent
+            )
+        return payloads
 
-        # Per-codec broadcast volume: approximate encoded array bytes
-        # against the raw in-process footprint (the compression-ratio
-        # gauge).  Raw rounds ship nothing over a codec, so both stay 0.
-        bytes_sent = 0
-        raw_bytes = 0
-        if metrics_enabled() and wire is not None:
-            for i, entry in zip(active, payloads):
-                staged = entry.get("state")
-                if staged is None:
-                    continue
-                bytes_sent += wire.payload_nbytes(staged["learner"])
-                state = self._device_states[i]
-                assert state is not None
-                raw_bytes += sum(
-                    np.asarray(value).nbytes
-                    for value in state["learner"].values()
-                )
+    def _dispatch(
+        self,
+        payloads: List[Dict[str, Any]],
+        active: List[int],
+        pool: Optional[WorkerPool],
+        wire: Optional[WireFormat],
+    ) -> JobResults:
+        """Dispatch: the device jobs through ``run_jobs`` — on ``pool``
+        with sticky device -> worker routing, else serially in-process.
+        """
+        try:
+            return run_jobs(
+                _device_round_worker,
+                payloads,
+                workers=1 if pool is None else pool.size,
+                sticky_keys=active,
+                pool=pool,
+                refresh=lambda job, payload: self._fallback_payload(
+                    active[job], payload
+                ),
+                retry_on=(WireProtocolError,),
+            )
+        finally:
+            if wire is not None:
+                # Backstop for payloads no worker ever decoded (crash
+                # mid-round): idempotently release staged resources
+                # (shm segments) so nothing can leak.
+                for payload in payloads:
+                    staged = payload.get("state")
+                    if staged is not None and payload.get("wire") is not None:
+                        wire.release(staged["learner"])
 
-        job_timings: Optional[JobTimings] = None
-        outputs: Sequence[Dict[str, Any]] = []
-        if payloads:
-            try:
-                outputs = run_jobs(
-                    _device_round_worker,
-                    payloads,
-                    workers=workers,
-                    start_method=self._start_method,
-                    sticky=True,
-                    sticky_keys=active,
-                    pool=pool,
-                    refresh=self._fallback_payload,
-                    retry_on=(WireProtocolError,),
-                )
-            finally:
-                if wire is not None:
-                    # Backstop for payloads no worker ever decoded (crash
-                    # mid-round): idempotently release staged resources
-                    # (shm segments) so nothing can leak.
-                    for payload in payloads:
-                        staged = payload.get("state")
-                        if staged is not None and payload.get("wire") is not None:
-                            wire.release(staged["learner"])
-            job_timings = outputs.timings  # type: ignore[attr-defined]
-
-        merge_start = time.perf_counter()
+    def _collect(
+        self, cast: _Cast, outputs: JobResults, wire: Optional[WireFormat]
+    ) -> Tuple[List[DeviceRoundReport], List[DeviceRoundStats]]:
+        """Collect: each reply becomes the device's new state, its round
+        stats, and its report (a straggler's is buffered instead); the
+        matured stragglers' reports follow."""
+        round_index = self._round
         reports: List[DeviceRoundReport] = []
-        round_devices: List[DeviceRoundStats] = []
-        for j, i in enumerate(active):
+        devices: List[DeviceRoundStats] = []
+        for i, output in zip(cast.active, outputs):
             plan = self._plans[i]
-            output = outputs[j]
             # Worker-recorded telemetry merges into the parent registry
             # (and trace) before the result payload is parsed — the
             # cross-process collection path, fingerprint-invisible.
             absorb_worker_telemetry(output.pop("_telemetry", None))
-            state = (
-                {
-                    "meta": output["state"]["meta"],
-                    "learner": decode_state_payload(output["state"]["learner"]),
-                }
-                if output["encoded"]
-                else output["state"]
-            )
+            state = output["state"]
+            if output["encoded"]:
+                learner = decode_state_payload(state["learner"])
+                state = {"meta": state["meta"], "learner": learner}
             if wire is not None:
                 # Sender bookkeeping: the worker's channel cache now
                 # holds exactly these arrays (delta's next-round base).
@@ -1063,14 +1052,12 @@ class FleetCoordinator:
                 for key, value in state["learner"].items()
                 if key.startswith(MODEL_PREFIXES)
             }
-            if i in late_set:
+            if i in cast.late:
                 # A straggler: its update arrives int(delay / deadline)
                 # rounds from now and joins aggregation then, weighted
                 # down by the staleness it accrued (DESIGN.md §13).
-                assert fault_plan is not None and self._deadline is not None
-                rounds_late = max(
-                    1, int(fault_plan.delay(i) // self._deadline)
-                )
+                assert self._fault_plan is not None and self._deadline is not None
+                rounds_late = max(1, int(self._fault_plan.delay(i) // self._deadline))
                 self._pending.append(
                     {
                         "device": plan.name,
@@ -1084,19 +1071,16 @@ class FleetCoordinator:
                     }
                 )
             else:
-                info: Dict[str, float] = {}
-                if self._region_of is not None:
-                    info["region"] = float(self._region_of[i])
                 reports.append(
                     DeviceRoundReport(
                         device=plan.name,
                         model_state=model_state,
                         weight=float(samples),
                         knn_accuracy=knn,
-                        info=info,
+                        info=self._region_info(i),
                     )
                 )
-            round_devices.append(
+            devices.append(
                 DeviceRoundStats(
                     device=plan.name,
                     knn_accuracy=knn,
@@ -1105,110 +1089,107 @@ class FleetCoordinator:
                     loss=float(result.final_loss),
                 )
             )
+        return reports + self._matured_reports(), devices
 
-        # Buffered straggler reports whose simulated arrival round has
-        # come join this round's aggregation, stamped with the number
-        # of global versions they missed.
+    def _region_info(self, device_index: int) -> Dict[str, float]:
+        """A report's region ``info`` (empty when regions are unset)."""
+        if self._region_of is None:
+            return {}
+        return {"region": float(self._region_of[device_index])}
+
+    def _matured_reports(self) -> List[DeviceRoundReport]:
+        """Buffered straggler reports whose simulated arrival round has
+        come join this round's aggregation, stamped with the number of
+        global versions they missed."""
+        round_index = self._round
         matured = [p for p in self._pending if p["arrival_round"] <= round_index]
-        if matured:
-            self._pending = [
-                p for p in self._pending if p["arrival_round"] > round_index
-            ]
-            matured.sort(key=lambda p: (p["dispatch_round"], p["device_index"]))
-            for p in matured:
-                info = {
-                    "staleness": float(self._global_version - p["dispatch_version"])
-                }
-                if self._region_of is not None:
-                    info["region"] = float(self._region_of[p["device_index"]])
-                reports.append(
-                    DeviceRoundReport(
-                        device=p["device"],
-                        model_state=p["model_state"],
-                        weight=p["weight"],
-                        knn_accuracy=p["knn_accuracy"],
-                        info=info,
-                    )
-                )
-
-        new_global = (
-            self._aggregator.aggregate(self._global_state, reports)
-            if reports
-            else None
-        )
-        merge_s = time.perf_counter() - merge_start  # decode + aggregate
-        synchronized = new_global is not None
-        if synchronized:
-            self._global_state = {
-                key: np.asarray(value).copy() for key, value in new_global.items()
-            }
-            self._global_version += 1
-            for state in self._device_states:
-                if state is None:  # a device never yet sampled
-                    continue
-                for key, value in self._global_state.items():
-                    state["learner"][key] = value.copy()
-            for fn in self._on_broadcast:
-                # Each subscriber gets its own copy: publishing must not
-                # alias (or let anyone mutate) the live global arrays.
-                fn({key: value.copy() for key, value in self._global_state.items()})
-        if self._global_state is not None:
-            global_accuracy = self._evaluate_global()
-        elif round_devices:  # local-only: report the fleet mean instead
-            global_accuracy = float(
-                np.mean([d.knn_accuracy for d in round_devices])
+        if not matured:
+            return []
+        self._pending = [p for p in self._pending if p["arrival_round"] > round_index]
+        matured.sort(key=lambda p: (p["dispatch_round"], p["device_index"]))
+        return [
+            DeviceRoundReport(
+                device=p["device"],
+                model_state=p["model_state"],
+                weight=p["weight"],
+                knn_accuracy=p["knn_accuracy"],
+                info={
+                    "staleness": float(self._global_version - p["dispatch_version"]),
+                    **self._region_info(p["device_index"]),
+                },
             )
-        else:  # nobody trained and no global model exists yet
-            global_accuracy = float("nan")
+            for p in matured
+        ]
+
+    def _broadcast(self, new_global: Optional[Dict[str, np.ndarray]]) -> bool:
+        """Broadcast: the aggregated model becomes the global one, is
+        copied into every device ever sampled, and goes to the
+        :meth:`on_broadcast` subscribers.  Returns whether the round
+        synchronized."""
+        if new_global is None:
+            return False
+        self._global_state = {
+            key: np.asarray(value).copy() for key, value in new_global.items()
+        }
+        self._global_version += 1
+        for state in self._device_states:
+            if state is None:  # a device never yet sampled
+                continue
+            for key, value in self._global_state.items():
+                state["learner"][key] = value.copy()
+        for fn in self._on_broadcast:
+            # Each subscriber gets its own copy: publishing must not
+            # alias (or let anyone mutate) the live global arrays.
+            fn({key: value.copy() for key, value in self._global_state.items()})
+        return True
+
+    def _evaluate(self, devices: List[DeviceRoundStats]) -> float:
+        """Evaluate: the round's global accuracy."""
+        if self._global_state is not None:
+            return self._evaluate_global()
+        if devices:  # local-only: report the fleet mean instead
+            return float(np.mean([d.knn_accuracy for d in devices]))
+        return float("nan")  # nobody trained and no global model exists yet
+
+    def _record(
+        self,
+        cast: _Cast,
+        devices: List[DeviceRoundStats],
+        accuracy: float,
+        synchronized: bool,
+        wire_name: Optional[str],
+        timings: JobTimings,
+    ) -> None:
+        """Record: the stats row, the timing record (mirrored into the
+        ``jobs.*`` counters) and the round metrics; then advance."""
+        population = self._population
         self._history.append(
             FleetRoundStats(
                 round_index=self._round,
-                devices=round_devices,
-                global_knn_accuracy=global_accuracy,
+                devices=devices,
+                global_knn_accuracy=accuracy,
                 synchronized=synchronized,
-                participants=sorted(sampled) if self._population else None,
-                dropped=dropped if self._population else None,
-                late=late if self._population else None,
+                participants=sorted(cast.sampled) if population else None,
+                dropped=cast.dropped if population else None,
+                late=cast.late if population else None,
             )
         )
+        wire_label = wire_name if wire_name is not None else "raw"
         self._timings.append(
-            {
-                "round": self._round,
-                "wire": wire_name if wire_name is not None else "raw",
-                "workers": job_timings.workers if job_timings is not None else 0,
-                "serialize_s": serialize_s,
-                "transport_s": (
-                    job_timings.transport_s if job_timings is not None else 0.0
-                ),
-                "compute_s": (
-                    job_timings.compute_s if job_timings is not None else 0.0
-                ),
-                "merge_s": merge_s,
-                "wall_s": job_timings.wall_s if job_timings is not None else 0.0,
-                "crashes": job_timings.crashes if job_timings is not None else 0,
-            }
+            {"round": self._round, "wire": wire_label, **timings.to_dict()}
         )
+        timings.record("fleet")
         if metrics_enabled():
             registry = metrics()
-            wire_label = wire_name if wire_name is not None else "raw"
             registry.counter("fleet.rounds").inc()
-            registry.histogram("fleet.sampled_k").observe(len(sampled))
-            if dropped:
-                registry.counter("fleet.dropouts").inc(len(dropped))
-            if late:
-                registry.counter("fleet.stragglers").inc(len(late))
-            if crashing:
-                registry.counter("fleet.crashes").inc(len(crashing))
+            registry.histogram("fleet.sampled_k").observe(len(cast.sampled))
+            if cast.dropped:
+                registry.counter("fleet.dropouts").inc(len(cast.dropped))
+            if cast.late:
+                registry.counter("fleet.stragglers").inc(len(cast.late))
+            if cast.crashing:
+                registry.counter("fleet.crashes").inc(len(cast.crashing))
             registry.gauge("fleet.pending_depth").set(len(self._pending))
-            if bytes_sent:
-                registry.counter("fleet.bytes_sent", wire=wire_label).inc(
-                    bytes_sent
-                )
-                registry.gauge("fleet.compression_ratio", wire=wire_label).set(
-                    raw_bytes / bytes_sent
-                )
-            if job_timings is not None:
-                job_timings.record("fleet")
         self._round += 1
 
     def _evaluate_global(self) -> float:
@@ -1448,7 +1429,6 @@ class FleetCoordinator:
         path: str,
         *,
         workers: int = 1,
-        start_method: Optional[str] = None,
         wire_format: Optional[str] = None,
     ) -> "FleetCoordinator":
         """Rebuild a coordinator from :meth:`save_checkpoint` output;
@@ -1476,7 +1456,6 @@ class FleetCoordinator:
             eval_points=int(meta["eval_points"]),
             label_fraction=float(meta["label_fraction"]),
             workers=workers,
-            start_method=start_method,
             wire_format=wire_format,
         )
         coordinator.load_state_dict({"meta": meta, "arrays": arrays})

@@ -17,6 +17,21 @@ from repro.fleet.faults import DeviceFaults, fault_rng
 PLAN_SETTINGS = dict(max_examples=50, deadline=None)
 FLEET_SETTINGS = dict(max_examples=5, deadline=None)
 
+#: The keys of one FleetCoordinator.timings entry: the round, the wire
+#: format, and the fields of the round's JobTimings.
+TIMING_RECORD_KEYS = {
+    "round",
+    "wire",
+    "jobs",
+    "workers",
+    "wall_s",
+    "compute_s",
+    "transport_s",
+    "serialize_s",
+    "merge_s",
+    "crashes",
+}
+
 
 def tiny_config(**overrides):
     base = dict(
@@ -154,13 +169,55 @@ class TestCoordinatorUnderChaos:
 
     def test_all_dropout_round_is_not_synchronized(self):
         plan = FaultPlan(seed=3, default=DeviceFaults(dropout_prob=1.0))
-        result = FleetCoordinator(chaos_config(plan)).run()
+        coordinator = FleetCoordinator(chaos_config(plan))
+        result = coordinator.run()
         for stats in result.rounds:
             assert not stats.synchronized
             assert stats.devices == []
             assert len(stats.dropped) == 3
         # no global model and nobody trained: accuracy is None-encoded
         assert stats.to_dict()["global_knn_accuracy"] is None
+        # every round still leaves one full timing record, of no jobs
+        for entry in coordinator.timings:
+            assert set(entry) == TIMING_RECORD_KEYS
+            assert entry["jobs"] == 0
+            assert entry["crashes"] == 0
+
+    def test_cast_phase_partitions_the_sampled_devices(self):
+        """The cast phase alone: device 0 drops, 1 crashes, 2 misses the
+        deadline, 4 is not sampled; the round records that cast."""
+        plan = FaultPlan(
+            seed=0,
+            overrides=(
+                (0, DeviceFaults(dropout_prob=1.0)),
+                (1, DeviceFaults(crash_at_round=0)),
+                (2, DeviceFaults(straggler_delay_s=2.5)),
+            ),
+        )
+        config = tiny_config().with_(
+            fleet=FleetConfig(
+                devices=tuple(DeviceSpec() for _ in range(5)),
+                rounds=1,
+                participants=4,
+                sampler="round-robin",
+                round_deadline_s=1.0,
+                fault_plan=plan,
+            ),
+            aggregator="fedavg",
+        )
+        sampled, active, dropped, late, crashing = FleetCoordinator(config)._cast()
+        assert sorted(active + dropped) == sorted(sampled)
+        assert not set(active) & set(dropped)
+        assert set(late) <= set(active)
+        assert crashing <= set(active)
+        assert sorted(sampled) == [0, 1, 2, 3]
+        assert (dropped, late, crashing) == ([0], [2], {1})
+        # the round itself records the same cast
+        (stats,) = FleetCoordinator(config).run().rounds
+        assert stats.participants == sorted(sampled)
+        assert stats.dropped == dropped
+        assert stats.late == late
+        assert [d.device for d in stats.devices] == [f"device{i}" for i in active]
 
     def test_straggler_report_is_buffered_then_aggregated(self):
         # device 1 is 2 deadlines late: its round-0 report joins round 2

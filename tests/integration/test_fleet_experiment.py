@@ -92,3 +92,11 @@ class TestFormatFleet:
     def test_local_only_marks_unsynchronized_rounds(self, tiny_config):
         result = run_fleet(tiny_config, devices=2, rounds=1, aggregator="local-only")
         assert "(no sync)" in format_fleet(result)
+
+    @pytest.mark.parametrize("workers, footers", [(1, 0), (2, 1)])
+    def test_timings_footer_only_when_parallel(self, tiny_config, workers, footers):
+        result = run_fleet(tiny_config, devices=2, rounds=2, workers=workers)
+        lines = format_fleet(result).splitlines()
+        footer = [line for line in lines if line.startswith("timings:")]
+        assert len(footer) == footers
+        assert all(f"wire={result.fleet.wire_format} " in line for line in footer)

@@ -73,6 +73,14 @@ class TestRunMultiSeed:
         assert "mean ± std" in text
         assert "fifo" in text
 
+    @pytest.mark.parametrize("workers, footers", [(1, 0), (2, 1)])
+    def test_timings_footer_only_when_parallel(self, tiny_config, workers, footers):
+        result = run_multi_seed(
+            tiny_config, policies=("fifo",), seeds=(0, 1), workers=workers
+        )
+        lines = format_multi_seed(result).splitlines()
+        assert sum(line.startswith("timings:") for line in lines) == footers
+
 
 class TestWinRateEdgeCases:
     def test_no_pairs_raises(self):

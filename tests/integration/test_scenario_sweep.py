@@ -237,3 +237,15 @@ class TestScenarioSweep:
         assert "temporal" in text
         assert "fifo" in text
         assert "robustness gap" in text
+
+    @pytest.mark.parametrize("workers, footers", [(1, 0), (2, 1)])
+    def test_timings_footer_only_when_parallel(self, tiny_config, workers, footers):
+        result = run_scenario_sweep(
+            tiny_config,
+            scenarios=("temporal",),
+            policies=("fifo",),
+            seeds=(0, 1),
+            workers=workers,
+        )
+        lines = format_scenario_sweep(result).splitlines()
+        assert sum(line.startswith("timings:") for line in lines) == footers

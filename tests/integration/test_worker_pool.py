@@ -6,12 +6,20 @@ import os
 import numpy as np
 import pytest
 
-from repro.experiments.parallel import run_jobs
+from repro.experiments import pool as pool_module
+from repro.experiments.config import StreamExperimentConfig
+from repro.experiments.parallel import (
+    SweepSpec,
+    result_fingerprint,
+    run_jobs,
+    run_sweep,
+)
 from repro.experiments.pool import (
     WorkerCrashedError,
     WorkerPool,
     get_worker_pool,
 )
+from repro.fleet import FleetCoordinator
 
 
 def _square(payload):
@@ -241,3 +249,54 @@ class TestRetryOn:
             )
         assert refreshed == [(0, "retry")]
         assert list(results) == ["ok:fresh", "ok:fine"]
+
+
+class TestPoolUnavailable:
+    """No multiprocessing substrate (e.g. no POSIX semaphores): the pool
+    cannot be created, a RuntimeWarning names the cause, and both
+    engines run serially with the serial results."""
+
+    @staticmethod
+    def tiny_config():
+        return StreamExperimentConfig(
+            dataset="cifar10",
+            image_size=8,
+            stc=8,
+            total_samples=48,
+            buffer_size=8,
+            encoder_widths=(8, 16),
+            projection_dim=8,
+            probe_train_per_class=2,
+            probe_test_per_class=2,
+            probe_epochs=2,
+            seed=0,
+        )
+
+    @pytest.fixture(autouse=True)
+    def no_multiprocessing(self, monkeypatch):
+        def unavailable(*args, **kwargs):
+            raise OSError("no POSIX semaphores here")
+
+        monkeypatch.setattr(pool_module, "WorkerPool", unavailable)
+        monkeypatch.setattr(pool_module, "_POOLS", {})
+
+    def test_sweep_falls_back_to_serial(self):
+        specs = [
+            SweepSpec(config=self.tiny_config().with_(seed=seed), policy="fifo")
+            for seed in (0, 1)
+        ]
+        serial = run_sweep(specs, workers=1)
+        with pytest.warns(RuntimeWarning, match="multiprocessing unavailable"):
+            fallback = run_sweep(specs, workers=2)
+        assert [result_fingerprint(r) for r in fallback] == [
+            result_fingerprint(r) for r in serial
+        ]
+
+    def test_fleet_falls_back_to_serial(self):
+        config = self.tiny_config()
+        serial = FleetCoordinator.build(config, devices=2, rounds=2).run()
+        with pytest.warns(RuntimeWarning, match="multiprocessing unavailable"):
+            fallback = FleetCoordinator.build(
+                config, devices=2, rounds=2, workers=2
+            ).run()
+        assert fallback.fingerprint() == serial.fingerprint()

@@ -239,3 +239,51 @@ class TestProcessGateAndInventory:
         copy = metric_inventory()
         copy.clear()
         assert METRIC_INVENTORY  # accessor returns a copy
+
+
+class TestJobCounters:
+    """Every fan-out mirrors its JobTimings into ``jobs.*`` exactly once,
+    labelled by engine, whether or not metrics are enabled and whatever
+    path it took (serial or pool)."""
+
+    @staticmethod
+    def tiny_config():
+        from repro.experiments.config import StreamExperimentConfig
+
+        return StreamExperimentConfig(
+            dataset="cifar10",
+            image_size=8,
+            stc=8,
+            total_samples=48,
+            buffer_size=8,
+            encoder_widths=(8, 16),
+            projection_dim=8,
+            probe_train_per_class=2,
+            probe_test_per_class=2,
+            probe_epochs=2,
+            seed=0,
+        )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sweep_records_with_metrics_off(self, workers):
+        from repro.experiments.parallel import SweepSpec, run_sweep
+
+        set_metrics_enabled(False)
+        specs = [
+            SweepSpec(config=self.tiny_config().with_(seed=seed), policy="fifo")
+            for seed in (0, 1)
+        ]
+        run_sweep(specs, workers=workers)
+        assert metrics().value("jobs.wall_seconds", engine="sweep") > 0.0
+        assert metrics().value("jobs.wall_seconds", engine="fleet") is None
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_fleet_records_with_metrics_off(self, workers):
+        from repro.fleet import FleetCoordinator
+
+        set_metrics_enabled(False)
+        FleetCoordinator.build(
+            self.tiny_config(), devices=2, rounds=1, workers=workers
+        ).run()
+        assert metrics().value("jobs.wall_seconds", engine="fleet") > 0.0
+        assert metrics().value("jobs.wall_seconds", engine="sweep") is None
