@@ -237,7 +237,20 @@ class OnDeviceContrastiveLearner:
         return out
 
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        """Restore the exact state written by :meth:`state_dict`."""
+        """Restore the exact state written by :meth:`state_dict`.
+
+        The keys must be exactly this learner's own: a missing or an
+        unexpected key raises :class:`KeyError` naming both lists, like
+        :meth:`repro.nn.layers.Module.load_state_dict` (checkpoints,
+        fleet device states and the global overlay all enter here).
+        """
+        expected = self.state_dict().keys()
+        missing = [key for key in expected if key not in state]
+        unexpected = [key for key in state if key not in expected]
+        if missing or unexpected:
+            raise KeyError(
+                f"learner state mismatch: missing={missing}, unexpected={unexpected}"
+            )
 
         def sub(prefix: str) -> Dict[str, np.ndarray]:
             return {

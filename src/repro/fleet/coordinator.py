@@ -167,7 +167,9 @@ def _device_round_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
     ``payload["global_overlay"]``, if present, carries the current
     global model as a ``{key: encode_array(value)}`` table — a device
     sampled into the fleet for the first time after a broadcast starts
-    from the global model rather than from scratch.  ``inject_crash`` is
+    from the global model rather than from scratch: the table is
+    decoded into :meth:`Session.with_initial_learner`, so the job
+    builds one session and runs one kNN readout.  ``inject_crash`` is
     the chaos harness's crash fault: honored only inside a pool worker
     process (never in the parent), it kills the process exactly the
     way a real device crash would, exercising respawn + serial-re-run
@@ -191,16 +193,13 @@ def _device_round_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
         )
         overlay = payload.get("global_overlay")
         if overlay is not None:
-            # First participation after a broadcast: adopt the global
-            # model arrays (optimizer moments and buffers start fresh).
-            # run(stop_after=0) materializes the learner without
-            # consuming any stream or RNG state.
-            session.run(stop_after=0)
-            fresh = session.state_dict()
-            fresh["learner"].update(
+            # First participation after a broadcast: the fresh learner
+            # adopts the global model arrays before its first step, in
+            # this same session (optimizer moments, buffer, counters
+            # and RNGs start fresh).
+            session.with_initial_learner(
                 {key: decode_array(spec) for key, spec in overlay.items()}
             )
-            session = Session.from_state_dict(fresh)
     else:
         if wire_name is not None:
             state = {

@@ -263,6 +263,7 @@ class Session:
         self._checkpoint_path: Optional[str] = None
         self._checkpoint_every: Optional[int] = None
         self._resume_state: Optional[Dict[str, Any]] = None
+        self._initial_learner: Optional[Dict[str, np.ndarray]] = None
         # live run state (populated by run(); kept for introspection and
         # post-run checkpointing)
         self._components: Optional[ExperimentComponents] = None
@@ -362,6 +363,22 @@ class Session:
         self._injected_components = components
         return self
 
+    def with_initial_learner(self, arrays: Dict[str, np.ndarray]) -> "Session":
+        """Start the next fresh :meth:`run` from these learner arrays.
+
+        Once the run has built its components, learner, stream and
+        probe pools, the given entries replace those of the new
+        learner's :meth:`~repro.core.framework.OnDeviceContrastiveLearner.state_dict`
+        (copied in; unknown keys raise :class:`KeyError`, wrong shapes
+        :class:`ValueError`).  Everything else — optimizer moments,
+        buffer, counters, every RNG — starts fresh.  A fleet device
+        sampled for the first time adopts the global model this way.
+        Cannot be combined with a pending resume (:meth:`from_state_dict`,
+        :meth:`resume`).
+        """
+        self._initial_learner = dict(arrays)
+        return self
+
     def with_checkpointing(
         self, path: str, every: Optional[int] = None
     ) -> "Session":
@@ -443,6 +460,11 @@ class Session:
             scenario=canonical_scenario(self.config.scenario)
         )
         config = self.config
+        if self._initial_learner is not None and self._resume_state is not None:
+            raise ValueError(
+                "with_initial_learner() starts a fresh run; it cannot be "
+                "combined with a pending resume state"
+            )
         if (
             self._resume_state is not None
             and self._resume_state["meta"].get("injected_components")
@@ -535,6 +557,9 @@ class Session:
 
         if self._resume_state is not None:
             self._apply_resume_state(learner, stream, policy, curve, rngs)
+        elif self._initial_learner is not None:
+            learner.load_state_dict({**learner.state_dict(), **self._initial_learner})
+            self._initial_learner = None
 
         if stop_after is not None and stop_after < 0:
             raise ValueError(f"stop_after must be >= 0, got {stop_after}")

@@ -166,3 +166,14 @@ class TestFit:
             learner.process_segment(seg)
         assert learner.mean_select_seconds() > 0.0
         assert learner.mean_train_seconds() > 0.0
+
+
+class TestStateDict:
+    def test_missing_and_unexpected_keys_are_named(self, rng):
+        learner = make_learner("fifo", rng)
+        state = learner.state_dict()
+        del state["buffer_labels"]
+        state["optimizer/m99"] = np.zeros(3, dtype=np.float32)
+        with pytest.raises(KeyError, match="buffer_labels") as info:
+            learner.load_state_dict(state)
+        assert "optimizer/m99" in str(info.value)

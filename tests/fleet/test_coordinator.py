@@ -6,12 +6,14 @@ import json
 import numpy as np
 import pytest
 
+import repro.fleet.coordinator as coordinator_mod
 from repro.experiments.config import StreamExperimentConfig
-from repro.experiments.parallel import result_fingerprint
-from repro.experiments.wire import decode_array, encode_array
+from repro.experiments.parallel import TIMING_FIELDS, result_fingerprint
+from repro.experiments.wire import decode_array, decode_state_payload, encode_array
 from repro.fleet import DeviceSpec, FleetConfig, FleetCoordinator
 from repro.registry import BACKENDS
-from repro.session import Session
+from repro.session import Session, config_from_dict
+from repro.train.knn import KnnProbe
 
 BACKENDS_UNDER_TEST = tuple(BACKENDS.names())
 
@@ -65,13 +67,76 @@ class TestWireFormat:
             assert np.array_equal(decoded[key], value)
 
 
+def overlay_fleet_config():
+    """Six devices, three sampled per round by round-robin: round 2's
+    devices are all first participations after a broadcast."""
+    return tiny_config().with_(
+        fleet=FleetConfig(
+            devices=tuple(DeviceSpec() for _ in range(6)),
+            rounds=2,
+            participants=3,
+            sampler="round-robin",
+        ),
+        aggregator="fedavg",
+    )
+
+
+@pytest.fixture(scope="class")
+def first_participations():
+    """Round 2's payloads of the overlay fleet: each carries the
+    round-1 global model as its ``global_overlay``."""
+    rounds = []
+    real_run_jobs = coordinator_mod.run_jobs
+
+    def recording_run_jobs(fn, payloads, **kwargs):
+        rounds.append(list(payloads))
+        return real_run_jobs(fn, payloads, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(coordinator_mod, "run_jobs", recording_run_jobs)
+        FleetCoordinator(overlay_fleet_config(), workers=1).run()
+    payloads = [p for p in rounds[1] if "global_overlay" in p]
+    assert len(payloads) == 3
+    return payloads
+
+
+def overlay_arrays(payload):
+    return {key: decode_array(spec) for key, spec in payload["global_overlay"].items()}
+
+
+def two_session_job(payload):
+    """The first-participation job as two sessions: a throwaway one
+    materializes the fresh learner, the decoded overlay is patched
+    into its state, and a second session resumes from that state."""
+    session = (
+        Session(config_from_dict(payload["config"]), policy=payload["policy"])
+        .with_eval_points(payload["eval_points"])
+        .with_label_fraction(payload["label_fraction"])
+        .with_lazy_interval(payload["lazy_interval"])
+        .with_score_momentum(payload["score_momentum"])
+    )
+    session.run(stop_after=0)
+    fresh = session.state_dict()
+    fresh["learner"].update(overlay_arrays(payload))
+    session = Session.from_state_dict(fresh)
+    result = session.run(stop_after=payload["stop_after"])
+    return session.state_dict(), result.to_dict()
+
+
+def raw_reply(out):
+    """A device job's reply as ``(state, result dict)``, decoded from
+    its response codec when it has one."""
+    state = out["state"]
+    if out["encoded"]:
+        state = {"meta": state["meta"], "learner": decode_state_payload(state["learner"])}
+    return state, out["result"]
+
+
 class TestGlobalOverlay:
     def test_fresh_devices_share_one_overlay_per_round(self, monkeypatch):
         """Devices sampled for the first time after a broadcast start
         from the global model; the coordinator encodes that overlay once
         per round, not once per fresh device."""
-        import repro.fleet.coordinator as coordinator_mod
-
         overlays = []
         real_run_jobs = coordinator_mod.run_jobs
 
@@ -82,19 +147,85 @@ class TestGlobalOverlay:
             return real_run_jobs(fn, payloads, **kwargs)
 
         monkeypatch.setattr(coordinator_mod, "run_jobs", recording_run_jobs)
-        config = tiny_config().with_(
-            fleet=FleetConfig(
-                devices=tuple(DeviceSpec() for _ in range(6)),
-                rounds=2,
-                participants=3,
-                sampler="round-robin",
-            ),
-            aggregator="fedavg",
-        )
-        FleetCoordinator(config, workers=1).run()
+        FleetCoordinator(overlay_fleet_config(), workers=1).run()
         assert overlays[0] == []  # no global model before the first broadcast
         assert len(overlays[1]) == 3
         assert all(overlay is overlays[1][0] for overlay in overlays[1])
+
+    def test_one_session_job_matches_two_session_path_bitwise(
+        self, first_participations
+    ):
+        """Adopting the overlay in the fresh learner reaches the state
+        the throwaway-session round trip restored: every learner array,
+        meta entry and result field is identical except wall-clock
+        timings."""
+        payload = first_participations[0]
+        state, result = raw_reply(coordinator_mod._device_round_worker(payload))
+        ref_state, ref_result = two_session_job(payload)
+
+        learner, ref_learner = state["learner"], ref_state["learner"]
+        assert learner.keys() == ref_learner.keys()
+        for key, value in learner.items():
+            value, ref = np.asarray(value), np.asarray(ref_learner[key])
+            if key == "history":  # columns 5-6: select/train seconds
+                value, ref = value[:, :5], ref[:, :5]
+            assert value.dtype == ref.dtype and value.shape == ref.shape, key
+            assert value.tobytes() == ref.tobytes(), key
+        meta = {k: v for k, v in state["meta"].items() if k != "wall_accum"}
+        ref_meta = {k: v for k, v in ref_state["meta"].items() if k != "wall_accum"}
+        assert json.dumps(meta, sort_keys=True) == json.dumps(ref_meta, sort_keys=True)
+        for fields in (result, ref_result):
+            for key in TIMING_FIELDS:
+                fields.pop(key)
+        assert json.dumps(result, sort_keys=True) == json.dumps(ref_result, sort_keys=True)
+
+    def test_first_participation_builds_and_reads_out_once(
+        self, first_participations, monkeypatch
+    ):
+        """One component build and one kNN readout per job: no
+        throwaway session."""
+        import repro.session as session_mod
+
+        calls = {"build": 0, "knn": 0}
+        real_build, real_score = session_mod.build_components, KnnProbe.score
+
+        def counting_build(*args, **kwargs):
+            calls["build"] += 1
+            return real_build(*args, **kwargs)
+
+        def counting_score(self, *args, **kwargs):
+            calls["knn"] += 1
+            return real_score(self, *args, **kwargs)
+
+        monkeypatch.setattr(session_mod, "build_components", counting_build)
+        monkeypatch.setattr(KnnProbe, "score", counting_score)
+        # Decoding the reply releases its shm segments under that codec.
+        raw_reply(coordinator_mod._device_round_worker(first_participations[1]))
+        assert calls == {"build": 1, "knn": 1}
+
+    def test_initial_learner_rejects_unknown_key(self, first_participations):
+        arrays = overlay_arrays(first_participations[0])
+        arrays["encoderX/w"] = np.zeros(3, dtype=np.float32)
+        session = Session(tiny_config()).with_initial_learner(arrays)
+        with pytest.raises(KeyError, match="encoderX/w"):
+            session.run(stop_after=1)
+
+    def test_initial_learner_rejects_wrong_shape(self, first_participations):
+        arrays = overlay_arrays(first_participations[0])
+        key = next(key for key, value in arrays.items() if value.ndim == 4)
+        arrays[key] = np.zeros((1, 2, 3, 4), dtype=np.float32)
+        session = Session(tiny_config()).with_initial_learner(arrays)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            session.run(stop_after=1)
+
+    def test_initial_learner_with_pending_resume_raises(self, first_participations):
+        part = Session(tiny_config()).with_eval_points(1)
+        part.run(stop_after=1)
+        resumed = Session.from_state_dict(part.state_dict()).with_initial_learner(
+            overlay_arrays(first_participations[0])
+        )
+        with pytest.raises(ValueError, match="resume"):
+            resumed.run()
 
 
 class TestEagerValidation:

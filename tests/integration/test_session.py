@@ -282,6 +282,27 @@ class TestCheckpointResume:
         with pytest.raises(ValueError, match="checkpoint version"):
             Session.resume(path)
 
+    def test_resume_rejects_unknown_learner_entry(self, tiny_config, tmp_path):
+        """A checkpoint entry the learner does not own fails loudly,
+        naming the key, instead of being ignored."""
+        part = Session(tiny_config, "fifo").with_eval_points(1)
+        part.run(stop_after=2)
+        path = part.save_checkpoint(str(tmp_path / "extra.npz"))
+        with np.load(path, allow_pickle=False) as archive:
+            entries = {key: archive[key] for key in archive.files}
+        entries["learner/bogus/extra"] = np.zeros(3, dtype=np.float32)
+        np.savez(path, **entries)
+        with pytest.raises(KeyError, match="bogus/extra"):
+            Session.resume(path).run()
+
+    def test_in_memory_state_rejects_unknown_optimizer_key(self, tiny_config):
+        part = Session(tiny_config, "fifo").with_eval_points(1)
+        part.run(stop_after=2)
+        state = part.state_dict()
+        state["learner"]["optimizer/m99"] = np.zeros(3, dtype=np.float32)
+        with pytest.raises(KeyError, match="optimizer/m99"):
+            Session.from_state_dict(state).run()
+
     def test_stop_after_zero_runs_no_steps(self, tiny_config):
         steps = []
         session = (
