@@ -22,9 +22,10 @@ Protocol surface (see the method groups on :class:`ArrayBackend`):
 * **im2col gather/scatter** — ``im2col`` / ``col2im``, with a
   ``grad_free`` flag that lets the backend substitute workspace-backed
   scratch for gradient-free forwards;
-* **inference fast paths** — ``conv2d_infer`` plus the optional
-  ``conv_bn_infer`` / ``add_relu_infer`` fusions advertised by
-  ``supports_fusion``;
+* **inference fast paths** — ``conv2d_infer`` (a gradient-free
+  ``F.conv2d``) and the channels-last chain ``to_nhwc`` /
+  ``conv_bn_nhwc`` / ``add_relu_infer`` / ``pool_mean_nhwc`` every
+  eval no-grad encoder forward runs through;
 * **precision policy** — ``compute_dtype`` / ``scoring_dtype`` /
   ``loss_reduction_dtype`` (see the attribute docs; this is the
   explicit home of every "which float width?" decision that used to be
@@ -37,9 +38,10 @@ Two invariants every backend must keep (enforced by the parity tests in
    the autograd graph (and every backward closure) must be bitwise
    reproducible across backends — training trajectories are part of the
    reproduction contract.  Backends therefore only specialize the
-   *gradient-free* paths (``*_infer``, ``grad_free=True`` unfolds,
-   scoring precision); the graph-building ops in the base class are the
-   reference semantics and subclasses should not change their results.
+   *gradient-free* paths (``*_infer``, the ``*_nhwc`` chain,
+   ``grad_free=True`` unfolds, scoring precision); the graph-building
+   ops in the base class are the reference semantics and subclasses
+   should not change their results.
 2. **Returned arrays are caller-owned.**  A backend may reuse internal
    scratch arenas between calls, but any array it *returns* must remain
    valid until the caller drops it — never a view of an arena a later
@@ -73,14 +75,21 @@ __all__ = [
 ]
 
 
+def _rectify(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """ReLU of ``x`` into ``out`` (may be ``x``), bitwise ``where(x > 0,
+    x, 0)``: ``fmax`` maps NaN to 0 and may keep -0.0, and adding +0.0
+    turns that into +0.0 and leaves every other value unchanged."""
+    np.fmax(x, 0.0, out=out)
+    return np.add(out, 0.0, out=out)
+
+
 class ArrayBackend:
     """Reference implementation and protocol of the execution layer.
 
     The base class *is* the reference numpy semantics: every method is
     implemented with plain ``numpy`` calls, bit-compatible with the
     pre-backend code.  Subclasses override the subset they accelerate
-    (see :class:`repro.nn.backend.fused.FusedBackend`) and advertise
-    optional fusions via :attr:`supports_fusion`.
+    (see :class:`repro.nn.backend.fused.FusedBackend`).
     """
 
     #: Registry name of the backend (subclasses set it).
@@ -108,20 +117,6 @@ class ArrayBackend:
     #: matrix is tiny next to the encoder forwards, so the wide
     #: accumulation is effectively free.
     loss_reduction_dtype = np.float64
-
-    #: Whether :meth:`conv_bn_infer` / :meth:`add_relu_infer` implement
-    #: real fusion.  When False the dispatch helpers in
-    #: :mod:`repro.nn.functional` compose the unfused reference ops.
-    supports_fusion = False
-
-    #: Whether the backend implements the channels-last inference chain
-    #: (:meth:`to_nhwc` / :meth:`conv_bn_nhwc` / :meth:`pool_mean_nhwc`).
-    #: NHWC keeps every unfold gather contiguous and lets each
-    #: convolution GEMM straight into its caller-owned output — the
-    #: layout an inference engine wants.  Model drivers (e.g.
-    #: :meth:`repro.nn.resnet.ResNetEncoder.forward`) check this flag
-    #: before entering the chained path.
-    supports_nhwc_infer = False
 
     # -- creation -------------------------------------------------------
     def asarray(self, value: Any, dtype: Optional[Any] = None) -> np.ndarray:
@@ -186,8 +181,8 @@ class ArrayBackend:
         return np.clip(x, low, high)
 
     def relu(self, x: np.ndarray) -> np.ndarray:
-        """Reference ReLU: bit-compatible with ``where(x > 0, x, 0)``."""
-        return np.where(x > 0, x, 0.0).astype(x.dtype, copy=False)
+        """Reference ReLU: bitwise ``where(x > 0, x, 0)`` (see :func:`_rectify`)."""
+        return _rectify(x, np.empty_like(x))
 
     # -- reductions -----------------------------------------------------
     def sum(self, x: np.ndarray, axis=None, keepdims: bool = False) -> np.ndarray:
@@ -270,36 +265,21 @@ class ArrayBackend:
             out = out + bias
         return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
 
-    def conv_bn_infer(
-        self,
-        x: np.ndarray,
-        weight: np.ndarray,
-        bias: Optional[np.ndarray],
-        stride: int,
-        padding: int,
-        scale: np.ndarray,
-        shift: np.ndarray,
-        relu: bool,
-    ) -> Optional[np.ndarray]:
-        """Fused conv → eval-mode batch-norm (→ ReLU) forward, or None.
-
-        ``scale``/``shift`` are the per-output-channel affine that
-        eval-mode BN reduces to (``gamma / sqrt(var + eps)`` and
-        ``beta - mean * scale``).  Returning ``None`` means "no fused
-        path here" and the caller composes the unfused reference ops —
-        which is exactly what the base class does, so only backends
-        with :attr:`supports_fusion` implement this.
-        """
-        return None
-
     def add_relu_infer(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Gradient-free ``relu(a + b)`` (the residual-join epilogue)."""
-        return self.relu(a + b)
+        out = a + b
+        return _rectify(out, out)
 
-    # -- NHWC inference chain (optional; supports_nhwc_infer) ------------
+    # -- NHWC inference chain --------------------------------------------
+    # ResNetEncoder.forward runs every eval no-grad forward through these
+    # on raw channels-last arrays: one repack at entry, no per-layer
+    # layout round-trip, a pooled (N, C) exit.  The reference chain is
+    # bitwise equal to the module path: the same unfold, the same
+    # stacked GEMM, the same elementwise ops in the same order; it only
+    # drops the layout copies between layers.
     def to_nhwc(self, x: np.ndarray) -> np.ndarray:
         """Repack an NCHW batch as contiguous NHWC (chain entry)."""
-        raise NotImplementedError(f"backend {self.name!r} has no NHWC chain")
+        return np.ascontiguousarray(x.transpose(0, 2, 3, 1))
 
     def conv_bn_nhwc(
         self,
@@ -312,17 +292,38 @@ class ArrayBackend:
         shift: Optional[np.ndarray],
         relu: bool,
     ) -> np.ndarray:
-        """Fused conv(→BN)(→ReLU) on an NHWC batch, returning NHWC.
+        """conv(→BN)(→ReLU) on an NHWC batch, returning NHWC.
 
         ``weight`` stays in the canonical (C_out, C_in, kh, kw) layout;
-        the backend reorders it for its GEMM.  ``scale``/``shift`` of
-        None mean "no BN" (plain convolution).
+        ``scale``/``shift`` are :func:`repro.nn.functional.bn_eval_affine`
+        of the layer's batch norm, or None for a plain convolution.
+
+        The reference unfolds an NCHW view of ``x`` (:meth:`im2col`
+        transposes it straight back, so the padded buffer and columns
+        are those of :meth:`conv2d_infer`) and issues the same stacked
+        GEMM, whose (N, oh, ow, C_out) result already is NHWC.  Bias,
+        BN and ReLU then run in place on that fresh output, each
+        element rounded as in ``BatchNorm2d``'s ``x * scale + shift``.
         """
-        raise NotImplementedError(f"backend {self.name!r} has no NHWC chain")
+        c_out, _, kh, kw = weight.shape
+        cols = self.im2col(
+            x.transpose(0, 3, 1, 2), (kh, kw), stride, padding, grad_free=True
+        )
+        out = cols @ weight.reshape(c_out, -1).T
+        if bias is not None:
+            out += bias
+        if scale is not None:
+            out *= scale
+            out += shift
+        return _rectify(out, out) if relu else out
 
     def pool_mean_nhwc(self, x: np.ndarray) -> np.ndarray:
-        """Global average pool (N, H, W, C) -> (N, C) (chain exit)."""
-        raise NotImplementedError(f"backend {self.name!r} has no NHWC chain")
+        """Global average pool (N, H, W, C) -> (N, C) (chain exit).
+
+        Averages an NCHW copy over its contiguous spatial block: an NHWC
+        ``mean(axis=(1, 2))`` sums in another order and moves bits.
+        """
+        return np.ascontiguousarray(x.transpose(0, 3, 1, 2)).mean(axis=(2, 3))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"

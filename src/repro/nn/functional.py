@@ -5,9 +5,10 @@ Everything here builds on the autograd closures of
 :class:`~repro.nn.backend.base.ArrayBackend`: convolution uses the
 backend's im2col gather/scatter ops, and the gradient-free forward
 paths dispatch to the backend's inference entry points
-(``conv2d_infer`` plus — through :func:`conv_bn_relu` and
-:func:`add_relu` — the optional conv→BN→ReLU and residual-join fusions
-a backend may advertise via ``supports_fusion``).
+(``conv2d_infer`` and, through :func:`add_relu`, ``add_relu_infer``).
+Eval no-grad encoder forwards skip these modules altogether: they run
+the backend's channels-last chain with the affine of
+:func:`bn_eval_affine` (see :meth:`repro.nn.resnet.ResNetEncoder.forward`).
 """
 
 from __future__ import annotations
@@ -131,41 +132,13 @@ def conv2d(
 
 
 def conv_bn_relu(x: Tensor, conv, bn, relu: bool = True) -> Tensor:
-    """Convolution → batch norm (→ ReLU), fused when the backend can.
+    """Convolution → batch norm (→ ReLU): ``bn(conv(x))`` (+ ``relu``).
 
     ``conv`` and ``bn`` are :class:`~repro.nn.layers.Conv2d` /
-    :class:`~repro.nn.layers.BatchNorm2d` modules (duck-typed).  The
-    fused path applies only when the whole chain is gradient-free and
-    ``bn`` runs on running statistics (eval mode): eval BN is a
-    per-channel affine, so the backend folds it into the convolution
-    and skips the separate normalization pass.  Every other case —
-    training-mode BN, any parameter recording gradients, or a backend
-    without fusion — composes the exact reference sequence
-    ``bn(conv(x))`` (+ ``relu``), so autograd results are identical on
-    every backend.
+    :class:`~repro.nn.layers.BatchNorm2d` modules (duck-typed).  This is
+    the module path, identical on every backend; eval no-grad encoder
+    forwards take the backend's channels-last chain instead.
     """
-    backend = get_backend()
-    grad_live = is_grad_enabled() and (
-        x.requires_grad
-        or conv.weight.requires_grad
-        or (conv.bias is not None and conv.bias.requires_grad)
-        or bn.gamma.requires_grad
-        or bn.beta.requires_grad
-    )
-    if backend.supports_fusion and not bn.training and not grad_live:
-        scale, shift = bn_eval_affine(bn)
-        out = backend.conv_bn_infer(
-            x.data,
-            conv.weight.data,
-            None if conv.bias is None else conv.bias.data,
-            conv.stride,
-            conv.padding,
-            scale,
-            shift,
-            relu,
-        )
-        if out is not None:
-            return Tensor(out)
     out = bn(conv(x))
     return out.relu() if relu else out
 
@@ -173,14 +146,17 @@ def conv_bn_relu(x: Tensor, conv, bn, relu: bool = True) -> Tensor:
 def bn_eval_affine(bn) -> Tuple[np.ndarray, np.ndarray]:
     """The per-channel affine eval-mode batch norm reduces to.
 
-    Returns ``(scale, shift)`` with ``scale = gamma / sqrt(var + eps)``
-    and ``shift = beta - mean * scale`` — the fold the fused backends
-    push into the preceding convolution's weights.
+    Returns ``(scale, shift)`` with ``inv_std = 1 / sqrt(var + eps)``,
+    ``scale = gamma * inv_std`` and ``shift = beta - gamma * mean *
+    inv_std``.  ``BatchNorm2d``'s eval forward (``x * scale + shift``)
+    and the channels-last chains take it from here, so the reference
+    chain matches the module path bit for bit; the fused backend folds
+    the same vectors into the preceding convolution.
     """
     mean = bn._buffers["running_mean"]
-    var = bn._buffers["running_var"]
-    scale = bn.gamma.data / np.sqrt(var + bn.eps)
-    return scale, bn.beta.data - mean * scale
+    inv_std = 1.0 / np.sqrt(bn._buffers["running_var"] + bn.eps)
+    gamma = bn.gamma.data
+    return gamma * inv_std, bn.beta.data - gamma * mean * inv_std
 
 
 def add_relu(a: Tensor, b: Tensor) -> Tensor:

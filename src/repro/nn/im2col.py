@@ -53,6 +53,7 @@ Cache invariants (see DESIGN.md §7):
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -89,7 +90,7 @@ class Im2colWorkspace:
 
     def get(self, role: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
         dtype = np.dtype(dtype)
-        nbytes = int(np.prod(shape)) * dtype.itemsize
+        nbytes = math.prod(shape) * dtype.itemsize
         arena = self._arenas.get(role)
         if arena is None or arena.nbytes < nbytes:
             arena = np.empty(nbytes, dtype=np.uint8)

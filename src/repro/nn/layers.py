@@ -257,10 +257,9 @@ class Conv2d(Module):
     """2-D convolution layer (square kernel).
 
     Forward delegates to :func:`repro.nn.functional.conv2d`, which
-    dispatches gradient-free passes (``no_grad`` scoring/eval) to the
-    active backend's ``conv2d_infer`` fast path — workspace-backed
-    unfolds, so repeated forwards of the same shape (the
-    contrast-scoring hot path) stop reallocating their scratch.  See
+    dispatches gradient-free passes to the active backend's
+    ``conv2d_infer`` fast path — workspace-backed unfolds, so repeated
+    forwards of the same shape stop reallocating their scratch.  See
     :mod:`repro.nn.im2col` for the cache invariants and
     :mod:`repro.nn.backend` for the backend surface.
     """
@@ -333,9 +332,7 @@ class BatchNorm2d(Module):
                 + self.momentum * unbiased
             ).astype(np.float32)
             return self._normalize_train(x, mean, var)
-        mean = self._buffers["running_mean"]
-        var = self._buffers["running_var"]
-        return self._normalize_eval(x, mean, var)
+        return self._normalize_eval(x)
 
     def _normalize_train(self, x: Tensor, mean: np.ndarray, var: np.ndarray) -> Tensor:
         """Batch-stat normalization with the full BN backward."""
@@ -367,37 +364,35 @@ class BatchNorm2d(Module):
             out.astype(x.data.dtype, copy=False), (x, gamma, beta), backward
         )
 
-    def _normalize_eval(self, x: Tensor, mean: np.ndarray, var: np.ndarray) -> Tensor:
-        """Running-stat normalization (mean/var are constants)."""
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        scale = (self.gamma.data * inv_std).reshape(1, -1, 1, 1)
-        shift = (self.beta.data - self.gamma.data * mean * inv_std).reshape(1, -1, 1, 1)
-        from repro.nn.functional import _make_op
+    def _normalize_eval(self, x: Tensor) -> Tensor:
+        """Running-stat normalization, ``x * scale + shift`` with the
+        affine of :func:`repro.nn.functional.bn_eval_affine` (the
+        channels-last chains use the same vectors)."""
+        from repro.nn.functional import _make_op, bn_eval_affine
         from repro.nn.tensor import is_grad_enabled
 
+        scale, shift = (v.reshape(1, -1, 1, 1) for v in bn_eval_affine(self))
+        mean = self._buffers["running_mean"].reshape(1, -1, 1, 1)
+        var = self._buffers["running_var"].reshape(1, -1, 1, 1)
+        eps = self.eps
         gamma, beta = self.gamma, self.beta
         out = x.data * scale + shift
+
+        def normalized() -> np.ndarray:
+            return (x.data - mean) * (1.0 / np.sqrt(var + eps))
+
         # The normalized input only feeds the gamma gradient — don't pay
         # the extra full-map pass on gradient-free (scoring/eval) calls.
         # The backward recomputes it on demand, so a gamma whose
         # requires_grad flips between forward and backward still gets a
         # correct gradient.
-        x_hat_const = (
-            (x.data - mean.reshape(1, -1, 1, 1)) * inv_std.reshape(1, -1, 1, 1)
-            if is_grad_enabled() and gamma.requires_grad
-            else None
-        )
+        x_hat_const = normalized() if is_grad_enabled() and gamma.requires_grad else None
 
         def backward(g: np.ndarray):
             gx = g * scale if x.requires_grad else None
             ggamma = None
             if gamma.requires_grad:
-                x_hat = (
-                    x_hat_const
-                    if x_hat_const is not None
-                    else (x.data - mean.reshape(1, -1, 1, 1))
-                    * inv_std.reshape(1, -1, 1, 1)
-                )
+                x_hat = x_hat_const if x_hat_const is not None else normalized()
                 ggamma = (g * x_hat).sum(axis=(0, 2, 3))
             gbeta = g.sum(axis=(0, 2, 3)) if beta.requires_grad else None
             return (gx, ggamma, gbeta)

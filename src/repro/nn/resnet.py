@@ -29,6 +29,23 @@ from repro.registry import register_encoder
 __all__ = ["BasicBlock", "ResNetEncoder", "resnet_mini", "resnet_micro"]
 
 
+def _conv_bn_nhwc(
+    backend: ArrayBackend, x: np.ndarray, conv: Conv2d, bn: BatchNorm2d, relu: bool
+) -> np.ndarray:
+    """One conv→BN(→ReLU) link of the channels-last chain."""
+    scale, shift = F.bn_eval_affine(bn)
+    return backend.conv_bn_nhwc(
+        x,
+        conv.weight.data,
+        None if conv.bias is None else conv.bias.data,
+        conv.stride,
+        conv.padding,
+        scale,
+        shift,
+        relu,
+    )
+
+
 class BasicBlock(Module):
     """Two 3×3 conv-BN pairs with an identity (or projected) shortcut."""
 
@@ -55,10 +72,6 @@ class BasicBlock(Module):
             self.shortcut_bn = BatchNorm2d(out_channels)
 
     def forward(self, x: Tensor) -> Tensor:
-        # conv→BN(→ReLU) chains and the residual join go through the
-        # functional dispatch helpers so gradient-free forwards (the
-        # scoring/probe hot path) pick up the active backend's fusion;
-        # autograd calls compose the reference ops unchanged.
         out = F.conv_bn_relu(x, self.conv1, self.bn1)
         out = F.conv_bn_relu(out, self.conv2, self.bn2, relu=False)
         shortcut = (
@@ -69,30 +82,15 @@ class BasicBlock(Module):
         return F.add_relu(out, shortcut)
 
     def _infer_nhwc(self, h: np.ndarray, backend: ArrayBackend) -> np.ndarray:
-        """Channels-last gradient-free forward (fused-chain leg).
+        """Channels-last gradient-free forward (one leg of the chain).
 
-        Mirrors :meth:`forward` exactly, on raw NHWC arrays; only
-        entered by :meth:`ResNetEncoder.forward` when the active
-        backend advertises ``supports_nhwc_infer``.
+        Mirrors :meth:`forward` exactly, on raw NHWC arrays; entered by
+        :meth:`ResNetEncoder.forward` on eval no-grad calls.
         """
-
-        def conv_bn(x, conv, bn, relu):
-            scale, shift = F.bn_eval_affine(bn)
-            return backend.conv_bn_nhwc(
-                x,
-                conv.weight.data,
-                None if conv.bias is None else conv.bias.data,
-                conv.stride,
-                conv.padding,
-                scale,
-                shift,
-                relu,
-            )
-
-        out = conv_bn(h, self.conv1, self.bn1, relu=True)
-        out = conv_bn(out, self.conv2, self.bn2, relu=False)
+        out = _conv_bn_nhwc(backend, h, self.conv1, self.bn1, relu=True)
+        out = _conv_bn_nhwc(backend, out, self.conv2, self.bn2, relu=False)
         shortcut = (
-            conv_bn(h, self.shortcut_conv, self.shortcut_bn, relu=False)
+            _conv_bn_nhwc(backend, h, self.shortcut_conv, self.shortcut_bn, relu=False)
             if self.needs_projection
             else h
         )
@@ -147,36 +145,27 @@ class ResNetEncoder(Module):
     def forward(self, x: Tensor) -> Tensor:
         """Encode an NCHW batch to representation vectors (N, feature_dim).
 
-        Gradient-free eval forwards (the scoring / probe hot path) run
-        the whole encoder as one channels-last fused chain when the
-        active backend advertises ``supports_nhwc_infer``: one NHWC
-        repack at entry, conv→BN→ReLU fused per layer with contiguous
-        unfolds, and a pooled (N, C) exit — no per-layer layout
-        round-trips.  All other calls compose the reference modules
-        (identical autograd math on every backend).
+        Gradient-free eval forwards (scoring, the kNN readout, the
+        linear probe's features) run the whole encoder as the active
+        backend's channels-last chain: one NHWC repack at entry,
+        conv→BN(→ReLU) per layer, and a pooled (N, C) exit — no
+        per-layer layout round-trips.  On the reference backend the
+        chain is bitwise equal to the module path.  All other calls
+        compose the modules (identical autograd math on every backend).
         """
         if x.ndim != 4:
             raise ValueError(f"encoder expects NCHW input, got shape {x.shape}")
-        backend = get_backend()
-        if backend.supports_nhwc_infer and not self.training and not is_grad_enabled():
-            return Tensor(self._infer_nhwc_chain(x.data, backend))
+        if not self.training and not is_grad_enabled():
+            return Tensor(self._infer_nhwc_chain(x.data, get_backend()))
         out = F.conv_bn_relu(x, self.stem_conv, self.stem_bn)
         for stage in self.stages:
             out = stage(out)
         return F.global_avg_pool2d(out)
 
     def _infer_nhwc_chain(self, x: np.ndarray, backend: ArrayBackend) -> np.ndarray:
-        """The fused channels-last encoder forward (raw arrays)."""
-        scale, shift = F.bn_eval_affine(self.stem_bn)
-        h = backend.conv_bn_nhwc(
-            backend.to_nhwc(x),
-            self.stem_conv.weight.data,
-            None if self.stem_conv.bias is None else self.stem_conv.bias.data,
-            self.stem_conv.stride,
-            self.stem_conv.padding,
-            scale,
-            shift,
-            True,
+        """The channels-last encoder forward (raw arrays)."""
+        h = _conv_bn_nhwc(
+            backend, backend.to_nhwc(x), self.stem_conv, self.stem_bn, relu=True
         )
         for stage in self.stages:
             for block in stage.layers:

@@ -19,9 +19,10 @@ Operations (``{"op": ...}`` per line):
 
 Errors come back as ``{"ok": false, "error": "..."}`` on the same
 line; malformed framing (invalid JSON, or a line that is not a JSON
-object) closes the connection.  Concurrent requests on
-one connection are served in submission order per line read, but each
-``score`` is awaited independently, so several connections (or
+object) closes the connection, and so does a line over the 64 MiB
+limit, after one error line that names the limit.  Concurrent requests
+on one connection are served in submission order per line read, but
+each ``score`` is awaited independently, so several connections (or
 pipelined lines) micro-batch together exactly like in-process callers.
 """
 
@@ -93,6 +94,7 @@ async def serve_tcp(
     already be started; closing the returned asyncio server does not
     stop it.
     """
+    limit = _MAX_LINE
 
     async def safe_handle(message: Dict[str, Any]) -> Dict[str, Any]:
         try:
@@ -106,7 +108,7 @@ async def serve_tcp(
         # Each line is dispatched as its own task so pipelined score
         # requests reach the batcher together; responses are written
         # back in line order.
-        pending: "asyncio.Queue[Optional[asyncio.Task]]" = asyncio.Queue()
+        pending: "asyncio.Queue[Optional[asyncio.Future]]" = asyncio.Queue()
 
         async def respond() -> None:
             while True:
@@ -124,7 +126,15 @@ async def serve_tcp(
         responder = loop.create_task(respond())
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:  # the reader's line limit: answer, then close
+                    rejected = loop.create_future()
+                    rejected.set_result(
+                        {"ok": False, "error": f"request line exceeds {limit} bytes"}
+                    )
+                    pending.put_nowait(rejected)
+                    break
                 if not line:
                     break
                 try:
@@ -145,7 +155,7 @@ async def serve_tcp(
                 # races loop shutdown and only adds noise.
                 writer.close()
 
-    return await asyncio.start_server(handle, host, port, limit=_MAX_LINE)
+    return await asyncio.start_server(handle, host, port, limit=limit)
 
 
 class TcpClient:

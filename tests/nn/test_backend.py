@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+import repro.nn.backend.fused as fused_mod
 from repro.nn import functional as F
 from repro.nn.backend import (
-    ArrayBackend,
     FusedBackend,
     NumpyBackend,
     default_backend_name,
@@ -15,8 +15,41 @@ from repro.nn.backend import (
 )
 from repro.nn.im2col import im2col, im2col_nhwc
 from repro.nn.layers import BatchNorm2d, Conv2d
+from repro.nn.resnet import resnet_micro, resnet_mini, resnet_small
 from repro.nn.tensor import Tensor, no_grad
 from repro.registry import BACKENDS, UnknownComponentError
+
+#: NaN, +inf, -inf, -0.0 and a float32 subnormal: the values where two
+#: ReLU formulas, or two summation orders, can disagree.
+SPECIAL_VALUES = np.array(
+    [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-40, -1e-40, 2.5, -2.5], dtype=np.float32
+)
+
+
+def assert_bitwise(actual, expected):
+    """Equal values *and* bytes: NaN payloads and zero signs included."""
+    np.testing.assert_array_equal(actual, expected)
+    assert actual.dtype == expected.dtype
+    assert actual.tobytes() == expected.tobytes()
+
+
+def eval_conv_bn(rng, c_in, c_out, kernel=3, stride=1, padding=1):
+    """A Conv2d + eval BatchNorm2d pair with non-trivial running stats."""
+    conv = Conv2d(c_in, c_out, kernel, stride=stride, padding=padding, rng=rng)
+    bn = BatchNorm2d(c_out)
+    bn.set_buffer("running_mean", rng.normal(size=c_out).astype(np.float32))
+    bn.set_buffer("running_var", rng.uniform(0.5, 2.0, size=c_out).astype(np.float32))
+    bn.gamma.data[:] = rng.normal(size=c_out)
+    bn.beta.data[:] = rng.normal(size=c_out)
+    return conv.eval(), bn.eval()
+
+
+def fused_conv(fused, x_nhwc, conv, bn, relu=True):
+    """``fused.conv_bn_nhwc`` of one Conv2d + BatchNorm2d pair."""
+    scale, shift = F.bn_eval_affine(bn)
+    return fused.conv_bn_nhwc(
+        x_nhwc, conv.weight.data, None, conv.stride, conv.padding, scale, shift, relu
+    )
 
 
 @pytest.fixture(autouse=True)
@@ -97,15 +130,12 @@ class TestPrecisionPolicy:
         assert b.compute_dtype == np.float32
         assert b.scoring_dtype == np.float64
         assert b.loss_reduction_dtype == np.float64
-        assert not b.supports_fusion
 
     def test_fused_policy(self):
         b = FusedBackend()
         assert b.compute_dtype == np.float32
         assert b.scoring_dtype == np.float32  # float32 end-to-end scoring
         assert b.loss_reduction_dtype == np.float64  # wide loss reductions
-        assert b.supports_fusion
-        assert b.supports_nhwc_infer
 
     def test_per_sample_loss_follows_policy_but_returns_float64(self):
         from repro.nn.losses import NTXentLoss
@@ -140,6 +170,10 @@ class TestNumpyBackendReference:
         np.testing.assert_array_equal(b.relu(x), np.where(x > 0, x, 0.0))
         np.testing.assert_array_equal(b.maximum(x, 0.5), np.maximum(x, 0.5))
         np.testing.assert_array_equal(b.clip(x, -1, 1), np.clip(x, -1, 1))
+        for special in (SPECIAL_VALUES, SPECIAL_VALUES.astype(np.float64)):
+            expected = np.where(special > 0, special, 0.0).astype(special.dtype)
+            assert_bitwise(b.relu(special), expected)
+            assert_bitwise(b.add_relu_infer(special, np.zeros_like(special)), expected)
 
     def test_matmul_out(self):
         b = NumpyBackend()
@@ -151,22 +185,70 @@ class TestNumpyBackendReference:
         assert res is out
         np.testing.assert_array_equal(out, a @ c)
 
-    def test_conv_bn_infer_unsupported(self):
-        b = NumpyBackend()
-        assert b.conv_bn_infer(
-            np.zeros((1, 1, 4, 4), np.float32),
-            np.zeros((1, 1, 3, 3), np.float32),
-            None,
-            1,
-            1,
-            np.ones(1, np.float32),
-            np.zeros(1, np.float32),
-            True,
-        ) is None
 
-    def test_nhwc_chain_unsupported(self):
-        with pytest.raises(NotImplementedError):
-            NumpyBackend().to_nhwc(np.zeros((1, 1, 2, 2), np.float32))
+def _eval_encoder(factory, rng):
+    """An encoder in eval mode with random BN running stats and affine."""
+    enc = factory(rng=rng)
+    state = enc.state_dict()
+    for key, value in state.items():
+        if key.endswith("running_var"):
+            state[key] = rng.uniform(0.5, 2.0, size=value.shape).astype(np.float32)
+        elif key.endswith(("running_mean", "gamma", "beta")):
+            state[key] = rng.normal(size=value.shape).astype(np.float32)
+    enc.load_state_dict(state)
+    return enc.eval()
+
+
+def _module_path(enc, x):
+    """The eval forward through the modules, NCHW throughout: Conv2d →
+    BatchNorm2d (→ ReLU) per layer, the residual join, the pool."""
+    with no_grad():
+        out = F.conv_bn_relu(Tensor(x), enc.stem_conv, enc.stem_bn)
+        for stage in enc.stages:
+            out = stage(out)
+        return F.global_avg_pool2d(out).data
+
+
+class TestReferenceChain:
+    """The numpy channels-last chain is the module path, bit for bit."""
+
+    @pytest.mark.parametrize("factory", [resnet_micro, resnet_small, resnet_mini])
+    @pytest.mark.parametrize("size", [7, 9, 12])
+    def test_encoder_matches_module_path(self, factory, size):
+        # Stride 2 and projection shortcuts on every encoder, odd maps.
+        # Image 0 is plain; images 1-3 carry NaN/±inf, -0.0, subnormals.
+        rng = np.random.default_rng(size)
+        enc = _eval_encoder(factory, rng)
+        x = rng.normal(size=(4, 3, size, size)).astype(np.float32)
+        x[1].reshape(-1)[:: size][: len(SPECIAL_VALUES)] = SPECIAL_VALUES
+        x[2] = -0.0
+        x[3, 1] = 1e-40
+        with use_backend("numpy"), np.errstate(invalid="ignore", over="ignore"):
+            with no_grad():
+                chain = enc(Tensor(x)).data
+            reference = _module_path(enc, x)
+            autograd = enc(Tensor(x)).data  # grad on: the module path too
+        assert_bitwise(chain, reference)
+        assert_bitwise(chain, autograd)
+        assert np.isfinite(chain[0]).all()
+
+    def test_scorer_and_features_match_module_path(self, monkeypatch):
+        from repro.core.scoring import ContrastScorer
+        from repro.nn.projection import ProjectionHead
+
+        rng = np.random.default_rng(2)
+        enc = _eval_encoder(resnet_small, rng)
+        scorer = ContrastScorer(enc, ProjectionHead(enc.feature_dim, out_dim=8))
+        images = rng.normal(size=(6, 3, 12, 12)).astype(np.float32)
+        with use_backend("numpy"):
+            features = scorer.features(images)
+            scores = scorer.score(images)
+            # The same scorer with the encoder's chain swapped for the modules.
+            monkeypatch.setattr(
+                type(enc), "_infer_nhwc_chain", lambda self, x, backend: _module_path(self, x)
+            )
+            assert_bitwise(scorer.features(images), features)
+            assert_bitwise(scorer.score(images), scores)
 
 
 class TestFusedOps:
@@ -183,55 +265,33 @@ class TestFusedOps:
             bmat = cols_nhwc.reshape(n, oh, ow, k, k, 3)
             np.testing.assert_array_equal(a, bmat.transpose(0, 1, 2, 5, 3, 4))
 
-    def test_conv_bn_infer_matches_unfused(self):
-        rng = np.random.default_rng(2)
-        conv = Conv2d(3, 5, 3, stride=1, padding=1, rng=rng)
-        bn = BatchNorm2d(5)
-        bn.set_buffer("running_mean", rng.normal(size=5).astype(np.float32))
-        bn.set_buffer("running_var", rng.uniform(0.5, 2.0, size=5).astype(np.float32))
-        bn.eval()
-        conv.eval()
-        x = Tensor(rng.normal(size=(4, 3, 8, 8)).astype(np.float32))
-        with no_grad():
-            with use_backend("numpy"):
-                ref = F.conv_bn_relu(x, conv, bn).data
-            fused = FusedBackend()
-            scale, shift = F.bn_eval_affine(bn)
-            out = fused.conv_bn_infer(
-                x.data, conv.weight.data, None, 1, 1, scale, shift, True
-            )
-        np.testing.assert_allclose(out, ref, atol=1e-5)
-
     def test_conv_bn_nhwc_matches_unfused(self):
+        """The fused chain link against the module path, on both sides
+        of the tile rule (3x3 stride 1, and stride 2)."""
         rng = np.random.default_rng(3)
-        conv = Conv2d(4, 6, 3, stride=2, padding=1, rng=rng)
-        bn = BatchNorm2d(6)
-        bn.set_buffer("running_mean", rng.normal(size=6).astype(np.float32))
-        bn.set_buffer("running_var", rng.uniform(0.5, 2.0, size=6).astype(np.float32))
-        bn.eval()
-        conv.eval()
-        x = Tensor(rng.normal(size=(2, 4, 8, 8)).astype(np.float32))
-        with no_grad(), use_backend("numpy"):
-            ref = F.conv_bn_relu(x, conv, bn, relu=False).data
         fused = FusedBackend()
-        scale, shift = F.bn_eval_affine(bn)
-        out_nhwc = fused.conv_bn_nhwc(
-            fused.to_nhwc(x.data), conv.weight.data, None, 2, 1, scale, shift, False
-        )
-        np.testing.assert_allclose(out_nhwc.transpose(0, 3, 1, 2), ref, atol=1e-5)
+        for stride, relu in [(1, True), (2, False)]:
+            conv, bn = eval_conv_bn(rng, 4, 6, stride=stride)
+            x = Tensor(rng.normal(size=(2, 4, 8, 8)).astype(np.float32))
+            with no_grad(), use_backend("numpy"):
+                ref = F.conv_bn_relu(x, conv, bn, relu=relu).data
+            out = fused_conv(fused, fused.to_nhwc(x.data), conv, bn, relu=relu)
+            np.testing.assert_allclose(out.transpose(0, 3, 1, 2), ref, atol=1e-5)
 
     def test_returned_arrays_are_caller_owned(self):
         """Protocol invariant 2: successive fused calls never clobber
-        previously returned outputs."""
+        previously returned outputs (tiled 3->4 and untiled 3->20)."""
         rng = np.random.default_rng(4)
         fused = FusedBackend()
-        w = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
-        x1 = rng.normal(size=(2, 3, 6, 6)).astype(np.float32)
-        x2 = rng.normal(size=(2, 3, 6, 6)).astype(np.float32)
-        out1 = fused.conv2d_infer(x1, w, None, 1, 1)
-        snapshot = out1.copy()
-        fused.conv2d_infer(x2, w, None, 1, 1)  # reuses the arenas
-        np.testing.assert_array_equal(out1, snapshot)
+        for c_out in (4, 20):
+            conv, bn = eval_conv_bn(rng, 3, c_out)
+            x1 = rng.normal(size=(2, 6, 6, 3)).astype(np.float32)
+            x2 = rng.normal(size=(2, 6, 6, 3)).astype(np.float32)
+            out1 = fused_conv(fused, x1, conv, bn)
+            snapshot = out1.copy()
+            out2 = fused_conv(fused, x2, conv, bn)  # reuses the arenas
+            np.testing.assert_array_equal(out1, snapshot)
+            assert not np.shares_memory(out1, out2)
 
     def test_add_relu_infer(self):
         fused = FusedBackend()
@@ -244,10 +304,87 @@ class TestFusedOps:
     def test_float64_inputs_keep_their_width(self):
         rng = np.random.default_rng(5)
         fused = FusedBackend()
-        x = rng.normal(size=(1, 2, 5, 5))  # float64
-        w = rng.normal(size=(3, 2, 3, 3))
-        out = fused.conv2d_infer(x, w, None, 1, 1)
-        assert out.dtype == np.float64
+        for c_out in (3, 20):  # tiled and untiled
+            w = rng.normal(size=(c_out, 2, 3, 3))
+            x = rng.normal(size=(1, 6, 6, 2))  # float64
+            out = fused.conv_bn_nhwc(x, w, None, 1, 1, None, None, False)
+            assert out.dtype == np.float64
+
+
+class TestFusedTiles:
+    """3x3 stride-1 convolutions with <= 16 output channels on even
+    maps run as 2x2 output tiles, one per GEMM row."""
+
+    @staticmethod
+    def _unfolds(monkeypatch):
+        kernels = []
+        unfold = fused_mod.im2col_nhwc
+
+        def spy(x, kernel, stride, padding, workspace=None):
+            kernels.append((kernel, stride, padding))
+            return unfold(x, kernel, stride, padding, workspace=workspace)
+
+        monkeypatch.setattr(fused_mod, "im2col_nhwc", spy)
+        return kernels
+
+    def test_matches_untiled_at_every_eligible_shape(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        fused = FusedBackend()
+        kernels = self._unfolds(monkeypatch)
+        calls = []
+        for c_in, c_out, h, w in [
+            (3, 12, 12, 12), (12, 12, 12, 12), (1, 1, 2, 2), (5, 16, 4, 6),
+            (16, 7, 8, 2), (2, 9, 10, 4),
+        ]:
+            conv, bn = eval_conv_bn(rng, c_in, c_out)
+            bias = rng.normal(size=c_out).astype(np.float32)
+            x = rng.normal(size=(3, h, w, c_in)).astype(np.float32)
+            scale, shift = F.bn_eval_affine(bn)
+            for relu in (True, False):
+                calls.append((x, conv.weight.data, bias, 1, 1, scale, shift, relu))
+        tiled = [fused.conv_bn_nhwc(*args) for args in calls]
+        assert kernels == [((4, 4), 2, 1)] * len(calls)
+        kernels.clear()
+        monkeypatch.setattr(fused_mod, "TILE_MAX_C_OUT", 0)
+        untiled = [fused.conv_bn_nhwc(*args) for args in calls]
+        assert kernels == [((3, 3), 1, 1)] * len(calls)
+        for args, a, b in zip(calls, tiled, untiled):
+            assert a.shape == b.shape == args[0].shape[:3] + (args[1].shape[0],)
+            np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-5)
+
+    def test_ineligible_shapes_take_the_untiled_path(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        fused = FusedBackend()
+        kernels = self._unfolds(monkeypatch)
+        for c_out, h, w, k, stride, padding in [
+            (12, 7, 7, 3, 1, 1),  # odd map
+            (12, 8, 7, 3, 1, 1),  # odd width
+            (12, 8, 8, 3, 2, 1),  # stride 2
+            (17, 8, 8, 3, 1, 1),  # C_out > 16
+            (12, 8, 8, 1, 1, 0),  # 1x1
+            (12, 8, 8, 3, 1, 0),  # no padding
+        ]:
+            conv, bn = eval_conv_bn(rng, 3, c_out, kernel=k, stride=stride, padding=padding)
+            x = rng.normal(size=(2, 3, h, w)).astype(np.float32)
+            kernels.clear()
+            out = fused_conv(fused, fused.to_nhwc(x), conv, bn)
+            assert kernels == [((k, k), stride, padding)]
+            with no_grad(), use_backend("numpy"):
+                ref = F.conv_bn_relu(Tensor(x), conv, bn).data
+            np.testing.assert_allclose(out.transpose(0, 3, 1, 2), ref, rtol=1e-4, atol=1e-5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_pixel_stays_in_its_image(self, bad):
+        rng = np.random.default_rng(8)
+        fused = FusedBackend()
+        conv, bn = eval_conv_bn(rng, 3, 12)
+        x = rng.normal(size=(3, 8, 8, 3)).astype(np.float32)
+        clean = fused_conv(fused, x, conv, bn, relu=False)
+        x[1, 3, 4, 2] = bad
+        with np.errstate(invalid="ignore"):
+            out = fused_conv(fused, x, conv, bn, relu=False)
+        assert_bitwise(out[[0, 2]], clean[[0, 2]])
+        assert not np.isfinite(out[1]).all()
 
 
 class TestFunctionalDispatch:

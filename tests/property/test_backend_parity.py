@@ -7,7 +7,9 @@ The backend contract (DESIGN.md §8) is two-sided:
 * anything recorded on the autograd graph — training forwards and every
   backward — is bitwise identical across backends.
 
-These properties drive both sides over randomized shapes and values.
+The numpy channels-last chain is the reference for the first side: it
+is bitwise the module path ``bn(conv(x))`` (+ ReLU).  These properties
+drive both sides over randomized shapes and values.
 """
 
 import numpy as np
@@ -16,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn import functional as F
-from repro.nn.backend import get_backend, set_backend, use_backend
+from repro.nn.backend import FusedBackend, NumpyBackend, get_backend, set_backend, use_backend
 from repro.nn.layers import BatchNorm2d, Conv2d
 from repro.nn.losses import NTXentLoss, nt_xent_loss
 from repro.nn.tensor import Tensor, no_grad
@@ -35,6 +37,29 @@ def _images(rng: np.random.Generator, n: int, c: int, hw: int) -> np.ndarray:
     return rng.normal(size=(n, c, hw, hw)).astype(np.float32)
 
 
+def _eval_bn(rng: np.random.Generator, c: int) -> BatchNorm2d:
+    bn = BatchNorm2d(c)
+    bn.set_buffer("running_mean", rng.normal(size=c).astype(np.float32))
+    bn.set_buffer("running_var", rng.uniform(0.25, 4.0, size=c).astype(np.float32))
+    return bn.eval()
+
+
+def _chain(backend, x: np.ndarray, conv: Conv2d, bn, relu: bool) -> np.ndarray:
+    """One conv(→BN)(→ReLU) link of ``backend``'s chain, back in NCHW."""
+    scale, shift = (None, None) if bn is None else F.bn_eval_affine(bn)
+    out = backend.conv_bn_nhwc(
+        backend.to_nhwc(x),
+        conv.weight.data,
+        None if conv.bias is None else conv.bias.data,
+        conv.stride,
+        conv.padding,
+        scale,
+        shift,
+        relu,
+    )
+    return out.transpose(0, 3, 1, 2)
+
+
 class TestForwardParity:
     @settings(**SETTINGS)
     @given(
@@ -46,14 +71,12 @@ class TestForwardParity:
         padding=st.sampled_from([0, 1]),
     )
     def test_conv2d_infer(self, seed, n, c_in, c_out, stride, padding):
+        """A plain convolution (no BN) through both chains."""
         rng = np.random.default_rng(seed)
-        x = Tensor(_images(rng, n, c_in, 6))
+        x = _images(rng, n, c_in, 6)
         conv = Conv2d(c_in, c_out, 3, stride=stride, padding=padding, rng=rng)
-        with no_grad():
-            with use_backend("numpy"):
-                ref = conv(x).data
-            with use_backend("fused"):
-                out = conv(x).data
+        ref = _chain(NumpyBackend(), x, conv, None, relu=False)
+        out = _chain(FusedBackend(), x, conv, None, relu=False)
         np.testing.assert_allclose(out, ref, rtol=1e-5, atol=1e-5)
 
     @settings(**SETTINGS)
@@ -61,18 +84,10 @@ class TestForwardParity:
     def test_conv_bn_relu_eval(self, seed, n, c):
         rng = np.random.default_rng(seed)
         conv = Conv2d(c, 4, 3, stride=1, padding=1, rng=rng)
-        bn = BatchNorm2d(4)
-        bn.set_buffer("running_mean", rng.normal(size=4).astype(np.float32))
-        bn.set_buffer(
-            "running_var", rng.uniform(0.25, 4.0, size=4).astype(np.float32)
-        )
-        conv.eval(), bn.eval()
-        x = Tensor(_images(rng, n, c, 6))
-        with no_grad():
-            with use_backend("numpy"):
-                ref = F.conv_bn_relu(x, conv, bn).data
-            with use_backend("fused"):
-                out = F.conv_bn_relu(x, conv, bn).data
+        bn = _eval_bn(rng, 4)
+        x = _images(rng, n, c, 6)
+        ref = _chain(NumpyBackend(), x, conv, bn, relu=True)
+        out = _chain(FusedBackend(), x, conv, bn, relu=True)
         np.testing.assert_allclose(out, ref, rtol=1e-4, atol=1e-5)
 
     @settings(**SETTINGS)
@@ -108,6 +123,40 @@ class TestForwardParity:
                 per_out = NTXentLoss().per_sample(z1, z2)
         assert loss_out == pytest.approx(loss_ref, rel=1e-5, abs=1e-6)
         np.testing.assert_allclose(per_out, per_ref, rtol=1e-5, atol=1e-7)
+
+
+class TestReferenceChain:
+    """The numpy chain link is the module path bit for bit; the fused
+    one agrees within the forward tolerance."""
+
+    @settings(**SETTINGS)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(1, 5),
+        c_in=st.integers(1, 6),
+        c_out=st.integers(1, 24),
+        hw=st.integers(3, 10),
+        conv_shape=st.sampled_from([(3, 1, 1), (3, 2, 1), (1, 1, 0), (1, 2, 0)]),
+        bias=st.booleans(),
+        relu=st.booleans(),
+    )
+    def test_conv_bn_nhwc(self, seed, n, c_in, c_out, hw, conv_shape, bias, relu):
+        kernel, stride, padding = conv_shape
+        rng = np.random.default_rng(seed)
+        conv = Conv2d(
+            c_in, c_out, kernel, stride=stride, padding=padding, bias=bias, rng=rng
+        )
+        if bias:
+            conv.bias.data[:] = rng.normal(size=c_out)
+        bn = _eval_bn(rng, c_out)
+        x = _images(rng, n, c_in, hw)
+        with no_grad(), use_backend("numpy"):
+            ref = F.conv_bn_relu(Tensor(x), conv, bn, relu=relu).data
+        out = _chain(NumpyBackend(), x, conv, bn, relu)
+        np.testing.assert_array_equal(out, ref)
+        assert np.ascontiguousarray(out).tobytes() == ref.tobytes()  # zero signs too
+        fused = _chain(FusedBackend(), x, conv, bn, relu)
+        np.testing.assert_allclose(fused, ref, rtol=1e-4, atol=1e-5)
 
 
 class TestBackwardBitwiseParity:

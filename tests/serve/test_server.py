@@ -565,6 +565,44 @@ class TestClientsAndTcp:
 
         asyncio.run(run())
 
+    def test_tcp_over_long_line_answers_error_then_closes(self, published, monkeypatch):
+        # A line past the reader's limit makes readline() raise; the
+        # handler must answer one error line naming the limit and close,
+        # not die in client_connected_cb, and keep serving others.
+        import repro.serve.net as net
+
+        monkeypatch.setattr(net, "_MAX_LINE", 1024)
+
+        async def run():
+            loop = asyncio.get_running_loop()
+            unhandled = []
+            loop.set_exception_handler(lambda _loop, context: unhandled.append(context))
+            async with make_server(published) as server:
+                tcp = await serve_tcp(server)
+                port = tcp.sockets[0].getsockname()[1]
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                try:
+                    writer.write(b"x" * 4096 + b"\n")
+                    await writer.drain()
+                    reply = json.loads(await asyncio.wait_for(reader.readline(), 10))
+                    eof = await asyncio.wait_for(reader.readline(), 10)
+                finally:
+                    writer.close()
+                client = await TcpClient.connect("127.0.0.1", port)
+                try:
+                    pong = await client.ping()
+                finally:
+                    await client.close()
+                    tcp.close()
+                    await tcp.wait_closed()
+            return reply, eof, pong, unhandled
+
+        reply, eof, pong, unhandled = asyncio.run(run())
+        assert reply == {"ok": False, "error": "request line exceeds 1024 bytes"}
+        assert eof == b""
+        assert pong
+        assert unhandled == []
+
     def test_score_request_bytes_are_pinned(self):
         """``score`` and ``score_stream`` send one request layout, byte
         for byte what a hand-written client (the benchmark's load
