@@ -265,18 +265,29 @@ class TestFusedOps:
             bmat = cols_nhwc.reshape(n, oh, ow, k, k, 3)
             np.testing.assert_array_equal(a, bmat.transpose(0, 1, 2, 5, 3, 4))
 
-    def test_conv_bn_nhwc_matches_unfused(self):
-        """The fused chain link against the module path, on both sides
-        of the tile rule (3x3 stride 1, and stride 2)."""
-        rng = np.random.default_rng(3)
+    def test_conv_bn_infer_matches_unfused(self):
+        """Eval conv + BN + ReLU, 3x3 stride 1 (the tiled side of the
+        tile rule), against the module path."""
+        rng = np.random.default_rng(2)
+        conv, bn = eval_conv_bn(rng, 3, 5)
+        x = Tensor(rng.normal(size=(4, 3, 8, 8)).astype(np.float32))
+        with no_grad(), use_backend("numpy"):
+            ref = F.conv_bn_relu(x, conv, bn).data
         fused = FusedBackend()
-        for stride, relu in [(1, True), (2, False)]:
-            conv, bn = eval_conv_bn(rng, 4, 6, stride=stride)
-            x = Tensor(rng.normal(size=(2, 4, 8, 8)).astype(np.float32))
-            with no_grad(), use_backend("numpy"):
-                ref = F.conv_bn_relu(x, conv, bn, relu=relu).data
-            out = fused_conv(fused, fused.to_nhwc(x.data), conv, bn, relu=relu)
-            np.testing.assert_allclose(out.transpose(0, 3, 1, 2), ref, atol=1e-5)
+        out = fused_conv(fused, fused.to_nhwc(x.data), conv, bn)
+        np.testing.assert_allclose(out.transpose(0, 3, 1, 2), ref, atol=1e-5)
+
+    def test_conv_bn_nhwc_matches_unfused(self):
+        """Eval conv + BN, stride 2 (the untiled side of the tile rule),
+        against the module path."""
+        rng = np.random.default_rng(3)
+        conv, bn = eval_conv_bn(rng, 4, 6, stride=2)
+        x = Tensor(rng.normal(size=(2, 4, 8, 8)).astype(np.float32))
+        with no_grad(), use_backend("numpy"):
+            ref = F.conv_bn_relu(x, conv, bn, relu=False).data
+        fused = FusedBackend()
+        out = fused_conv(fused, fused.to_nhwc(x.data), conv, bn, relu=False)
+        np.testing.assert_allclose(out.transpose(0, 3, 1, 2), ref, atol=1e-5)
 
     def test_returned_arrays_are_caller_owned(self):
         """Protocol invariant 2: successive fused calls never clobber
