@@ -18,7 +18,9 @@ that every eval no-grad encoder forward runs through:
   convolution with at most :data:`TILE_MAX_C_OUT` output channels on
   an even map computes one 2x2 output tile per GEMM row (see
   :meth:`FusedBackend.conv_bn_nhwc`).  A 12-channel GEMM is too narrow
-  to run BLAS near its peak; four times the columns are not.
+  to run BLAS near its peak; four times the columns are not.  The tiles
+  hold the perf suite's fused-scoring floor at batch 64; at the serve
+  benchmark's batches of 8 they show no end-to-end gain (DESIGN.md §8).
 * **Buffer reuse** — the unfold scratch (padded input, columns) and the
   tiled GEMM output land in a private :class:`~repro.nn.im2col.
   Im2colWorkspace`, so a steady-state chain allocates one array per

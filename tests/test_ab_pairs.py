@@ -110,3 +110,26 @@ def test_failed_share_and_incorrect_runs(ab):
     assert report["failed_share"] == {"parent": 0.0, "change": 0.1}
     assert report["incorrect_runs"] == 2
     assert report["metrics"]["accuracy"]["verdict"] == "ok"
+
+
+def test_zero_parent_median_uses_the_direction(ab):
+    ms = [60.0] * 4
+    # Higher is better: rising from 0 is not a worsening.
+    rows = make_rows(ms, ms, accuracy=([0.0] * 4, [0.5] * 4))
+    entry = ab.summarize(rows, END_TO_END, "op_cpu_ms.p50")["metrics"]["accuracy"]
+    assert entry["relative_worsening"] == 0.0 and entry["verdict"] == "ok"
+    # Lower is better: rising from 0 is worse beyond any bound.
+    rows = make_rows([0.0] * 4, [1.0] * 4)
+    entry = ab.summarize(rows, END_TO_END, "op_cpu_ms.p50")["metrics"]["op_cpu_ms.p50"]
+    assert entry["verdict"] == "worse beyond bound"
+
+
+@pytest.mark.parametrize("seeds", [[101], [101, 2027], [1, 2, 3]])
+def test_each_seed_alternates_which_side_runs_first(ab, seeds):
+    plan = ab.schedule(10, seeds)
+    assert [pair for pair, _, _ in plan] == list(range(10))
+    assert [seed for _, seed, _ in plan] == [seeds[p % len(seeds)] for p in range(10)]
+    for seed in seeds:
+        orders = [order for _, s, order in plan if s == seed]
+        assert set(orders) == {("parent", "change"), ("change", "parent")}
+        assert all(a != b for a, b in zip(orders, orders[1:]))

@@ -2,13 +2,16 @@
 """Alternating A/B pairs of the repo benchmark, and the verdicts on them.
 
 Runs ``python3 perfbench/run.py`` in a parent checkout and a changed
-checkout, in pairs that alternate which side goes first and cycle
-through the seeds, then reports, per end-to-end metric of
+checkout, in pairs, then reports, per end-to-end metric of
 ``BENCHMARK.json``, each side's median and quartiles::
 
     python tools/ab_pairs.py --parent DIR --change DIR --workload stream \\
-        --seeds 101,2027 --pairs 10 --claim op_cpu_ms.p50 \\
-        [--seconds 30] [--jsonl out.jsonl]
+        --seeds 101,2027 --pairs 10 --claim op_cpu_ms.p50 [--jsonl out.jsonl]
+
+Each run lasts its tree's ``BENCHMARK.json`` ``run_seconds`` (perfbench's
+default).  Seeds cycle per pair, and each seed's successive pairs
+alternate which side runs first, so a first-run effect is not confounded
+with the seed.
 
 Verdicts:
 
@@ -36,7 +39,7 @@ import os
 import statistics
 import subprocess
 import sys
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 SIDES = ("parent", "change")
 
@@ -85,7 +88,7 @@ def summarize(rows: List[dict], end_to_end: List[dict], claim: str) -> dict:
         if parent:
             worse = sign * (parent - change) / abs(parent)
         else:
-            worse = 0.0 if change == parent else float("inf")
+            worse = 0.0 if sign * (change - parent) >= 0 else float("inf")
         spread = (stats["parent"]["q3"] - stats["parent"]["q1"]) / abs(parent or 1.0)
         all_better = min(sign * v for v in values["change"]) > max(
             sign * v for v in values["parent"]
@@ -136,13 +139,20 @@ def _claim_verdict(rows: List[dict], name: str, sign: float, parent_stats: dict)
     }
 
 
-def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
+def schedule(pairs: int, seeds: Sequence[int]) -> List[Tuple[int, int, Tuple[str, str]]]:
+    """``(pair, seed, run order)`` per pair: the seeds cycle, and each
+    seed's successive pairs alternate which side runs first."""
+    plan = []
+    for pair in range(pairs):
+        rotation, slot = divmod(pair, len(seeds))
+        plan.append((pair, seeds[slot], SIDES if rotation % 2 == 0 else SIDES[::-1]))
+    return plan
+
+
+def run_once(tree: str, workload: str, seed: int) -> dict:
     """One perfbench run in ``tree``; its result line."""
     proc = subprocess.run(
-        [
-            sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds),
-        ],
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)],
         cwd=tree, stdout=subprocess.PIPE, check=False,
     )
     lines = proc.stdout.decode("utf-8", "replace").strip().splitlines()
@@ -183,7 +193,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", required=True, help="comma-separated, cycled per pair")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--claim", required=True, help="the end-to-end metric claimed")
-    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--jsonl", help="append every result line here")
     args = parser.parse_args(argv)
 
@@ -195,11 +204,9 @@ def main(argv=None) -> int:
     seeds = [int(s) for s in args.seeds.split(",")]
 
     rows = []
-    for pair in range(args.pairs):
-        seed = seeds[pair % len(seeds)]
-        order = SIDES if pair % 2 == 0 else SIDES[::-1]
+    for pair, seed, order in schedule(args.pairs, seeds):
         for side in order:
-            result = run_once(trees[side], args.workload, seed, args.seconds)
+            result = run_once(trees[side], args.workload, seed)
             row = {"side": side, "pair": pair, "seed": seed, "result": result}
             rows.append(row)
             if args.jsonl:
