@@ -5,10 +5,10 @@ fault plan (dropouts sampled per round), K=4 round-robin sampling, the
 compressed ``delta-q8`` broadcast, and 2 pool workers — with metrics
 and span tracing enabled, then shows where the telemetry goes:
 
-* the **console exporter** renders every metric the run recorded —
-  coordinator counters (``fleet.*``), per-worker job accounting
-  (``pool.jobs{worker=...}``), and the ``session.*`` series shipped
-  home from the workers and merged by label set;
+* the **console table** (``render_console``) shows every metric the
+  run recorded — coordinator counters (``fleet.*``), per-worker job
+  accounting (``pool.jobs{worker=...}``), and the ``session.*`` series
+  shipped home from the workers and merged by label set;
 * the **span trace** is written in Chrome trace-event format — load
   ``obs_trace.json`` at ``chrome://tracing`` (or ui.perfetto.dev) to
   see the ``fleet.round`` spans on the ``main`` lane over the
@@ -32,8 +32,8 @@ from repro.experiments.config import StreamExperimentConfig
 from repro.fleet import DeviceSpec, FleetConfig, FleetCoordinator
 from repro.fleet.faults import DeviceFaults, FaultPlan
 from repro.obs import METRICS_ENV, metrics, set_metrics_enabled
+from repro.obs.exporters import render_console
 from repro.obs.trace import TRACE_ENV, SpanTracer, set_tracer
-from repro.registry import EXPORTERS
 
 # One tiny operating point: small images, short streams, 2-epoch
 # probes — CI-friendly runtime with every moving part still exercised.
@@ -82,8 +82,8 @@ def instrumented_fleet() -> None:
     print(f"final global knn accuracy: {result.final_global_knn_accuracy:.3f}")
 
     print()
-    print("== console exporter: every series the run recorded ==")
-    print(EXPORTERS.get("console").factory().render(metrics()))
+    print("== console table: every series the run recorded ==")
+    print(render_console(metrics()))
 
     tracer.to_chrome("obs_trace.json")
     lanes = sorted({span["proc"] for span in tracer.spans})

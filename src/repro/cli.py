@@ -19,48 +19,40 @@ per-experiment index in DESIGN.md:
     fleet             multi-device rounds + aggregation (docs/FLEET.md)
     serve             micro-batching scoring service (docs/SERVE.md)
 
-``--list`` enumerates the experiment ids together with every policy,
-dataset, encoder, augment, backend, scenario, aggregator, and metrics
-exporter registered in :mod:`repro.registry` (plugins included).  ``--policy`` overrides
-the policy selection of experiments that compare or run policies; any
-registered policy name or alias is accepted.  ``--workers N`` fans
-sweep-shaped experiments (``multi-seed``, ``table2``, ``ablation-stc``,
-``scenario-sweep``, ``fleet``, ``fig4a``-``fig6b``) out over N worker
-processes via :mod:`repro.experiments.parallel`; results are identical
-to the serial run.  ``--wire-format NAME`` selects the transport codec
-(:mod:`repro.experiments.wire`: ``json-b64``, ``shm``, ``delta``) that
-parallel runs use to ship state between processes — it is exported via
-``REPRO_WIRE_FORMAT`` so workers and coordinators resolve the same
-codec; results are bitwise-identical under every format.  ``--seeds
-0,1,2,3`` sets the seed roster of ``multi-seed``.  ``--backend NAME`` selects the array-execution backend
-(:mod:`repro.nn.backend`) for the whole invocation — it becomes the
-process default *and* is exported via ``REPRO_BACKEND`` so spawned
-sweep workers inherit it.  ``--scenario NAME`` selects the stream
-scenario (:mod:`repro.data.scenarios`) for ``stream`` runs, the single
-scenario of ``scenario-sweep``, or the shared device scenario of
-``fleet``.  ``--aggregator``, ``--devices``, and ``--rounds`` shape the
-``fleet`` experiment (any registered aggregator name or alias).
-``--serve-policy``, ``--requests``, and ``--port`` shape the ``serve``
-experiment: the admission-control policy of the scoring service (any
-registered serve-policy name or alias — block/shed/degrade), the
-request-stream length, and an optional TCP loopback port (``--port``
-adds a JSON-lines TCP echo pass; the default is purely in-process).
-``--devices`` sets its simulated device-id count.  ``--metrics`` turns
-on the :mod:`repro.obs` hot-path metrics for the whole invocation
-(exported via ``REPRO_METRICS`` so pool workers record and ship theirs
-home) and prints the console exporter's table after the run;
-``--trace-out PATH`` additionally records a span trace and writes it as
-Chrome trace-event JSON (``.json``; load at ``chrome://tracing``) or
-JSON-lines (any other suffix).  Results are bitwise-identical with
-observability on or off (docs/OBSERVABILITY.md).
+Each runner's keyword parameters are the options its experiment takes,
+and that signature is the only record of who takes what: ``main``
+rejects a given option the runner lacks ("does not take --flag (only a
+and b do)"), checks the value against the option table (a registry
+name resolves to its canonical name, a count must be in range,
+``--seeds`` parses), and passes it by keyword; ``--help`` lists the
+experiments that take each option.  ``--wire-format NAME`` goes with
+``--workers``: it is exported as ``REPRO_WIRE_FORMAT`` so worker
+processes and the fleet coordinator resolve the same codec.
+
+Five options apply to every experiment.  ``--seed`` sets the experiment
+seed.  ``--backend NAME`` selects the array-execution backend
+(:mod:`repro.nn.backend`) for the whole invocation and exports
+``REPRO_BACKEND`` so spawned workers inherit it.  ``--metrics`` turns
+on the :mod:`repro.obs` hot-path metrics (exported as
+``REPRO_METRICS`` so pool workers record and ship theirs home) and
+prints :func:`repro.obs.exporters.render_console` after the run.
+``--trace-out PATH`` records a span trace and writes it as Chrome
+trace-event JSON (``.json``; load at ``chrome://tracing``) or
+JSON-lines (any other suffix).  ``--list`` prints the experiment ids
+and the entries of every registry in :mod:`repro.registry` (plugins
+included).
+
+Results are bitwise-identical for any ``--workers``, any wire format,
+and with observability on or off (docs/OBSERVABILITY.md).
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
-from typing import Callable, Dict, Optional, Sequence
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.experiments import (
     default_config,
@@ -94,6 +86,7 @@ from repro.experiments.runner import POLICY_NAMES
 from repro.data.scenarios import canonical_scenario
 from repro.nn.backend import set_backend
 from repro.obs import METRICS_ENV, metrics, set_metrics_enabled
+from repro.obs.exporters import render_console
 from repro.obs.trace import TRACE_ENV, SpanTracer, set_tracer
 from repro.registry import (
     AGGREGATORS,
@@ -102,7 +95,6 @@ from repro.registry import (
     CLIENT_SAMPLERS,
     DATASETS,
     ENCODERS,
-    EXPORTERS,
     POLICIES,
     SCENARIOS,
     SERVE_POLICIES,
@@ -123,28 +115,13 @@ _CURVE_DATASETS = {
 }
 
 
-def _fixed_roster(fn):
-    """Mark a runner whose policy roster is fixed by the paper's
-    protocol; ``main`` rejects ``--policy`` for it before running."""
-    fn.supports_policy = False
-    return fn
-
-
-def _parallel(fn):
-    """Mark a runner that fans out over ``--workers`` processes; ``main``
-    rejects ``--workers`` > 1 for runners without this mark."""
-    fn.supports_workers = True
-    return fn
-
-
-def _run_fig3(seed: int, policy: Optional[str] = None, workers: int = 1) -> str:
+def _run_fig3(seed: int, policy: Optional[str] = None) -> str:
     config = scaled_config(default_config(seed=seed))
     policies = POLICY_NAMES if policy is None else (policy,)
     return format_fig3(run_fig3(config, policies=policies))
 
 
 def _curve_runner(dataset: str) -> Callable[..., str]:
-    @_parallel
     def run(seed: int, policy: Optional[str] = None, workers: int = 1) -> str:
         config = scaled_config(default_config(dataset, seed=seed))
         kwargs = {} if policy is None else {"policies": (policy,)}
@@ -155,45 +132,38 @@ def _curve_runner(dataset: str) -> Callable[..., str]:
     return run
 
 
-@_fixed_roster
-def _run_table1(seed: int, policy: Optional[str] = None, workers: int = 1) -> str:
+def _run_table1(seed: int) -> str:
     config = scaled_config(default_config(seed=seed))
     return format_table1(run_table1(config))
 
 
-@_parallel
 def _run_table2(seed: int, policy: Optional[str] = None, workers: int = 1) -> str:
     config = scaled_config(default_config(seed=seed))
     kwargs = {} if policy is None else {"policies": (policy,)}
     return format_table2(run_table2(config, workers=workers, **kwargs))
 
 
-@_fixed_roster
-def _run_ablation_grad(seed: int, policy: Optional[str] = None, workers: int = 1) -> str:
+def _run_ablation_grad(seed: int) -> str:
     config = scaled_config(default_config(seed=seed))
     return format_gradient_ablation(run_gradient_ablation(config))
 
 
-@_fixed_roster
-def _run_ablation_views(seed: int, policy: Optional[str] = None, workers: int = 1) -> str:
+def _run_ablation_views(seed: int) -> str:
     config = scaled_config(default_config(seed=seed))
     return format_scoring_view_ablation(run_scoring_view_ablation(config))
 
 
-@_fixed_roster
-@_parallel
-def _run_ablation_stc(seed: int, policy: Optional[str] = None, workers: int = 1) -> str:
+def _run_ablation_stc(seed: int, workers: int = 1) -> str:
     config = scaled_config(default_config(seed=seed))
     return format_stc_sweep(run_stc_sweep(config, workers=workers))
 
 
-@_fixed_roster
-def _run_ablation_momentum(seed: int, policy: Optional[str] = None, workers: int = 1) -> str:
+def _run_ablation_momentum(seed: int) -> str:
     config = scaled_config(default_config(seed=seed))
     return format_momentum_ablation(run_momentum_ablation(config))
 
 
-def _run_ablation_drift(seed: int, policy: Optional[str] = None, workers: int = 1) -> str:
+def _run_ablation_drift(seed: int, policy: Optional[str] = None) -> str:
     from repro.experiments.drift import format_drift, run_drift_experiment
 
     config = scaled_config(default_config(seed=seed))
@@ -202,14 +172,10 @@ def _run_ablation_drift(seed: int, policy: Optional[str] = None, workers: int = 
 
 
 def _run_stream(
-    seed: int,
-    policy: Optional[str] = None,
-    workers: int = 1,
-    scenario: Optional[str] = None,
+    seed: int, policy: str = "contrast-scoring", scenario: Optional[str] = None
 ) -> str:
     """One Session run of a single policy; prints the learning curve."""
     config = scaled_config(default_config(seed=seed))
-    policy = policy if policy is not None else "contrast-scoring"
     session = Session.from_config(config, policy=policy).with_eval_points(4)
     if scenario is not None:
         session.with_scenario(scenario)
@@ -225,10 +191,6 @@ def _run_stream(
     return "\n".join([format_table(header, rows), summary])
 
 
-_run_stream.supports_scenario = True
-
-
-@_parallel
 def _run_scenario_sweep(
     seed: int,
     policy: Optional[str] = None,
@@ -247,16 +209,12 @@ def _run_scenario_sweep(
     )
 
 
-_run_scenario_sweep.supports_scenario = True
-
-
-@_parallel
 def _run_fleet(
     seed: int,
     policy: Optional[str] = None,
     workers: int = 1,
     scenario: Optional[str] = None,
-    aggregator: Optional[str] = None,
+    aggregator: str = "fedavg",
     devices: int = 3,
     rounds: int = 2,
     participants: Optional[int] = None,
@@ -276,7 +234,7 @@ def _run_fleet(
         config,
         devices=devices,
         rounds=rounds,
-        aggregator=aggregator if aggregator is not None else "fedavg",
+        aggregator=aggregator,
         policy=policy,
         scenario=scenario,
         workers=workers,
@@ -287,16 +245,8 @@ def _run_fleet(
     return format_fleet(result)
 
 
-_run_fleet.supports_scenario = True
-_run_fleet.supports_fleet = True
-_run_fleet.supports_devices = True
-
-
-@_fixed_roster
 def _run_serve_cli(
     seed: int,
-    policy: Optional[str] = None,
-    workers: int = 1,
     devices: int = 3,
     serve_policy: Optional[str] = None,
     requests: int = 64,
@@ -315,11 +265,6 @@ def _run_serve_cli(
     return format_serve(result)
 
 
-_run_serve_cli.supports_devices = True
-_run_serve_cli.supports_serve = True
-
-
-@_parallel
 def _run_multi_seed_cli(
     seed: int,
     policy: Optional[str] = None,
@@ -337,9 +282,6 @@ def _run_multi_seed_cli(
     return format_multi_seed(
         run_multi_seed(config, seeds=seeds, workers=workers, **kwargs)
     )
-
-
-_run_multi_seed_cli.supports_seeds = True
 
 
 EXPERIMENTS: Dict[str, Callable[..., str]] = {
@@ -360,10 +302,157 @@ EXPERIMENTS: Dict[str, Callable[..., str]] = {
 }
 
 
+# ----------------------------------------------------------------------
+# Runner options.  A runner's keyword parameters are the options it
+# takes; this table says how each one parses and is checked.  A check
+# gets the flag and the parsed value and returns the value to pass, or
+# raises KeyError/ValueError with the message to print.
+# ----------------------------------------------------------------------
+class _Option(NamedTuple):
+    type: Callable[[str], Any]
+    help: str
+    check: Callable[[str, Any], Any]
+
+
+def _registered(registry) -> Callable[[str, Any], Any]:
+    """Resolve a registry name or alias to its canonical name."""
+    return lambda flag, value: registry.get(value).name
+
+
+def _at_least(low: int) -> Callable[[str, Any], Any]:
+    def check(flag: str, value: Any) -> Any:
+        if value < low:
+            raise ValueError(f"{flag} must be >= {low}, got {value}")
+        return value
+
+    return check
+
+
+def _within(low: float, high: float) -> Callable[[str, Any], Any]:
+    def check(flag: str, value: Any) -> Any:
+        if not low <= value <= high:
+            raise ValueError(f"{flag} must be in [{low}, {high}], got {value}")
+        return value
+
+    return check
+
+
+def _seed_roster(flag: str, text: str) -> Tuple[int, ...]:
+    try:
+        seeds = tuple(int(part) for part in text.split(",") if part.strip())
+    except ValueError:
+        raise ValueError(f"{flag} must be comma-separated ints, got {text!r}") from None
+    if not seeds:
+        raise ValueError(f"{flag} must name at least one seed")
+    return seeds
+
+
+_OPTIONS: Dict[str, _Option] = {
+    "policy": _Option(
+        str,
+        "override the policy roster with one registered policy name or alias",
+        _registered(POLICIES),
+    ),
+    "workers": _Option(
+        int,
+        "worker processes to fan the run out over; results are identical "
+        "to the serial run",
+        _at_least(1),
+    ),
+    "seeds": _Option(
+        str,
+        "comma-separated seed roster (default: seed, seed+1, seed+2)",
+        _seed_roster,
+    ),
+    "scenario": _Option(
+        str,
+        "stream scenario: a registered name or alias, or a wrapper "
+        'composition such as "corrupted(bursty(imbalanced))"',
+        # resolves aliases, validates the composition structure eagerly
+        lambda flag, value: canonical_scenario(value),
+    ),
+    "aggregator": _Option(
+        str,
+        "fleet model-aggregation rule (a registered aggregator)",
+        _registered(AGGREGATORS),
+    ),
+    "devices": _Option(int, "simulated device count", _at_least(1)),
+    "rounds": _Option(int, "fleet synchronization rounds", _at_least(1)),
+    "participants": _Option(
+        int,
+        "train only K sampled devices per fleet round (default: every device)",
+        _at_least(1),
+    ),
+    "sampler": _Option(
+        str,
+        "client-sampling rule; needs --participants (a registered client "
+        "sampler; default uniform)",
+        _registered(CLIENT_SAMPLERS),
+    ),
+    "dropout": _Option(
+        float,
+        "per-device per-round dropout probability of a seeded fault plan",
+        _within(0.0, 1.0),
+    ),
+    "serve_policy": _Option(
+        str,
+        "admission-control policy of the scoring service (a registered "
+        "serve policy; default: config.serve or block)",
+        _registered(SERVE_POLICIES),
+    ),
+    "requests": _Option(int, "request-stream length", _at_least(4)),
+    "port": _Option(
+        int,
+        "TCP loopback port for a JSON-lines echo pass (0 = ephemeral; "
+        "omit for purely in-process serving)",
+        _within(0, 65535),
+    ),
+}
+
+
+def _options_of(runner: Callable[..., str]) -> Dict[str, inspect.Parameter]:
+    """A runner's options: its parameters after ``seed``."""
+    params = dict(inspect.signature(runner).parameters)
+    del params["seed"]
+    return params
+
+
+def _takers(option: str) -> List[str]:
+    """The experiments whose runner takes ``option``."""
+    return [
+        name for name in sorted(EXPERIMENTS) if option in _options_of(EXPERIMENTS[name])
+    ]
+
+
+def _flag(option: str) -> str:
+    return "--" + option.replace("_", "-")
+
+
+def _takers_help(option: str) -> str:
+    """``[a, b, c; default X]``: who takes ``option``, and its default
+    when every taker's signature agrees on one."""
+    takers = _takers(option)
+    defaults = {_options_of(EXPERIMENTS[name])[option].default for name in takers}
+    if len(defaults) == 1 and None not in defaults:
+        return f"[{', '.join(takers)}; default {defaults.pop()}]"
+    return f"[{', '.join(takers)}]"
+
+
+def _only(option: str) -> str:
+    """``only a, b and c do``: the experiments that take ``option``."""
+    takers = _takers(option)
+    if len(takers) == 1:
+        return f"only {takers[0]} does"
+    return f"only {', '.join(takers[:-1])} and {takers[-1]} do"
+
+
 def _entry_line(entry) -> str:
-    alias_note = f" (aliases: {', '.join(entry.aliases)})" if entry.aliases else ""
-    label = "" if entry.display_label == entry.name else entry.display_label
-    return f"  {entry.name:<18} {label}{alias_note}".rstrip()
+    parts = [f"{entry.name:<18}"]
+    if entry.display_label != entry.name:
+        parts.append(entry.display_label)
+    if entry.aliases:
+        parts.append(f"(aliases: {', '.join(entry.aliases)})")
+    return "  " + " ".join(parts).rstrip()
 
 
 def _format_listing() -> str:
@@ -382,7 +471,6 @@ def _format_listing() -> str:
         CLIENT_SAMPLERS,
         SERVE_POLICIES,
         WIRE_FORMATS,
-        EXPORTERS,
     ):
         if registry is SCENARIOS:
             # Base streams and composable wrappers are different things:
@@ -406,7 +494,7 @@ def _format_listing() -> str:
     return "\n".join(lines)
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduce a table/figure of the Selective Data Contrast paper.",
@@ -418,113 +506,34 @@ def main(argv: list[str] | None = None) -> int:
         help="experiment id (see DESIGN.md per-experiment index)",
     )
     parser.add_argument("--seed", type=int, default=0, help="experiment seed")
-    parser.add_argument(
-        "--policy",
-        default=None,
-        help="override the policy roster with one registered policy name",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for sweep-shaped experiments "
-        "(multi-seed, table2, ablation-stc, fig4a..fig6b); results are "
-        "identical to the serial run",
-    )
+    for option, spec in _OPTIONS.items():
+        parser.add_argument(
+            _flag(option),
+            type=spec.type,
+            default=None,
+            help=f"{spec.help} {_takers_help(option)}",
+        )
     parser.add_argument(
         "--wire-format",
         default=None,
-        help="transport codec parallel runs use to ship state between "
-        "processes (any registered wire-format name/alias: json-b64, "
-        "shm, delta; default: REPRO_WIRE_FORMAT env or delta); results "
-        "are identical under every format",
-    )
-    parser.add_argument(
-        "--seeds",
-        default=None,
-        help="comma-separated seed roster for multi-seed "
-        "(default: seed, seed+1, seed+2)",
+        help="transport codec that parallel runs ship state with (a "
+        "registered wire format; default: REPRO_WIRE_FORMAT env or "
+        "delta); results are identical under every format "
+        f"[{', '.join(_takers('workers'))}]",
     )
     parser.add_argument(
         "--backend",
         default=None,
         help="array-execution backend for the whole invocation "
-        "(any registered backend name/alias, e.g. numpy or fused; "
+        "(a registered backend, e.g. numpy or fused; "
         "default: REPRO_BACKEND env or numpy)",
-    )
-    parser.add_argument(
-        "--scenario",
-        default=None,
-        help="stream scenario (any registered scenario name/alias, e.g. "
-        "cyclic-drift or bursty, or a wrapper composition such as "
-        '"corrupted(bursty(imbalanced))") for stream runs, or the single '
-        "scenario of scenario-sweep (default: the full registered roster)",
-    )
-    parser.add_argument(
-        "--aggregator",
-        default=None,
-        help="fleet model-aggregation rule (any registered aggregator "
-        "name/alias, e.g. fedavg or best-of; fleet experiment only)",
-    )
-    parser.add_argument(
-        "--devices",
-        type=int,
-        default=None,
-        help="simulated device count for the fleet experiment (default 3)",
-    )
-    parser.add_argument(
-        "--rounds",
-        type=int,
-        default=None,
-        help="synchronization rounds for the fleet experiment (default 2)",
-    )
-    parser.add_argument(
-        "--participants",
-        type=int,
-        default=None,
-        help="train only K sampled devices per fleet round (client "
-        "sampling; default: every device, every round)",
-    )
-    parser.add_argument(
-        "--sampler",
-        default=None,
-        help="client-sampling rule when --participants is set (any "
-        "registered client-sampler name/alias: uniform, weighted, "
-        "round-robin; fleet experiment only; default uniform)",
-    )
-    parser.add_argument(
-        "--dropout",
-        type=float,
-        default=None,
-        help="per-device per-round dropout probability for the fleet "
-        "chaos harness (a seeded FaultPlan; fleet experiment only)",
-    )
-    parser.add_argument(
-        "--serve-policy",
-        default=None,
-        help="admission-control policy of the scoring service (any "
-        "registered serve-policy name/alias: block, shed, degrade; "
-        "serve experiment only; default: config.serve or block)",
-    )
-    parser.add_argument(
-        "--requests",
-        type=int,
-        default=None,
-        help="request-stream length for the serve experiment (default 64)",
-    )
-    parser.add_argument(
-        "--port",
-        type=int,
-        default=None,
-        help="TCP loopback port for the serve experiment's JSON-lines "
-        "echo pass (0 = ephemeral; omit for purely in-process serving)",
     )
     parser.add_argument(
         "--metrics",
         action="store_true",
         help="record hot-path metrics (repro.obs) for this invocation "
-        "and print the console exporter's table after the run; exported "
-        "via REPRO_METRICS so pool workers record and ship theirs home",
+        "and print their console table after the run; exported via "
+        "REPRO_METRICS so pool workers record and ship theirs home",
     )
     parser.add_argument(
         "--trace-out",
@@ -538,43 +547,57 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--list",
         action="store_true",
-        help="list experiment ids and registered policies/datasets/"
-        "encoders/augments, then exit",
+        help="list experiment ids and every registry's entries, then exit",
     )
-    args = parser.parse_args(argv)
+    return parser
 
+
+def main(argv: list[str] | None = None) -> int:
+    parser = _parser()
+    args = parser.parse_args(argv)
     if args.list:
         print(_format_listing())
         return 0
     if args.experiment is None:
         parser.error("an experiment id is required (or use --list)")
+    experiment = args.experiment
+    runner = EXPERIMENTS[experiment]
+    takes = _options_of(runner)
 
-    runner = EXPERIMENTS[args.experiment]
-    policy = args.policy
-    if policy is not None:
-        if not getattr(runner, "supports_policy", True):
-            parser.error(
-                f"experiment {args.experiment!r} does not take --policy "
-                "(its policy roster is fixed by the paper's protocol)"
-            )
-        try:
-            policy = POLICIES.get(policy).name  # resolve aliases, validate
-        except KeyError as exc:
-            parser.error(str(exc))
+    def reject(flag: str, option: str) -> None:
+        parser.error(
+            f"experiment {experiment!r} does not take {flag} ({_only(option)})"
+        )
 
-    if args.backend is not None:
-        try:
-            backend = BACKENDS.get(args.backend).name  # resolve, validate
-        except KeyError as exc:
-            parser.error(str(exc))
-        # Process default for this invocation; the env export makes
-        # spawn-started sweep workers resolve the same backend.
+    # Check every given option before anything runs or is exported.
+    kwargs: Dict[str, Any] = {}
+    try:
+        for option, spec in _OPTIONS.items():
+            value = getattr(args, option)
+            if value is None:
+                continue
+            if option not in takes:
+                reject(_flag(option), option)
+            kwargs[option] = spec.check(_flag(option), value)
+        wire_format = backend = None
+        if args.wire_format is not None:
+            if "workers" not in takes:
+                reject("--wire-format", "workers")
+            wire_format = WIRE_FORMATS.get(args.wire_format).name
+        if args.backend is not None:
+            backend = BACKENDS.get(args.backend).name
+    except (KeyError, ValueError) as exc:
+        parser.error(str(exc))
+
+    # Each choice is the process default for this invocation, and its
+    # env export makes worker processes (and the fleet coordinator's
+    # codec lookup) resolve the same one.
+    if wire_format is not None:
+        os.environ["REPRO_WIRE_FORMAT"] = wire_format
+    if backend is not None:
         set_backend(backend)
         os.environ["REPRO_BACKEND"] = backend
-
     if args.metrics:
-        # Process default for this invocation; the env export makes
-        # pool workers record (and piggyback home) their own metrics.
         set_metrics_enabled(True)
         os.environ[METRICS_ENV] = "1"
     tracer: Optional[SpanTracer] = None
@@ -583,129 +606,17 @@ def main(argv: list[str] | None = None) -> int:
         set_tracer(tracer)
         os.environ[TRACE_ENV] = "1"
 
-    if args.workers < 1:
-        parser.error(f"--workers must be >= 1, got {args.workers}")
-    extra: Dict[str, object] = {}
-    if args.scenario is not None:
-        if not getattr(runner, "supports_scenario", False):
-            parser.error(
-                f"experiment {args.experiment!r} does not take --scenario "
-                "(its stream shape is fixed by the paper's protocol)"
-            )
-        try:
-            # resolves aliases, validates composition structure eagerly
-            extra["scenario"] = canonical_scenario(args.scenario)
-        except (KeyError, ValueError) as exc:
-            parser.error(str(exc))
-    if args.workers != 1:
-        if not getattr(runner, "supports_workers", False):
-            parser.error(
-                f"experiment {args.experiment!r} does not take --workers "
-                "(it is not sweep-shaped)"
-            )
-        extra["workers"] = args.workers
-    if args.wire_format is not None:
-        if not getattr(runner, "supports_workers", False):
-            parser.error(
-                f"experiment {args.experiment!r} does not take "
-                "--wire-format (it is not sweep-shaped)"
-            )
-        try:
-            wire_format = WIRE_FORMATS.get(args.wire_format).name
-        except KeyError as exc:
-            parser.error(str(exc))
-        # Exported (not passed positionally) so worker processes and
-        # the fleet coordinator resolve the same codec via
-        # resolve_wire_format's env fallback.
-        os.environ["REPRO_WIRE_FORMAT"] = wire_format
-    fleet_flags = {
-        "--aggregator": args.aggregator,
-        "--rounds": args.rounds,
-        "--participants": args.participants,
-        "--sampler": args.sampler,
-        "--dropout": args.dropout,
-    }
-    for flag, value in fleet_flags.items():
-        if value is not None and not getattr(runner, "supports_fleet", False):
-            parser.error(
-                f"experiment {args.experiment!r} does not take {flag} "
-                "(only fleet does)"
-            )
-    if args.devices is not None and not getattr(runner, "supports_devices", False):
-        parser.error(
-            f"experiment {args.experiment!r} does not take --devices "
-            "(only fleet and serve do)"
-        )
-    if args.aggregator is not None:
-        try:
-            extra["aggregator"] = AGGREGATORS.get(args.aggregator).name
-        except KeyError as exc:
-            parser.error(str(exc))
-    if args.devices is not None:
-        if args.devices < 1:
-            parser.error(f"--devices must be >= 1, got {args.devices}")
-        extra["devices"] = args.devices
-    if args.rounds is not None:
-        if args.rounds < 1:
-            parser.error(f"--rounds must be >= 1, got {args.rounds}")
-        extra["rounds"] = args.rounds
-    if args.participants is not None:
-        if args.participants < 1:
-            parser.error(f"--participants must be >= 1, got {args.participants}")
-        extra["participants"] = args.participants
-    if args.sampler is not None:
-        try:
-            extra["sampler"] = CLIENT_SAMPLERS.get(args.sampler).name
-        except KeyError as exc:
-            parser.error(str(exc))
-    if args.dropout is not None:
-        if not 0.0 <= args.dropout <= 1.0:
-            parser.error(f"--dropout must be in [0, 1], got {args.dropout}")
-        extra["dropout"] = args.dropout
-    serve_flags = {
-        "--serve-policy": args.serve_policy,
-        "--requests": args.requests,
-        "--port": args.port,
-    }
-    for flag, value in serve_flags.items():
-        if value is not None and not getattr(runner, "supports_serve", False):
-            parser.error(
-                f"experiment {args.experiment!r} does not take {flag} "
-                "(only serve does)"
-            )
-    if args.serve_policy is not None:
-        try:
-            extra["serve_policy"] = SERVE_POLICIES.get(args.serve_policy).name
-        except KeyError as exc:
-            parser.error(str(exc))
-    if args.requests is not None:
-        if args.requests < 4:
-            parser.error(f"--requests must be >= 4, got {args.requests}")
-        extra["requests"] = args.requests
-    if args.port is not None:
-        if not 0 <= args.port <= 65535:
-            parser.error(f"--port must be in [0, 65535], got {args.port}")
-        extra["port"] = args.port
-    if args.seeds is not None:
-        if not getattr(runner, "supports_seeds", False):
-            parser.error(
-                f"experiment {args.experiment!r} does not take --seeds "
-                "(only multi-seed does)"
-            )
-        try:
-            extra["seeds"] = tuple(
-                int(part) for part in args.seeds.split(",") if part.strip()
-            )
-        except ValueError:
-            parser.error(f"--seeds must be comma-separated ints, got {args.seeds!r}")
-        if not extra["seeds"]:
-            parser.error("--seeds must name at least one seed")
-
-    print(f"== {args.experiment} (seed {args.seed}) ==")
-    print(runner(args.seed, policy, **extra))
+    print(f"== {experiment} (seed {args.seed}) ==")
+    try:
+        print(runner(args.seed, **kwargs))
+    except ValueError as exc:
+        # Configs validate eagerly, before any work: this is a pairing
+        # the per-option checks cannot see, e.g. --sampler without
+        # --participants, or more --participants than --devices.
+        parser.error(str(exc))
     if args.metrics:
         print()
-        print(EXPORTERS.get("console").factory().render(metrics()))
+        print(render_console(metrics()))
     if tracer is not None:
         if args.trace_out.endswith(".json"):
             tracer.to_chrome(args.trace_out)

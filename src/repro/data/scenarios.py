@@ -70,7 +70,7 @@ checkpoint/resume bitwise.
 from __future__ import annotations
 
 import zlib
-from typing import Iterator, List, Optional, Protocol, Tuple, runtime_checkable
+from typing import Any, Iterator, List, Optional, Protocol, Tuple, runtime_checkable
 
 import numpy as np
 
@@ -1097,6 +1097,20 @@ def _resolve_base(
     )
 
 
+def _count_option(name: str, value: Any, low: int) -> int:
+    """A wrapper's count or length option as an int >= ``low``.
+
+    Checked before any default derived from it is computed, so a bad
+    value raises a ``ValueError`` naming the option, never a
+    ``ZeroDivisionError``; a float or bool is not a count.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return int(value)
+
+
 @register_scenario(
     "corrupted",
     label="Per-phase corruption shift",
@@ -1133,8 +1147,12 @@ def corrupted_scenario(
         total_samples=total_samples,
         base_options=base_options,
     )
+    corruption_levels = _count_option("corruption_levels", corruption_levels, 2)
     if corruption_phase_length is None:
         corruption_phase_length = max(1, total_samples // (corruption_levels * 2))
+    corruption_phase_length = _count_option(
+        "corruption_phase_length", corruption_phase_length, 1
+    )
     return CorruptedStream(
         source,
         rng=derive_wrapper_rng(rng, wrapper_layer, "corrupted"),
@@ -1179,8 +1197,10 @@ def label_shift_scenario(
         total_samples=total_samples,
         base_options=base_options,
     )
+    num_phases = _count_option("num_phases", num_phases, 1)
     if shift_phase_length is None:
         shift_phase_length = max(1, total_samples // (num_phases * 2))
+    shift_phase_length = _count_option("shift_phase_length", shift_phase_length, 1)
     return LabelShiftStream(
         source,
         rng=derive_wrapper_rng(rng, wrapper_layer, "label-shift"),
@@ -1212,7 +1232,8 @@ def adversarial_scenario(
     """Greedy most-dissimilar-next window ordering over any base scenario.
 
     The default phase length yields ``2 * lookahead`` reordered windows
-    over the stream.
+    over the stream.  One refill reads ``lookahead`` windows ahead, so
+    that read-ahead may not exceed ``total_samples``.
     """
     source = _resolve_base(
         "adversarial",
@@ -1224,8 +1245,18 @@ def adversarial_scenario(
         total_samples=total_samples,
         base_options=base_options,
     )
+    lookahead = _count_option("lookahead", lookahead, 2)
     if adversarial_phase_length is None:
         adversarial_phase_length = max(1, total_samples // (lookahead * 2))
+    adversarial_phase_length = _count_option(
+        "adversarial_phase_length", adversarial_phase_length, 1
+    )
+    if lookahead * adversarial_phase_length > total_samples:
+        raise ValueError(
+            f"lookahead x adversarial_phase_length = "
+            f"{lookahead * adversarial_phase_length} samples of read-ahead "
+            f"exceeds total_samples={total_samples}"
+        )
     return AdversarialStream(
         source,
         rng=derive_wrapper_rng(rng, wrapper_layer, "adversarial"),

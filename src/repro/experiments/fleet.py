@@ -83,7 +83,6 @@ def run_fleet(
     sampler: Optional[str] = None,
     round_deadline_s: Optional[float] = None,
     fault_plan: Optional[FaultPlan] = None,
-    regions: Optional[Sequence[Sequence[int]]] = None,
 ) -> FleetExperimentResult:
     """Run the fleet experiment plus its single-device baseline.
 
@@ -101,9 +100,8 @@ def run_fleet(
     The population knobs mirror :class:`FleetConfig`: ``participants``
     trains only K sampled devices per round (``sampler`` names the
     :data:`repro.registry.CLIENT_SAMPLERS` rule, default ``uniform``),
-    ``round_deadline_s`` + ``fault_plan`` drive the straggler/dropout
-    chaos harness, and ``regions`` groups devices for the
-    ``hierarchical`` aggregator.
+    and ``round_deadline_s`` + ``fault_plan`` drive the straggler/dropout
+    chaos harness.
     """
     from repro.fleet.coordinator import FleetCoordinator
 
@@ -128,9 +126,6 @@ def run_fleet(
             rounds=rounds,
             participants=participants,
             sampler=sampler,
-            regions=None
-            if regions is None
-            else tuple(tuple(int(i) for i in region) for region in regions),
             round_deadline_s=round_deadline_s,
             fault_plan=fault_plan,
         )

@@ -12,8 +12,8 @@ Population-scale features (DESIGN.md §13): client sampling trains only
 K of N devices per round (``CLIENT_SAMPLERS`` registry,
 :mod:`repro.fleet.sampling`), a seeded :class:`FaultPlan`
 (:mod:`repro.fleet.faults`) injects deterministic stragglers, dropouts,
-and crashes, and the ``fedavg-async`` / ``hierarchical`` aggregators
-handle stale and region-grouped updates.
+and crashes, and the ``fedavg-async`` aggregator folds in stale
+updates.
 """
 
 from repro.fleet.aggregators import (
@@ -22,8 +22,6 @@ from repro.fleet.aggregators import (
     DeviceRoundReport,
     FedAvg,
     FedAvgAsync,
-    FedAvgMomentum,
-    HierarchicalFedAvg,
     LocalOnly,
     create_aggregator,
     weighted_mean_state,
@@ -41,7 +39,6 @@ from repro.fleet.sampling import (
     ClientSampler,
     RoundRobinSampler,
     UniformSampler,
-    WeightedByProfileSampler,
     create_client_sampler,
 )
 from repro.fleet.spec import DeviceSpec, FleetConfig
@@ -58,17 +55,14 @@ __all__ = [
     "FaultPlan",
     "FedAvg",
     "FedAvgAsync",
-    "FedAvgMomentum",
     "FleetConfig",
     "FleetCoordinator",
     "FleetRoundStats",
     "FleetRunResult",
-    "HierarchicalFedAvg",
     "LocalOnly",
     "MODEL_PREFIXES",
     "RoundRobinSampler",
     "UniformSampler",
-    "WeightedByProfileSampler",
     "create_aggregator",
     "create_client_sampler",
     "fault_rng",

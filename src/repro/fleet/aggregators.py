@@ -10,9 +10,10 @@ device — or ``None`` to skip synchronization entirely.
 Aggregators register with :func:`repro.registry.register_aggregator`
 and are then accepted by name everywhere (``config.aggregator``, the
 CLI's ``--aggregator`` flag, ``--list``), with the same alias and
-"did you mean" semantics as policies/backends/scenarios.  Stateful
-rules (server momentum) expose ``state_dict``/``load_state_dict`` so
-fleet checkpoints capture them bitwise.
+"did you mean" semantics as policies/backends/scenarios.  Rules are
+stateless: the next global depends only on the previous global and
+this round's reports, which is why a fleet checkpoint carries no
+aggregator state.
 
 Determinism contract: aggregation always runs in the coordinator
 process, in device order, accumulating in float64 before casting back
@@ -35,9 +36,7 @@ __all__ = [
     "DeviceRoundReport",
     "Aggregator",
     "FedAvg",
-    "FedAvgMomentum",
     "FedAvgAsync",
-    "HierarchicalFedAvg",
     "BestOf",
     "LocalOnly",
     "create_aggregator",
@@ -59,9 +58,7 @@ class DeviceRoundReport:
 class Aggregator:
     """Base class for server-side aggregation rules.
 
-    Subclasses implement :meth:`aggregate`; stateful rules additionally
-    override the ``state_dict``/``load_state_dict`` pair (the defaults
-    describe a stateless rule).
+    Subclasses implement :meth:`aggregate`.
     """
 
     def aggregate(
@@ -77,18 +74,6 @@ class Aggregator:
         on its local weights.
         """
         raise NotImplementedError
-
-    def state_dict(self) -> Dict[str, np.ndarray]:
-        """Server-side state to checkpoint (empty for stateless rules)."""
-        return {}
-
-    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        """Restore :meth:`state_dict` output (no-op for stateless rules)."""
-        if state:
-            raise ValueError(
-                f"{type(self).__name__} is stateless but the checkpoint "
-                f"carries aggregator state keys: {sorted(state)}"
-            )
 
 
 def weighted_mean_state(
@@ -137,7 +122,7 @@ def create_aggregator(name: str, **options) -> Aggregator:
     if not isinstance(rule, Aggregator):
         raise TypeError(
             f"aggregator {name!r} built a {type(rule).__name__}, expected "
-            "an Aggregator (aggregate/state_dict/load_state_dict)"
+            "an Aggregator (with an aggregate method)"
         )
     return rule
 
@@ -160,79 +145,6 @@ class FedAvg(Aggregator):
 
     def aggregate(self, global_state, reports):
         return weighted_mean_state(reports)
-
-
-@register_aggregator(
-    "fedavg-momentum",
-    label="FedAvg with server momentum",
-    aliases=("fedavgm", "server-momentum"),
-)
-class FedAvgMomentum(Aggregator):
-    """FedAvg smoothed by a server-side velocity.
-
-    Update rule (per *parameter* array, float64 accumulation)::
-
-        avg_t    = weighted_mean(device models)
-        v_t      = beta * v_{t-1} + (avg_t - global_{t-1})
-        global_t = global_{t-1} + v_t
-
-    The first aggregation (no previous global) bootstraps with
-    ``global_1 = avg_1`` and a zero velocity.  ``v`` is checkpointed
-    via ``state_dict``, so a resumed fleet continues bitwise.
-
-    BatchNorm running statistics (``running_mean``/``running_var``)
-    take the plain weighted average instead: they are statistics, not
-    optimization variables, and the momentum extrapolation can push
-    ``running_var`` negative — which turns the whole model into NaNs
-    at the next ``1/sqrt(var + eps)``.
-    """
-
-    def __init__(self, beta: float = 0.9) -> None:
-        if not 0.0 <= beta < 1.0:
-            raise ValueError(f"beta must be in [0, 1), got {beta}")
-        self.beta = float(beta)
-        self._velocity: Optional[Dict[str, np.ndarray]] = None
-
-    @staticmethod
-    def _is_statistic(key: str) -> bool:
-        return key.rsplit(".", 1)[-1] in ("running_mean", "running_var")
-
-    def aggregate(self, global_state, reports):
-        average = weighted_mean_state(reports)
-        if global_state is None:
-            self._velocity = {
-                key: np.zeros(value.shape, dtype=np.float64)
-                for key, value in average.items()
-                if not self._is_statistic(key)
-            }
-            return average
-        assert self._velocity is not None  # set with the first global
-        out: Dict[str, np.ndarray] = {}
-        for key, avg in average.items():
-            if self._is_statistic(key):
-                out[key] = avg
-                continue
-            previous = global_state[key].astype(np.float64)
-            delta = avg.astype(np.float64) - previous
-            velocity = self.beta * self._velocity[key] + delta
-            self._velocity[key] = velocity
-            out[key] = (previous + velocity).astype(avg.dtype)
-        return out
-
-    def state_dict(self) -> Dict[str, np.ndarray]:
-        if self._velocity is None:
-            return {}
-        return {f"velocity/{key}": value.copy() for key, value in self._velocity.items()}
-
-    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        if not state:
-            self._velocity = None
-            return
-        self._velocity = {
-            key[len("velocity/") :]: np.asarray(value, dtype=np.float64).copy()
-            for key, value in state.items()
-            if key.startswith("velocity/")
-        }
 
 
 @register_aggregator(
@@ -303,48 +215,6 @@ class FedAvgAsync(Aggregator):
             blended = (1.0 - mix) * previous + mix * avg.astype(np.float64)
             out[key] = blended.astype(avg.dtype)
         return out
-
-
-@register_aggregator(
-    "hierarchical",
-    label="Two-stage edge→region→server averaging",
-    aliases=("edge-region-server", "hier"),
-)
-class HierarchicalFedAvg(Aggregator):
-    """Edge→region→server topology: average within each region first,
-    then average the region models weighted by their total sample mass.
-
-    Regions come from ``FleetConfig.regions``; the coordinator stamps
-    each report with ``info["region"]`` (devices outside every listed
-    region form their own singleton regions).  Mathematically the
-    two-stage weighted mean equals the flat one in exact arithmetic —
-    the value of the topology is operational (a region aggregate only
-    needs its own members' updates), and the float64 accumulation keeps
-    each stage deterministic.  One region containing one report reduces
-    both stages to the identity, preserving the fleet-of-1 guarantee.
-    """
-
-    def aggregate(self, global_state, reports):
-        if not reports:
-            raise ValueError("need at least one device report to aggregate")
-        groups: Dict[int, List[DeviceRoundReport]] = {}
-        for report in reports:
-            region = int(report.info.get("region", 0))
-            groups.setdefault(region, []).append(report)
-        region_reports: List[DeviceRoundReport] = []
-        for region in sorted(groups):
-            members = groups[region]
-            region_reports.append(
-                DeviceRoundReport(
-                    device=f"region-{region}",
-                    model_state=weighted_mean_state(members),
-                    weight=sum(max(float(m.weight), 0.0) for m in members),
-                    knn_accuracy=float(
-                        np.mean([m.knn_accuracy for m in members])
-                    ),
-                )
-            )
-        return weighted_mean_state(region_reports)
 
 
 @register_aggregator(

@@ -509,7 +509,6 @@ class FleetCoordinator:
                 rounds=config.fleet.rounds,
                 participants=config.fleet.participants,
                 sampler=sampler_name,
-                regions=config.fleet.regions,
                 round_deadline_s=config.fleet.round_deadline_s,
                 fault_plan=config.fleet.fault_plan,
             ),
@@ -545,11 +544,9 @@ class FleetCoordinator:
         self._eval_pool: Optional[tuple] = None
         self._on_broadcast: List[Any] = []
         # population state: the client sampler (participants K < N),
-        # its coordinator-owned checkpointed RNG, profile weights for
-        # the weighted sampler, the chaos schedule, the region map
-        # (device index -> region id; unlisted devices are singleton
-        # regions), the global model version counter (staleness clock),
-        # and late reports buffered past the round deadline.
+        # its coordinator-owned checkpointed RNG, the chaos schedule,
+        # the global model version counter (staleness clock), and late
+        # reports buffered past the round deadline.
         fleet_cfg = self.config.fleet
         assert fleet_cfg is not None
         self._participants = fleet_cfg.participants
@@ -561,29 +558,11 @@ class FleetCoordinator:
             self._sampler_rng = np.random.default_rng(
                 [0x5A3B1E7, int(self._base_config.seed)]
             )
-        self._profile_weights = np.array(
-            [
-                1.0 / DEVICE_PROFILES[spec.profile].compute_pj_per_flop
-                for spec in canonical_specs
-            ],
-            dtype=np.float64,
-        )
         fault_plan = fleet_cfg.fault_plan
         self._fault_plan: Optional[FaultPlan] = (
             fault_plan if fault_plan is not None and not fault_plan.is_noop else None
         )
         self._deadline = fleet_cfg.round_deadline_s
-        self._region_of: Optional[Dict[int, int]] = None
-        if fleet_cfg.regions is not None:
-            mapping = {
-                device: rid
-                for rid, members in enumerate(fleet_cfg.regions)
-                for device in members
-            }
-            base_region = len(fleet_cfg.regions)
-            for device in range(num):
-                mapping.setdefault(device, base_region + device)
-            self._region_of = mapping
         self._population = self._sampler is not None or self._fault_plan is not None
         self._global_version = 0
         self._pending: List[Dict[str, Any]] = []
@@ -856,11 +835,7 @@ class FleetCoordinator:
             assert self._sampler_rng is not None and self._participants is not None
             sampled = list(
                 self._sampler.sample(
-                    round_index,
-                    num,
-                    self._participants,
-                    self._sampler_rng,
-                    weights=self._profile_weights,
+                    round_index, num, self._participants, self._sampler_rng
                 )
             )
         else:
@@ -1076,7 +1051,6 @@ class FleetCoordinator:
                         model_state=model_state,
                         weight=float(samples),
                         knn_accuracy=knn,
-                        info=self._region_info(i),
                     )
                 )
             devices.append(
@@ -1089,12 +1063,6 @@ class FleetCoordinator:
                 )
             )
         return reports + self._matured_reports(), devices
-
-    def _region_info(self, device_index: int) -> Dict[str, float]:
-        """A report's region ``info`` (empty when regions are unset)."""
-        if self._region_of is None:
-            return {}
-        return {"region": float(self._region_of[device_index])}
 
     def _matured_reports(self) -> List[DeviceRoundReport]:
         """Buffered straggler reports whose simulated arrival round has
@@ -1113,8 +1081,7 @@ class FleetCoordinator:
                 weight=p["weight"],
                 knn_accuracy=p["knn_accuracy"],
                 info={
-                    "staleness": float(self._global_version - p["dispatch_version"]),
-                    **self._region_info(p["device_index"]),
+                    "staleness": float(self._global_version - p["dispatch_version"])
                 },
             )
             for p in matured
@@ -1259,8 +1226,8 @@ class FleetCoordinator:
 
     # -- checkpoint / resume --------------------------------------------
     def state_dict(self) -> Dict[str, Any]:
-        """The full fleet state: coordinator counters, aggregator state,
-        the global model, and every device's Session state.
+        """The full fleet state: coordinator counters, the global model,
+        buffered straggler reports, and every device's Session state.
 
         Restoring it (:meth:`load_state_dict` / :meth:`resume`) and
         running the remaining rounds is bitwise-identical to an
@@ -1275,8 +1242,6 @@ class FleetCoordinator:
         if self._global_state is not None:
             for key, value in self._global_state.items():
                 arrays[f"global/{key}"] = value
-        for key, value in self._aggregator.state_dict().items():
-            arrays[f"aggregator/{key}"] = value
         for index, entry in enumerate(self._pending):
             for key, value in entry["model_state"].items():
                 arrays[f"pending{index}/{key}"] = value
@@ -1368,13 +1333,6 @@ class FleetCoordinator:
             }
         else:
             self._global_state = None
-        self._aggregator.load_state_dict(
-            {
-                key[len("aggregator/") :]: np.asarray(value).copy()
-                for key, value in arrays.items()
-                if key.startswith("aggregator/")
-            }
-        )
         # Population state.  Pre-population checkpoints lack these keys
         # (their runs never used them): the global version falls back
         # to the number of synchronizing rounds in the history.

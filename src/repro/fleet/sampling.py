@@ -21,7 +21,7 @@ Contracts every sampler must honour:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from repro.registry import CLIENT_SAMPLERS, register_client_sampler
 __all__ = [
     "ClientSampler",
     "UniformSampler",
-    "WeightedByProfileSampler",
     "RoundRobinSampler",
     "create_client_sampler",
 ]
@@ -47,7 +46,6 @@ class ClientSampler:
         num_devices: int,
         k: int,
         rng: np.random.Generator,
-        weights: Optional[Sequence[float]] = None,
     ) -> List[int]:
         """``k`` distinct indices from ``range(num_devices)``, ascending."""
         raise NotImplementedError
@@ -80,46 +78,9 @@ class UniformSampler(ClientSampler):
         num_devices: int,
         k: int,
         rng: np.random.Generator,
-        weights: Optional[Sequence[float]] = None,
     ) -> List[int]:
         self._validate(num_devices, k)
         picked = rng.choice(num_devices, size=k, replace=False)
-        return sorted(int(i) for i in picked)
-
-
-@register_client_sampler("weighted", aliases=("weighted-by-profile",))
-class WeightedByProfileSampler(ClientSampler):
-    """K-of-N without replacement, biased toward capable hardware.
-
-    The coordinator passes per-device weights derived from the device's
-    cost-model profile (``1 / compute_pj_per_flop``, so a jetson-class
-    device is drawn ~5x as often as an mcu-class one).  Falls back to
-    uniform when no weights are supplied.
-    """
-
-    name = "weighted"
-
-    def sample(
-        self,
-        round_index: int,
-        num_devices: int,
-        k: int,
-        rng: np.random.Generator,
-        weights: Optional[Sequence[float]] = None,
-    ) -> List[int]:
-        self._validate(num_devices, k)
-        if weights is None:
-            probabilities = None
-        else:
-            raw = np.asarray(list(weights), dtype=np.float64)
-            if raw.shape != (num_devices,):
-                raise ValueError(
-                    f"weights must have length {num_devices}, got shape {raw.shape}"
-                )
-            if not np.all(raw > 0):
-                raise ValueError("sampler weights must all be > 0")
-            probabilities = raw / raw.sum()
-        picked = rng.choice(num_devices, size=k, replace=False, p=probabilities)
         return sorted(int(i) for i in picked)
 
 
@@ -142,7 +103,6 @@ class RoundRobinSampler(ClientSampler):
         num_devices: int,
         k: int,
         rng: np.random.Generator,
-        weights: Optional[Sequence[float]] = None,
     ) -> List[int]:
         self._validate(num_devices, k)
         start = self._cursor % num_devices

@@ -113,11 +113,8 @@ class FleetConfig:
       round.  ``None`` means every device, every round (no sampler is
       consulted and no sampling RNG is drawn).
     * ``sampler`` — a :data:`repro.registry.CLIENT_SAMPLERS` name
-      choosing *which* K devices; only meaningful with
-      ``participants`` set.  ``None`` means ``uniform``.
-    * ``regions`` — disjoint groups of device indices for the
-      ``hierarchical`` (edge→region→server) aggregator; devices not
-      listed each form their own singleton region.
+      choosing *which* K devices; it requires ``participants``.
+      ``None`` means ``uniform``.
     * ``round_deadline_s`` — simulated per-round deadline.  A device
       whose :class:`~repro.fleet.faults.FaultPlan` straggler delay
       exceeds it reports *late*: its update is buffered and folded
@@ -132,7 +129,6 @@ class FleetConfig:
     rounds: int = 2
     participants: Optional[int] = None
     sampler: Optional[str] = None
-    regions: Optional[Tuple[Tuple[int, ...], ...]] = None
     round_deadline_s: Optional[float] = None
     fault_plan: Optional[FaultPlan] = None
 
@@ -157,24 +153,11 @@ class FleetConfig:
             raise ValueError(
                 f"FleetConfig.sampler must be None or a non-empty string, got {self.sampler!r}"
             )
-        if self.regions is not None:
-            regions = tuple(tuple(int(i) for i in region) for region in self.regions)
-            seen: set = set()
-            for rid, region in enumerate(regions):
-                if not region:
-                    raise ValueError(f"FleetConfig.regions[{rid}] must not be empty")
-                for device in region:
-                    if not 0 <= device < len(self.devices):
-                        raise ValueError(
-                            f"FleetConfig.regions[{rid}] names device {device}, but the "
-                            f"fleet has {len(self.devices)} devices"
-                        )
-                    if device in seen:
-                        raise ValueError(
-                            f"FleetConfig.regions lists device {device} in two regions"
-                        )
-                    seen.add(device)
-            object.__setattr__(self, "regions", regions)
+        if self.sampler is not None and self.participants is None:
+            raise ValueError(
+                f"FleetConfig.sampler {self.sampler!r} needs participants: a "
+                "sampler picks K of N devices, and participants=None trains all"
+            )
         if self.round_deadline_s is not None and self.round_deadline_s <= 0:
             raise ValueError(
                 f"FleetConfig.round_deadline_s must be None or > 0, got {self.round_deadline_s}"
@@ -211,24 +194,21 @@ class FleetConfig:
             "rounds": self.rounds,
             "participants": self.participants,
             "sampler": self.sampler,
-            "regions": None
-            if self.regions is None
-            else [list(region) for region in self.regions],
             "round_deadline_s": self.round_deadline_s,
             "fault_plan": None if self.fault_plan is None else self.fault_plan.to_dict(),
         }
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "FleetConfig":
-        # .get defaults keep pre-population payloads (PR <= 8) loadable.
-        regions = data.get("regions")
+        # .get defaults keep payloads that predate the population fields
+        # loadable; keys of removed fields are ignored, since none of
+        # them changed what a kept configuration runs.
         fault_plan = data.get("fault_plan")
         return cls(
             devices=tuple(DeviceSpec.from_dict(spec) for spec in data["devices"]),
             rounds=int(data["rounds"]),
             participants=data.get("participants"),
             sampler=data.get("sampler"),
-            regions=None if regions is None else tuple(tuple(r) for r in regions),
             round_deadline_s=data.get("round_deadline_s"),
             fault_plan=None if fault_plan is None else FaultPlan.from_dict(fault_plan),
         )

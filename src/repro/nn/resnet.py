@@ -3,9 +3,10 @@
 The paper trains a ResNet-18 on GPU; this substrate implements the same
 architecture family (conv-BN-ReLU basic blocks with identity shortcuts,
 strided downsampling between stages, global average pooling) with
-configurable depth and width so experiments fit a CPU budget.  The
-default ``resnet_mini`` is 3 stages × 2 blocks with widths (16, 32, 64),
-the classic CIFAR-style ResNet-14 layout at reduced width.
+configurable depth and width so experiments fit a CPU budget.
+``resnet_mini`` is 3 stages × 2 blocks with widths (16, 32, 64), the
+classic CIFAR-style ResNet-14 layout at reduced width; unlike the other
+factories it is not a registered encoder.
 """
 
 from __future__ import annotations
@@ -190,7 +191,6 @@ def resnet_from_config(
     )
 
 
-@register_encoder("resnet-mini", label="ResNet mini (16,32,64)x2")
 def resnet_mini(
     in_channels: int = 3, rng: Optional[np.random.Generator] = None
 ) -> ResNetEncoder:

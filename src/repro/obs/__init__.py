@@ -1,4 +1,4 @@
-"""Unified observability: metrics registry, span tracer, exporters.
+"""Unified observability: metrics registry, span tracer, console table.
 
 The single telemetry source for every runtime layer (docs/OBSERVABILITY.md):
 
@@ -8,8 +8,8 @@ The single telemetry source for every runtime layer (docs/OBSERVABILITY.md):
   ``config.obs``.
 * :mod:`repro.obs.trace` — :func:`trace_span` nested spans with logical
   step/round clocks, exportable as JSONL or Chrome trace-event JSON.
-* :mod:`repro.obs.exporters` — ``EXPORTERS`` registry (console table,
-  jsonl, prometheus text).
+* :mod:`repro.obs.exporters` — :func:`render_console`, the table
+  ``--metrics`` prints.
 * :mod:`repro.obs.crossproc` — workers snapshot-and-ship, the parent
   merges by label set.
 

@@ -1,38 +1,18 @@
-"""Metric exporters: console table, JSON-lines, prometheus text.
+"""The console table ``--metrics`` prints.
 
-Registered in ``repro.registry.EXPORTERS`` under the same decorator
-idiom as backends/scenarios/aggregators, so ``--list`` shows them and
-``EXPORTERS.create("console")`` builds one.  Every exporter is a pure
-function of the registry — ``render(registry) -> str`` — and the CLI
-decides where the text goes (stdout, or the ``--trace-out`` sibling
-file).
+:func:`render_console` is a pure function of a :class:`MetricsRegistry`;
+the caller decides where the text goes.  The machine-readable form of
+the same series is :meth:`MetricsRegistry.snapshot`.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Dict
 
-from repro.obs.metrics import Histogram, MetricsRegistry, bucket_bounds
-from repro.registry import register_exporter
+from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.utils.tables import format_table
 
-__all__ = ["Exporter", "ConsoleExporter", "JsonlExporter", "PrometheusExporter"]
-
-
-class Exporter:
-    """Render a :class:`MetricsRegistry` to text."""
-
-    name = "exporter"
-
-    def render(self, registry: MetricsRegistry) -> str:
-        raise NotImplementedError
-
-    def export(self, registry: MetricsRegistry, path: str) -> None:
-        """Write :meth:`render` output to ``path`` (trailing newline)."""
-        with open(path, "w") as fh:
-            fh.write(self.render(registry))
-            fh.write("\n")
+__all__ = ["render_console"]
 
 
 def _format_labels(labels: Dict[str, str]) -> str:
@@ -45,98 +25,21 @@ def _format_value(value: float) -> str:
     return f"{value:.6g}"
 
 
-@register_exporter("console", label="Console table")
-class ConsoleExporter(Exporter):
+def render_console(registry: MetricsRegistry) -> str:
     """Aligned plain-text table, one row per series; histograms show
     count/mean/p50/p99/max so latency knees are visible at a glance."""
-
-    name = "console"
-
-    def render(self, registry: MetricsRegistry) -> str:
-        rows = []
-        for kind, name, labels, instrument in registry.series():
-            if isinstance(instrument, Histogram):
-                value = (
-                    f"count={instrument.count} mean={instrument.mean:.6g} "
-                    f"p50={instrument.percentile(50):.6g} "
-                    f"p99={instrument.percentile(99):.6g} "
-                    f"max={instrument.max:.6g}"
-                )
-            else:
-                value = _format_value(instrument.value)
-            rows.append([name, _format_labels(labels), kind, value])
-        if not rows:
-            return "(no metrics recorded)"
-        return format_table(["metric", "labels", "kind", "value"], rows)
-
-
-@register_exporter("jsonl", label="JSON lines")
-class JsonlExporter(Exporter):
-    """One JSON object per series — the same entries
-    :meth:`MetricsRegistry.snapshot` ships between processes."""
-
-    name = "jsonl"
-
-    def render(self, registry: MetricsRegistry) -> str:
-        return "\n".join(
-            json.dumps(entry, sort_keys=True, default=str)
-            for entry in registry.snapshot()
-        )
-
-
-@register_exporter("prometheus", label="Prometheus text", aliases=("prom",))
-class PrometheusExporter(Exporter):
-    """Prometheus text exposition: ``_total`` counters, plain gauges,
-    and cumulative ``_bucket``/``_sum``/``_count`` histogram series on
-    the registry's exponential grid."""
-
-    name = "prometheus"
-
-    @staticmethod
-    def _metric_name(name: str) -> str:
-        return name.replace(".", "_").replace("-", "_")
-
-    @staticmethod
-    def _label_str(labels: Dict[str, str], extra: str = "") -> str:
-        parts = [f'{k}="{v}"' for k, v in sorted(labels.items())]
-        if extra:
-            parts.append(extra)
-        return "{" + ",".join(parts) + "}" if parts else ""
-
-    def render(self, registry: MetricsRegistry) -> str:
-        lines = []
-        typed = set()
-        for kind, name, labels, instrument in registry.series():
-            metric = self._metric_name(name)
-            if kind == "counter":
-                metric += "_total"
-            if metric not in typed:
-                typed.add(metric)
-                lines.append(f"# TYPE {metric} {kind}")
-            if kind in ("counter", "gauge"):
-                lines.append(
-                    f"{metric}{self._label_str(labels)} "
-                    f"{_format_value(instrument.value)}"
-                )
-                continue
-            cumulative = 0
-            for index in sorted(instrument._buckets):
-                cumulative += instrument._buckets[index]
-                _, high = bucket_bounds(index)
-                le = 'le="' + format(high, ".6g") + '"'
-                lines.append(
-                    f"{metric}_bucket{self._label_str(labels, le)} {cumulative}"
-                )
-            inf_le = 'le="+Inf"'
-            lines.append(
-                f"{metric}_bucket{self._label_str(labels, inf_le)} "
-                f"{instrument.count}"
+    rows = []
+    for kind, name, labels, instrument in registry.series():
+        if isinstance(instrument, Histogram):
+            value = (
+                f"count={instrument.count} mean={instrument.mean:.6g} "
+                f"p50={instrument.percentile(50):.6g} "
+                f"p99={instrument.percentile(99):.6g} "
+                f"max={instrument.max:.6g}"
             )
-            lines.append(
-                f"{metric}_sum{self._label_str(labels)} "
-                f"{_format_value(instrument.sum)}"
-            )
-            lines.append(
-                f"{metric}_count{self._label_str(labels)} {instrument.count}"
-            )
-        return "\n".join(lines) if lines else "# (no metrics recorded)"
+        else:
+            value = _format_value(instrument.value)
+        rows.append([name, _format_labels(labels), kind, value])
+    if not rows:
+        return "(no metrics recorded)"
+    return format_table(["metric", "labels", "kind", "value"], rows)

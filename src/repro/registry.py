@@ -2,12 +2,10 @@
 
 Every pluggable ingredient of the framework (replacement policies,
 dataset recipes, encoder architectures, augmentation pipelines, array
-execution backends, stream scenarios, fleet model aggregators, serve
-admission policies) is
-registered by name in one of
-the module-level registries below.  New
-components plug in with a decorator and zero edits to ``repro``
-internals::
+execution backends, stream scenarios, fleet model aggregators and
+client samplers, serve admission policies, wire formats) is registered
+by name in one of the module-level registries below.  New components
+plug in with a decorator and zero edits to ``repro`` internals::
 
     from repro.registry import register_policy
 
@@ -52,7 +50,6 @@ __all__ = [
     "SERVE_POLICIES",
     "WIRE_FORMATS",
     "CLIENT_SAMPLERS",
-    "EXPORTERS",
     "register_policy",
     "register_dataset",
     "register_encoder",
@@ -63,23 +60,15 @@ __all__ = [
     "register_serve_policy",
     "register_wire_format",
     "register_client_sampler",
-    "register_exporter",
     "create_policy",
     "canonical_policy_names",
     "policy_names",
     "policy_labels",
     "dataset_names",
-    "encoder_names",
-    "augment_names",
-    "backend_names",
     "scenario_names",
     "scenario_wrapper_names",
-    "scenario_base_names",
     "aggregator_names",
     "serve_policy_names",
-    "wire_format_names",
-    "client_sampler_names",
-    "exporter_names",
 ]
 
 #: Valid component names: lowercase kebab-case, digits allowed.
@@ -409,11 +398,7 @@ def _ensure_wire_formats() -> None:
 
 
 def _ensure_client_samplers() -> None:
-    import repro.fleet.sampling  # noqa: F401  (registers uniform/weighted/round-robin)
-
-
-def _ensure_exporters() -> None:
-    import repro.obs.exporters  # noqa: F401  (registers console/jsonl/prometheus)
+    import repro.fleet.sampling  # noqa: F401  (registers uniform/round-robin)
 
 
 POLICIES = Registry("policy", ensure=_ensure_policies)
@@ -426,7 +411,6 @@ AGGREGATORS = Registry("aggregator", ensure=_ensure_aggregators)
 SERVE_POLICIES = Registry("serve policy", ensure=_ensure_serve_policies)
 WIRE_FORMATS = Registry("wire format", ensure=_ensure_wire_formats)
 CLIENT_SAMPLERS = Registry("client sampler", ensure=_ensure_client_samplers)
-EXPORTERS = Registry("exporter", ensure=_ensure_exporters)
 
 register_policy = POLICIES.register
 register_dataset = DATASETS.register
@@ -438,7 +422,6 @@ register_aggregator = AGGREGATORS.register
 register_serve_policy = SERVE_POLICIES.register
 register_wire_format = WIRE_FORMATS.register
 register_client_sampler = CLIENT_SAMPLERS.register
-register_exporter = EXPORTERS.register
 
 
 def create_policy(
@@ -504,21 +487,6 @@ def dataset_names() -> List[str]:
     return DATASETS.names()
 
 
-def encoder_names() -> List[str]:
-    """Sorted names of all registered encoders."""
-    return ENCODERS.names()
-
-
-def augment_names() -> List[str]:
-    """Sorted names of all registered augmentation pipelines."""
-    return AUGMENTS.names()
-
-
-def backend_names() -> List[str]:
-    """Sorted names of all registered array backends."""
-    return BACKENDS.names()
-
-
 def scenario_names() -> List[str]:
     """Sorted names of all registered stream scenarios."""
     return SCENARIOS.names()
@@ -539,15 +507,6 @@ def scenario_wrapper_names() -> List[str]:
     ]
 
 
-def scenario_base_names() -> List[str]:
-    """Sorted names of scenarios that are base streams (not wrappers)."""
-    return [
-        entry.name
-        for entry in SCENARIOS.entries()
-        if entry.metadata.get("kind") != "wrapper"
-    ]
-
-
 def aggregator_names() -> List[str]:
     """Sorted names of all registered fleet model aggregators."""
     return AGGREGATORS.names()
@@ -556,18 +515,3 @@ def aggregator_names() -> List[str]:
 def serve_policy_names() -> List[str]:
     """Sorted names of all registered serve admission policies."""
     return SERVE_POLICIES.names()
-
-
-def wire_format_names() -> List[str]:
-    """Sorted names of all registered array wire formats."""
-    return WIRE_FORMATS.names()
-
-
-def client_sampler_names() -> List[str]:
-    """Sorted names of all registered fleet client samplers."""
-    return CLIENT_SAMPLERS.names()
-
-
-def exporter_names() -> List[str]:
-    """Sorted names of all registered metric exporters."""
-    return EXPORTERS.names()

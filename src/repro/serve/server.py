@@ -223,7 +223,7 @@ class ScoringServer:
         # over it.  When process metrics are enabled (REPRO_METRICS /
         # --metrics / config.obs), every recording mirrors into the
         # process-global registry too, so a serve run shows up in the
-        # same exporters as everything else.  ``serve.errors`` always
+        # same console table and snapshot as everything else.  ``serve.errors`` always
         # hits the process-global registry as well: unlike the old
         # instance attribute, the error count stats() reports survives
         # tearing the server down and building a new one in-process.

@@ -284,6 +284,65 @@ class TestEagerValidation:
             stream.segments(4, 0)
 
 
+class TestWrapperOptionBounds:
+    """A wrapper's count and length options are checked before any
+    default derived from them: a bad value is a named ValueError, never
+    a ZeroDivisionError or an unbounded read-ahead."""
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            (
+                "adversarial(temporal,lookahead=0)",
+                r"adversarial\(temporal\): lookahead must be >= 2",
+            ),
+            (
+                "corrupted(temporal,corruption_levels=0)",
+                r"corrupted\(temporal\): corruption_levels must be >= 2",
+            ),
+            (
+                "label-shift(temporal,num_phases=0)",
+                r"label-shift\(temporal\): num_phases must be >= 1",
+            ),
+            (
+                "adversarial(temporal,lookahead=1e9)",
+                r"adversarial\(temporal\): lookahead must be an integer",
+            ),
+            (
+                "adversarial(temporal,adversarial_phase_length=1e9)",
+                r"adversarial_phase_length must be an integer",
+            ),
+            (
+                "adversarial(temporal,lookahead=1000000000)",
+                r"read-ahead exceeds total_samples=64",
+            ),
+            (
+                "adversarial(temporal,adversarial_phase_length=17)",
+                r"68 samples of read-ahead exceeds total_samples=64",
+            ),
+            (
+                "corrupted(temporal,corruption_phase_length=0.5)",
+                r"corruption_phase_length must be an integer",
+            ),
+            (
+                "label-shift(temporal,shift_phase_length=0)",
+                r"shift_phase_length must be >= 1",
+            ),
+        ],
+    )
+    def test_bad_option_is_a_named_error(self, dataset, name, message):
+        with pytest.raises(ValueError, match=message):
+            make(name, dataset)
+
+    def test_fuzzer_grid_extremes_still_build(self, dataset):
+        """lookahead <= 4 and phase length <= 8 read at most 32 of the
+        fuzzer's 64 samples ahead."""
+        source = make(
+            "adversarial(temporal,lookahead=4,adversarial_phase_length=8)", dataset
+        )
+        assert source.next_segment(8).labels.shape == (8,)
+
+
 class TestStateRoundTrip:
     """state_dict + shared-RNG restore reproduces the label process for
     every scenario (the mechanism behind Session checkpoint/resume)."""

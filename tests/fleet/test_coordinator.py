@@ -319,7 +319,7 @@ class TestSingleDeviceIdentity:
         )
         assert fleet.final_global_knn_accuracy == plain.info["final_knn_accuracy"]
 
-    @pytest.mark.parametrize("aggregator", ["fedavg-momentum", "best-of"])
+    @pytest.mark.parametrize("aggregator", ["fedavg-async", "best-of"])
     def test_other_rules_are_also_identity_for_one_device(self, aggregator):
         config = tiny_config()
         plain = Session(config, "contrast-scoring").with_eval_points(1).run()
@@ -380,7 +380,7 @@ class TestHeterogeneousFleet:
         assert result.final_global_knn_accuracy == pytest.approx(float(expected))
 
     def test_parallel_bitwise_identical_to_serial(self):
-        config = fleet_config(HETERO_DEVICES, rounds=2, aggregator="fedavg-momentum")
+        config = fleet_config(HETERO_DEVICES, rounds=2, aggregator="fedavg-async")
         serial = FleetCoordinator(config).run()
         parallel = FleetCoordinator(config, workers=3).run()
         assert serial.fingerprint() == parallel.fingerprint()
@@ -404,7 +404,7 @@ class TestCheckpointResume:
         config = fleet_config(
             (DeviceSpec(scenario="temporal"), DeviceSpec(scenario="drift")),
             rounds=3,
-            aggregator="fedavg-momentum",
+            aggregator="fedavg-async",
             backend=backend,
         )
         straight = FleetCoordinator(config).run()
@@ -456,3 +456,65 @@ class TestCheckpointResume:
         first = coordinator.run()
         again = coordinator.run()  # nothing remaining: just the result
         assert again.fingerprint() == first.fingerprint()
+
+
+def _edit_checkpoint_config(path, edit):
+    """Rewrite the config stored in a fleet checkpoint's ``meta``, the
+    way a checkpoint written by an older build would read."""
+    with np.load(path, allow_pickle=False) as archive:
+        meta = json.loads(str(archive["meta"]))
+        arrays = {key: archive[key].copy() for key in archive.files if key != "meta"}
+    edit(meta["config"])
+    np.savez(path, meta=np.array(json.dumps(meta)), **arrays)
+
+
+class TestOlderCheckpoints:
+    """A checkpoint is outside bytes: ones written while FleetConfig had
+    ``regions`` still resume, and ones naming a removed rule fail with
+    the coordinator's named error."""
+
+    def population_config(self, aggregator="fedavg-async", sampler="round-robin"):
+        config = tiny_config()
+        return config.with_(
+            fleet=FleetConfig(
+                devices=tuple(DeviceSpec() for _ in range(3)),
+                rounds=3,
+                participants=2,
+                sampler=sampler,
+            ),
+            aggregator=aggregator,
+        )
+
+    def test_null_regions_key_resumes_bitwise(self, tmp_path):
+        config = self.population_config()
+        straight = FleetCoordinator(config).run()
+        part = FleetCoordinator(config)
+        part.run(rounds=1)
+        path = part.save_checkpoint(str(tmp_path / "fleet"))
+        _edit_checkpoint_config(path, lambda cfg: cfg["fleet"].update(regions=None))
+        result = FleetCoordinator.resume(path).run()
+        assert result.fingerprint() == straight.fingerprint()
+
+    @pytest.mark.parametrize(
+        "field, name, message",
+        [
+            ("aggregator", "fedavg-momentum", "config.aggregator: unknown aggregator"),
+            ("aggregator", "hierarchical", "config.aggregator: unknown aggregator"),
+            ("sampler", "weighted", "config.fleet.sampler: unknown client sampler"),
+        ],
+    )
+    def test_removed_rule_is_a_named_error(self, tmp_path, field, name, message):
+        part = FleetCoordinator(self.population_config())
+        part.run(rounds=1)
+        path = part.save_checkpoint(str(tmp_path / "fleet"))
+
+        def rename(cfg):
+            if field == "aggregator":
+                cfg["aggregator"] = name
+            else:
+                cfg["fleet"]["sampler"] = name
+
+        _edit_checkpoint_config(path, rename)
+        with pytest.raises(ValueError, match=message) as excinfo:
+            FleetCoordinator.resume(path)
+        assert not isinstance(excinfo.value, (KeyError, TypeError))

@@ -17,7 +17,7 @@ from repro.fleet.sampling import (
 )
 from repro.registry import CLIENT_SAMPLERS, UnknownComponentError
 
-SAMPLER_NAMES = ("uniform", "weighted", "round-robin")
+SAMPLER_NAMES = ("uniform", "round-robin")
 
 
 def tiny_config(**overrides):
@@ -62,7 +62,6 @@ class TestRegistry:
     def test_aliases_resolve(self):
         assert CLIENT_SAMPLERS.get("random").name == "uniform"
         assert CLIENT_SAMPLERS.get("rr").name == "round-robin"
-        assert CLIENT_SAMPLERS.get("weighted-by-profile").name == "weighted"
 
     def test_did_you_mean(self):
         with pytest.raises(UnknownComponentError, match="uniform"):
@@ -91,9 +90,8 @@ class TestSampleContract:
     def test_sorted_distinct_in_range(self, name, k):
         sampler = create_client_sampler(name)
         rng = np.random.default_rng(0)
-        weights = np.linspace(1.0, 2.0, 10)
         for round_index in range(5):
-            picked = sampler.sample(round_index, 10, k, rng, weights=weights)
+            picked = sampler.sample(round_index, 10, k, rng)
             assert list(picked) == sorted(set(int(i) for i in picked))
             assert len(picked) == k
             assert all(0 <= i < 10 for i in picked)
@@ -103,9 +101,7 @@ class TestSampleContract:
         sampler = create_client_sampler(name)
         rng = np.random.default_rng(1)
         for round_index in range(3):
-            picked = sampler.sample(
-                round_index, 6, 6, rng, weights=np.ones(6)
-            )
+            picked = sampler.sample(round_index, 6, 6, rng)
             assert list(picked) == list(range(6))
 
     @pytest.mark.parametrize("name", SAMPLER_NAMES)
@@ -149,21 +145,6 @@ class TestParticipationCounts:
         # device dominates
         assert counts.min() > expected * 0.7
         assert counts.max() < expected * 1.3
-
-    def test_weighted_prefers_cheap_profiles(self):
-        sampler = create_client_sampler("weighted")
-        rng = np.random.default_rng(11)
-        # jetson-class compute is 5x cheaper than mcu-class, so its
-        # sampling weight (1 / compute_pj_per_flop) is 5x larger.
-        weights = np.array([5.0, 1.0, 5.0, 1.0])
-        counts = np.zeros(4)
-        rounds = 600
-        for round_index in range(rounds):
-            for i in sampler.sample(round_index, 4, 1, rng, weights=weights):
-                counts[i] += 1
-        heavy = counts[0] + counts[2]
-        light = counts[1] + counts[3]
-        assert heavy > light * 3  # ~5x in expectation
 
     def test_coordinator_trains_exactly_k_per_round(self):
         config = population_config(

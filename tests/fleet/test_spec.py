@@ -109,7 +109,7 @@ class TestConfigThreading:
 
 
 class TestPopulationFields:
-    """The PR-9 FleetConfig fields: sampling, regions, deadlines, chaos."""
+    """The population FleetConfig fields: sampling, deadlines, chaos."""
 
     def two(self, **kw):
         return FleetConfig(devices=(DeviceSpec(), DeviceSpec()), **kw)
@@ -123,22 +123,15 @@ class TestPopulationFields:
             self.two(participants=3)
 
     def test_sampler_must_be_nonempty_string(self):
-        assert self.two(sampler="uniform").sampler == "uniform"
+        assert self.two(participants=1, sampler="uniform").sampler == "uniform"
         with pytest.raises(ValueError, match="sampler"):
             self.two(sampler="")
 
-    def test_regions_validated_and_canonicalized(self):
-        fleet = FleetConfig(
-            devices=tuple(DeviceSpec() for _ in range(4)),
-            regions=[[0, 1], [2]],
-        )
-        assert fleet.regions == ((0, 1), (2,))
-        with pytest.raises(ValueError, match="two regions"):
-            self.two(regions=((0,), (0,)))
-        with pytest.raises(ValueError, match="names device 5"):
-            self.two(regions=((5,),))
-        with pytest.raises(ValueError, match="must not be empty"):
-            self.two(regions=((),))
+    def test_sampler_needs_participants(self):
+        """A sampler without K would be silently ignored (every device
+        trains), so the pair is rejected up front."""
+        with pytest.raises(ValueError, match="sampler 'rr' needs participants"):
+            self.two(sampler="rr")
 
     def test_round_deadline_positive(self):
         assert self.two(round_deadline_s=1.5).round_deadline_s == 1.5
@@ -162,7 +155,6 @@ class TestPopulationFields:
             rounds=3,
             participants=2,
             sampler="round-robin",
-            regions=((0, 1), (2, 3)),
             round_deadline_s=2.0,
             fault_plan=FaultPlan(
                 seed=7,
@@ -186,7 +178,6 @@ class TestPopulationFields:
         for key in (
             "participants",
             "sampler",
-            "regions",
             "round_deadline_s",
             "fault_plan",
         ):
@@ -194,3 +185,10 @@ class TestPopulationFields:
         restored = FleetConfig.from_dict(payload)
         assert restored.participants is None
         assert restored.fault_plan is None
+
+    def test_payloads_of_removed_fields_still_load(self):
+        """Payloads written while FleetConfig had a ``regions`` field
+        carry ``"regions": null``; they load as the same config."""
+        fleet = self.two(participants=1, sampler="round-robin")
+        payload = {**fleet.to_dict(), "regions": None}
+        assert FleetConfig.from_dict(payload) == fleet

@@ -1,5 +1,8 @@
 """Tests for the CLI entry point."""
 
+import inspect
+import os
+
 import pytest
 
 from repro.cli import EXPERIMENTS, main
@@ -331,7 +334,7 @@ class TestFleetFlags:
         out = capsys.readouterr().out
         assert code == 0
         assert "aggregators:" in out
-        assert "fedavg" in out and "fedavg-momentum" in out
+        assert "fedavg" in out and "fedavg-async" in out
         assert "best-of" in out and "local-only" in out
         assert "Sample-weighted parameter averaging" in out
 
@@ -400,3 +403,112 @@ class TestBackendFlag:
         assert get_backend().name == "fused"
         assert os.environ.get("REPRO_BACKEND") == "fused"
         assert "policy=contrast-scoring" in capsys.readouterr().out
+
+
+#: A valid command-line value per runner option, and what the runner
+#: receives for it (registry names resolve to their canonical name).
+OPTION_VALUES = {
+    "policy": ("random", "random-replace"),
+    "workers": ("2", 2),
+    "seeds": ("3,4", (3, 4)),
+    "scenario": ("cyclic", "cyclic-drift"),
+    "aggregator": ("avg", "fedavg"),
+    "devices": ("2", 2),
+    "rounds": ("2", 2),
+    "participants": ("1", 1),
+    "sampler": ("rr", "round-robin"),
+    "dropout": ("0.5", 0.5),
+    "serve_policy": ("reject", "shed"),
+    "requests": ("8", 8),
+    "port": ("0", 0),
+}
+
+
+class TestOptionMatrix:
+    """Each runner's signature is the one record of the options it
+    takes: main accepts an option exactly when the signature has it."""
+
+    @pytest.fixture()
+    def stub(self, monkeypatch):
+        """Swap an experiment's runner for a stub with its signature, so
+        accepted options are checked without running anything."""
+        calls = []
+
+        def install(experiment):
+            runner = EXPERIMENTS[experiment]
+
+            def fake(seed, **kwargs):
+                calls.append(kwargs)
+                return "stub ran"
+
+            fake.__signature__ = inspect.signature(runner)
+            monkeypatch.setitem(EXPERIMENTS, experiment, fake)
+            return inspect.signature(runner).parameters
+
+        monkeypatch.delenv("REPRO_WIRE_FORMAT", raising=False)
+        return install, calls
+
+    def test_every_runner_option_is_in_the_table(self):
+        from repro.cli import _OPTIONS, _options_of
+
+        assert set(OPTION_VALUES) == set(_OPTIONS)
+        for experiment, runner in EXPERIMENTS.items():
+            assert set(_options_of(runner)) <= set(_OPTIONS), experiment
+
+    @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+    def test_accepts_exactly_the_signature(self, experiment, stub, capsys):
+        install, calls = stub
+        params = install(experiment)
+        for option, (text, expected) in OPTION_VALUES.items():
+            flag = "--" + option.replace("_", "-")
+            if option in params:
+                calls.clear()
+                assert main([experiment, flag, text]) == 0
+                assert calls == [{option: expected}], flag
+                assert "stub ran" in capsys.readouterr().out
+            else:
+                with pytest.raises(SystemExit) as excinfo:
+                    main([experiment, flag, text])
+                assert excinfo.value.code == 2
+                err = capsys.readouterr().err
+                assert f"experiment {experiment!r} does not take {flag}" in err
+
+    @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+    def test_wire_format_goes_with_workers(self, experiment, stub, capsys):
+        install, calls = stub
+        params = install(experiment)
+        if "workers" in params:
+            assert main([experiment, "--wire-format", "b64"]) == 0
+            assert calls == [{}]
+            assert os.environ["REPRO_WIRE_FORMAT"] == "json-b64"
+        else:
+            with pytest.raises(SystemExit) as excinfo:
+                main([experiment, "--wire-format", "b64"])
+            assert excinfo.value.code == 2
+            assert "does not take --wire-format" in capsys.readouterr().err
+
+    def test_each_option_is_taken_and_help_names_the_takers(self):
+        from repro.cli import _OPTIONS, _options_of, _parser
+
+        helps = {
+            action.dest: action.help for action in _parser()._actions
+        }
+        for option in _OPTIONS:
+            takers = [
+                name
+                for name in sorted(EXPERIMENTS)
+                if option in _options_of(EXPERIMENTS[name])
+            ]
+            assert takers, option
+            assert f"[{', '.join(takers)}" in helps[option]
+
+    def test_rejection_names_who_takes_it(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["stream", "--devices", "2"])
+        assert "(only fleet and serve do)" in capsys.readouterr().err
+
+    def test_fleet_sampler_needs_participants(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fleet", "--sampler", "round-robin"])
+        assert excinfo.value.code == 2
+        assert "needs participants" in capsys.readouterr().err

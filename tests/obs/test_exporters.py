@@ -1,11 +1,7 @@
-"""EXPORTERS registry: console table, jsonl round-trip, prometheus text."""
+"""The console table ``--metrics`` prints."""
 
-import json
-
-import pytest
-
+from repro.obs.exporters import render_console
 from repro.obs.metrics import MetricsRegistry
-from repro.registry import EXPORTERS
 
 
 def loaded_registry():
@@ -20,78 +16,14 @@ def loaded_registry():
     return registry
 
 
-class TestRegistry:
-    def test_all_three_registered(self):
-        assert set(EXPORTERS.names()) == {"console", "jsonl", "prometheus"}
-
-    def test_prom_alias(self):
-        assert type(EXPORTERS.get("prom").factory()) is type(
-            EXPORTERS.get("prometheus").factory()
-        )
-
-    def test_export_writes_render_output(self, tmp_path):
-        exporter = EXPORTERS.get("jsonl").factory()
-        path = tmp_path / "metrics.jsonl"
-        exporter.export(loaded_registry(), str(path))
-        assert path.read_text() == exporter.render(loaded_registry()) + "\n"
-
-
 class TestConsole:
     def test_one_row_per_series(self):
-        text = EXPORTERS.get("console").factory().render(loaded_registry())
+        text = render_console(loaded_registry())
         assert "fleet.rounds" in text
         assert "worker=0" in text and "worker=1" in text
         assert "p99=" in text and "count=3" in text  # histogram summary
         assert "1.5" in text  # gauge value
 
     def test_empty_registry(self):
-        text = EXPORTERS.get("console").factory().render(MetricsRegistry())
+        text = render_console(MetricsRegistry())
         assert "no metrics" in text
-
-
-class TestJsonl:
-    def test_lines_are_the_snapshot_and_merge_back(self):
-        registry = loaded_registry()
-        text = EXPORTERS.get("jsonl").factory().render(registry)
-        entries = [json.loads(line) for line in text.splitlines()]
-        assert entries == json.loads(json.dumps(registry.snapshot()))
-        rebuilt = MetricsRegistry()
-        rebuilt.merge(entries)
-        assert rebuilt.value("pool.jobs", worker=1) == 4.0
-        assert rebuilt.histogram("serve.latency_ms").count == 3
-
-
-class TestPrometheus:
-    @pytest.fixture()
-    def lines(self):
-        text = EXPORTERS.get("prometheus").factory().render(loaded_registry())
-        return text.splitlines()
-
-    def test_counters_get_total_suffix_and_type(self, lines):
-        assert "# TYPE fleet_rounds_total counter" in lines
-        assert "fleet_rounds_total 3" in lines
-        assert 'pool_jobs_total{worker="0"} 2' in lines
-        assert 'pool_jobs_total{worker="1"} 4' in lines
-
-    def test_gauge(self, lines):
-        assert "# TYPE fleet_pending_depth gauge" in lines
-        assert "fleet_pending_depth 1.5" in lines
-
-    def test_histogram_is_cumulative_with_inf_sum_count(self, lines):
-        buckets = [
-            line for line in lines if line.startswith("serve_latency_ms_bucket")
-        ]
-        counts = [int(line.rsplit(" ", 1)[1]) for line in buckets]
-        assert counts == sorted(counts)  # cumulative
-        assert buckets[-1] == 'serve_latency_ms_bucket{le="+Inf"} 3'
-        assert "serve_latency_ms_sum 10.5" in lines
-        assert "serve_latency_ms_count 3" in lines
-
-    def test_dots_sanitized_out_of_names(self, lines):
-        for line in lines:
-            metric = line.split("{")[0].split(" ")[-1 if "#" in line else 0]
-            assert "." not in metric
-
-    def test_empty_registry(self):
-        text = EXPORTERS.get("prometheus").factory().render(MetricsRegistry())
-        assert text.startswith("#")

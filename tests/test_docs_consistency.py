@@ -90,6 +90,17 @@ def test_checker_detects_missing_aggregator(checker):
     assert any("FLEET.md" in p and "undocumented-agg-test" in p for p in problems)
 
 
+def test_checker_detects_stale_cli_listing(checker, monkeypatch, tmp_path):
+    """README.md's --list block must be the command's exact output."""
+    readme = tmp_path / "README.md"
+    text = checker.README_MD.read_text()
+    assert "  fedavg-async " in text
+    readme.write_text(text.replace("  fedavg-async ", "  fedavg-momentum ", 1))
+    monkeypatch.setattr(checker, "README_MD", readme)
+    problems = checker.check()
+    assert any("README.md --list block differs" in p for p in problems)
+
+
 def test_inventory_parser_reads_backticked_names(checker):
     inventories = checker.parse_inventories(
         "x <!-- inventory:backends -->`numpy` and `fused`<!-- /inventory --> y"

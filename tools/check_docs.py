@@ -4,9 +4,9 @@ Asserts, in both directions:
 
 * every experiment id (``repro.cli.EXPERIMENTS``), backend
   (``BACKENDS``), scenario (``SCENARIOS``), scenario wrapper
-  (``scenario_wrapper_names()``), aggregator (``AGGREGATORS``), serve
-  admission policy (``SERVE_POLICIES``), wire format
-  (``WIRE_FORMATS``), and metrics exporter (``EXPORTERS``) appears in
+  (``scenario_wrapper_names()``), aggregator (``AGGREGATORS``), client
+  sampler (``CLIENT_SAMPLERS``), serve admission policy
+  (``SERVE_POLICIES``), and wire format (``WIRE_FORMATS``) appears in
   the matching ``<!-- inventory:KIND -->`` block of docs/API.md, and
   every name listed there is actually registered;
 * every metric name in ``repro.obs.METRIC_INVENTORY`` appears in the
@@ -20,7 +20,9 @@ Asserts, in both directions:
   aggregator or client sampler;
 * every registered serve admission policy has a ``## `name` ``
   section in docs/SERVE.md, and every such section names a registered
-  serve policy.
+  serve policy;
+* the ``<!-- cli:list -->`` block of README.md is exactly what
+  ``python -m repro.cli --list`` prints.
 
 Run from the repo root (CI does)::
 
@@ -31,6 +33,8 @@ Exit status 0 means consistent; 1 prints every mismatch found.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import pathlib
 import re
 import sys
@@ -42,6 +46,7 @@ SCENARIOS_MD = ROOT / "docs" / "SCENARIOS.md"
 FLEET_MD = ROOT / "docs" / "FLEET.md"
 SERVE_MD = ROOT / "docs" / "SERVE.md"
 OBSERVABILITY_MD = ROOT / "docs" / "OBSERVABILITY.md"
+README_MD = ROOT / "README.md"
 
 INVENTORY_RE = re.compile(
     r"<!--\s*inventory:([a-z-]+)\s*-->(.*?)<!--\s*/inventory\s*-->", re.S
@@ -51,6 +56,7 @@ BACKTICKED_RE = re.compile(r"`([a-z0-9]+(?:-[a-z0-9]+)*)`")
 #: component names, so the metrics inventory uses its own pattern.
 METRIC_NAME_RE = re.compile(r"`([a-z]+(?:\.[a-z0-9_]+)+)`")
 SECTION_RE = re.compile(r"^## `([a-z0-9-]+)`", re.M)
+CLI_LIST_RE = re.compile(r"<!--\s*cli:list\s*-->\s*```text\n(.*?)```", re.S)
 SCENARIO_SECTION_RE = SECTION_RE  # kept: pre-fleet name of the pattern
 
 
@@ -69,7 +75,6 @@ def registered_names() -> Dict[str, Set[str]]:
         AGGREGATORS,
         BACKENDS,
         CLIENT_SAMPLERS,
-        EXPORTERS,
         SCENARIOS,
         SERVE_POLICIES,
         WIRE_FORMATS,
@@ -85,7 +90,6 @@ def registered_names() -> Dict[str, Set[str]]:
         "client-samplers": set(CLIENT_SAMPLERS.names()),
         "serve-policies": set(SERVE_POLICIES.names()),
         "wire-formats": set(WIRE_FORMATS.names()),
-        "exporters": set(EXPORTERS.names()),
     }
 
 
@@ -131,7 +135,26 @@ def check() -> List[str]:
         SERVE_MD, "serve policy", set(SERVE_POLICIES.names())
     )
     problems += _check_metric_inventory()
+    problems += _check_cli_listing()
     return problems
+
+
+def _check_cli_listing() -> List[str]:
+    """README.md's ``--list`` block must be the command's exact output."""
+    from repro.cli import main as cli_main
+
+    match = CLI_LIST_RE.search(README_MD.read_text())
+    if match is None:
+        return ["README.md has no <!-- cli:list --> block"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli_main(["--list"])
+    if match.group(1) != out.getvalue():
+        return [
+            "README.md --list block differs from what "
+            "`python -m repro.cli --list` prints; paste the command's output"
+        ]
+    return []
 
 
 def _check_metric_inventory() -> List[str]:
