@@ -417,7 +417,7 @@ def bench_serve(scale: float, seed: int) -> Dict[str, object]:
     """
     import asyncio
 
-    from repro.fleet.coordinator import MODEL_PREFIXES
+    from repro.core.framework import model_slice_from
     from repro.serve import EmbeddingCache, InprocClient, ModelRegistry, ScoringServer
 
     config = default_config(seed=seed)
@@ -431,11 +431,7 @@ def bench_serve(scale: float, seed: int) -> Dict[str, object]:
     samples = list(images)
 
     models = ModelRegistry()
-    state = {}
-    for prefix, module in zip(MODEL_PREFIXES, (comp.scorer.encoder, comp.scorer.projector)):
-        for key, value in module.state_dict().items():
-            state[prefix + key] = value
-    models.publish(state, source="bench")
+    models.publish(model_slice_from(comp.scorer.encoder, comp.scorer.projector), source="bench")
 
     def make_server(**overrides):
         fresh = build_components(config)

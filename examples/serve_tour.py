@@ -90,8 +90,11 @@ async def tour() -> None:
         summarize("cold", cold)
 
         # -- a version bump lands mid-stream --------------------------
-        session.run(stop_after=2)
-        v2 = models.publish_session(session, source="midstream")
+        # (two more steps of the same run: resume from its state, since
+        # a second run() on the session would start over)
+        midstream = Session.from_state_dict(session.state_dict())
+        midstream.run(stop_after=2)
+        v2 = models.publish_session(midstream, source="midstream")
         models.pin("device-0", v1)  # canary stays on the old model
         print(f"== published version {v2}; device-0 pinned to v{v1} ==")
 

@@ -29,10 +29,46 @@ from repro.data.stream import StreamSegment
 from repro.nn.layers import Module
 from repro.nn.losses import NTXentLoss
 from repro.nn.optim import Adam
+from repro.nn.serialization import strip_prefix
 from repro.nn.tensor import Tensor
 from repro.selection.base import ReplacementPolicy
 
-__all__ = ["StepStats", "OnDeviceContrastiveLearner"]
+__all__ = [
+    "StepStats",
+    "OnDeviceContrastiveLearner",
+    "MODEL_PREFIXES",
+    "model_slice",
+    "model_slice_from",
+    "load_model_slice",
+]
+
+#: Learner state keys that make up "the model" — the slice a fleet
+#: aggregates and broadcasts and the serve tier publishes: encoder and
+#: projector arrays (parameters and BN statistics).  Optimizer moments,
+#: buffer contents and counters stay on the device.
+MODEL_PREFIXES = ("encoder/", "projector/")
+
+
+def model_slice(state: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+    """The model slice of a learner state (the arrays, not copies)."""
+    return {key: value for key, value in state.items() if key.startswith(MODEL_PREFIXES)}
+
+
+def model_slice_from(encoder: Module, projector: Module) -> Dict[str, np.ndarray]:
+    """The model slice of live modules, keyed as in a learner state."""
+    out: Dict[str, np.ndarray] = {}
+    for prefix, module in zip(MODEL_PREFIXES, (encoder, projector)):
+        for key, value in module.state_dict().items():
+            out[prefix + key] = value
+    return out
+
+
+def load_model_slice(
+    state: Dict[str, np.ndarray], encoder: Module, projector: Module
+) -> None:
+    """Load the model slice in ``state`` into the two modules (copied in)."""
+    for prefix, module in zip(MODEL_PREFIXES, (encoder, projector)):
+        module.load_state_dict(strip_prefix(state, prefix))
 
 
 @dataclass
@@ -215,11 +251,7 @@ class OnDeviceContrastiveLearner:
         :class:`~repro.utils.rng.RngRegistry`, which snapshots them via
         ``RngRegistry.state()``.
         """
-        out: Dict[str, np.ndarray] = {}
-        for key, value in self.encoder.state_dict().items():
-            out[f"encoder/{key}"] = value
-        for key, value in self.projector.state_dict().items():
-            out[f"projector/{key}"] = value
+        out = model_slice_from(self.encoder, self.projector)
         for key, value in self.optimizer.state_dict().items():
             out[f"optimizer/{key}"] = value
         for key, value in self.buffer.state_dict().items():
@@ -251,18 +283,9 @@ class OnDeviceContrastiveLearner:
             raise KeyError(
                 f"learner state mismatch: missing={missing}, unexpected={unexpected}"
             )
-
-        def sub(prefix: str) -> Dict[str, np.ndarray]:
-            return {
-                key[len(prefix) :]: value
-                for key, value in state.items()
-                if key.startswith(prefix)
-            }
-
-        self.encoder.load_state_dict(sub("encoder/"))
-        self.projector.load_state_dict(sub("projector/"))
-        self.optimizer.load_state_dict(sub("optimizer/"))
-        self.buffer.load_state_dict(sub("buffer/"))
+        load_model_slice(state, self.encoder, self.projector)
+        self.optimizer.load_state_dict(strip_prefix(state, "optimizer/"))
+        self.buffer.load_state_dict(strip_prefix(state, "buffer/"))
         self._buffer_labels = np.asarray(state["buffer_labels"], dtype=np.int64).copy()
         self.iteration = int(state["iteration"])
         self.seen_inputs = int(state["seen_inputs"])

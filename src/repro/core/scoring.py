@@ -25,9 +25,9 @@ column measures exactly this), so :meth:`ContrastScorer.score` is fully
 batched: ``x`` and ``x+`` are stacked into one scoring pass (chunked at
 ``max_batch`` rows to bound peak memory) and the similarity is a single
 vectorized reduction — no per-sample Python loops.
-:meth:`ContrastScorer.score_many` extends the same trick across
-several batches (the replacement policy uses it to score surviving
-buffer entries and incoming stream data in one fused pass), and
+:func:`score_batches` extends the same trick across several batches
+(the replacement policy uses it to score surviving buffer entries and
+incoming stream data in one fused pass), and
 :meth:`ContrastScorer.score_loop` keeps the one-image-at-a-time
 reference implementation as an executable spec for regression tests and
 the perf baseline (``benchmarks/bench_perf_suite.py``).
@@ -44,7 +44,7 @@ matching across backends to float32 tolerance.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
 import numpy as np
 
@@ -111,25 +111,6 @@ class ContrastScorer:
         self.projector = projector
         self.view_fn = view_fn
         self.max_batch = max_batch
-        # Optional score cache (see with_score_cache); None = every call
-        # runs the forward, the historical (and training-time) behavior.
-        self.score_cache: Optional[Any] = None
-
-    def with_score_cache(self, cache: Optional[Any]) -> "ContrastScorer":
-        """Attach a score cache consulted by :meth:`score` (None detaches).
-
-        ``cache`` needs only ``get(key) -> Optional[float]`` and
-        ``put(key, score)`` (e.g. :class:`repro.serve.EmbeddingCache`);
-        keys are :func:`content_hash` digests, so a hit is returned for
-        bit-identical image content only.  The cache stores the exact
-        float64 the forward produced, making a hit bitwise-identical to
-        the miss that populated it.  The caller owns invalidation: any
-        encoder/projector update makes every entry stale, so attach a
-        cache only around frozen-model (inference/serving) phases —
-        the serve layer invalidates on every model publish.
-        """
-        self.score_cache = cache
-        return self
 
     # ------------------------------------------------------------------
     def project(self, images: np.ndarray) -> np.ndarray:
@@ -174,74 +155,12 @@ class ContrastScorer:
         n = images.shape[0]
         if n == 0:
             return np.zeros(0, dtype=np.float64)
-        if self.score_cache is not None:
-            return self._score_cached(images)
-        return self._score_forward(images)
-
-    def _score_forward(self, images: np.ndarray) -> np.ndarray:
-        """The uncached scoring forward (the body of :meth:`score`)."""
-        n = images.shape[0]
         stacked = np.concatenate([images, self.view_fn(images)], axis=0)
         z = self.project(stacked)
         scores = 1.0 - get_backend().einsum("nd,nd->n", z[:n], z[n:])
         # Scores are float64 vectors regardless of the backend's scoring
         # dtype (the buffer stores float64); the cast is N scalars.
         return np.clip(scores, 0.0, 2.0).astype(np.float64, copy=False)
-
-    def _score_cached(self, images: np.ndarray) -> np.ndarray:
-        """Score through ``score_cache``: forward only the unseen content.
-
-        Duplicate content inside the batch is forwarded once; every hit
-        returns the exact float64 stored at the populating miss, so the
-        cached path is bitwise-consistent per content digest.
-        """
-        cache = self.score_cache
-        keys = content_hash(images)
-        scores = np.empty(images.shape[0], dtype=np.float64)
-        miss_rows: List[int] = []
-        miss_keys: List[str] = []
-        first_row: dict = {}
-        for i, key in enumerate(keys):
-            cached = cache.get(key)
-            if cached is not None:
-                scores[i] = cached
-            elif key in first_row:
-                first_row[key].append(i)
-            else:
-                first_row[key] = [i]
-                miss_rows.append(i)
-                miss_keys.append(key)
-        if miss_rows:
-            fresh = self._score_forward(images[miss_rows])
-            for key, value in zip(miss_keys, fresh):
-                value = float(value)
-                cache.put(key, value)
-                for row in first_row[key]:
-                    scores[row] = value
-        return scores
-
-    def score_many(self, batches: Sequence[np.ndarray]) -> List[np.ndarray]:
-        """Score several NCHW batches in one fused forward pass.
-
-        All batches must share image shape; empty batches are allowed
-        and produce empty score arrays.  Returns one score array per
-        input batch, in order.  Because scoring runs in eval mode each
-        sample's score is unaffected by the fusion — this is purely a
-        throughput optimization (bigger GEMMs, fewer Python loops;
-        ``max_batch`` chunking still applies to the fused pool).
-        """
-        sizes = [b.shape[0] for b in batches]
-        nonempty = [b for b in batches if b.shape[0]]
-        if not nonempty:
-            return [np.zeros(0, dtype=np.float64) for _ in batches]
-        pool = nonempty[0] if len(nonempty) == 1 else np.concatenate(nonempty, axis=0)
-        scores = self.score(pool)
-        out: List[np.ndarray] = []
-        start = 0
-        for size in sizes:
-            out.append(scores[start : start + size])
-            start += size
-        return out
 
     def score_loop(self, images: np.ndarray) -> np.ndarray:
         """Reference scorer: one image (and one view) at a time.
@@ -289,17 +208,14 @@ class ContrastScorer:
 def score_batches(scorer, batches: Sequence[np.ndarray]) -> List[np.ndarray]:
     """Score several batches, fusing them into one forward when possible.
 
-    Policies call this instead of :meth:`ContrastScorer.score_many`
-    directly so duck-typed scorers (plugins, test stubs) that only
-    implement ``score`` keep working.  When every non-empty batch shares
-    its image shape those scorers still get the single concatenated
-    forward (one ``score`` call over the pooled batch, split back per
-    input); only shape-mismatched batches fall back to one ``score``
-    call each.
+    ``scorer`` needs only ``score`` (a :class:`ContrastScorer`, a plugin
+    or a test stub).  When every non-empty batch shares its image shape
+    they are scored in one concatenated forward (one ``score`` call over
+    the pooled batch, split back per input) — bigger GEMMs, fewer Python
+    loops, and the same scores, since eval-mode scoring makes each row
+    independent of its batch-mates.  Shape-mismatched batches fall back
+    to one ``score`` call each; empty batches never reach ``score``.
     """
-    many = getattr(scorer, "score_many", None)
-    if many is not None:
-        return many(batches)
     sizes = [b.shape[0] for b in batches]
     nonempty = [b for b in batches if b.shape[0]]
     if not nonempty:

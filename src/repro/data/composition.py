@@ -40,7 +40,6 @@ __all__ = [
     "CompositionSyntaxError",
     "parse_scenario",
     "format_scenario",
-    "is_composition",
 ]
 
 _NAME_RE = re.compile(r"[a-z0-9]+(?:-[a-z0-9]+)*")
@@ -108,11 +107,6 @@ class ScenarioExpr:
 
     def __str__(self) -> str:
         return format_scenario(self)
-
-
-def is_composition(text: str) -> bool:
-    """True when ``text`` uses composition syntax (vs a plain name)."""
-    return "(" in text or "=" in text or "," in text
 
 
 class _Parser:

@@ -74,12 +74,7 @@ from typing import Any, Iterator, List, Optional, Protocol, Tuple, runtime_check
 
 import numpy as np
 
-from repro.data.composition import (
-    ScenarioExpr,
-    format_scenario,
-    is_composition,
-    parse_scenario,
-)
+from repro.data.composition import ScenarioExpr, format_scenario, parse_scenario
 from repro.data.drift import DriftStream, growing_phases
 from repro.data.stream import StreamSegment, TemporalStream, _segment_iterator
 from repro.data.synthetic import SyntheticImageDataset
@@ -297,14 +292,6 @@ def canonical_scenario(name: str) -> str:
                 f"{entry.name!r} is a base scenario, not a wrapper — it "
                 f"cannot compose over {node.child.name!r}",
             )
-        if node.child is not None and "base" in node.option_dict:
-            raise _path_error(
-                ValueError,
-                expr,
-                depth,
-                "give the wrapped scenario either in parentheses or via "
-                "base=..., not both",
-            )
         canonical.append(entry.name)
     rebuilt: Optional[ScenarioExpr] = None
     for node_name, node in zip(reversed(canonical), reversed(nodes)):
@@ -370,20 +357,17 @@ def _build_expr(
                     raise _path_error(TypeError, expr, depth, message)
                 raise TypeError(f"scenario {node.name!r}: {message}")
             options.update(extra)
-        if node.child is not None and "base" in options:
-            raise _path_error(
-                ValueError,
-                expr,
-                depth,
-                "give the wrapped scenario either in parentheses or via "
-                "base=..., not both",
-            )
         try:
             entry = SCENARIOS.get(node.name)
             if node.child is not None and not _can_wrap(entry):
                 raise ValueError(
                     f"{entry.name!r} is a base scenario, not a wrapper — it "
                     f"cannot compose over {node.child.name!r}"
+                )
+            if source is None and entry.metadata.get("kind") == "wrapper":
+                # A wrapper named alone composes over the default base.
+                source = create_scenario(
+                    "temporal", dataset=dataset, stc=stc, rng=rng, total_samples=total_samples
                 )
             source = SCENARIOS.create_with_required(
                 node.name,
@@ -1057,46 +1041,6 @@ def imbalanced_scenario(
     )
 
 
-def _resolve_base(
-    wrapper_name: str,
-    base_source: Optional[StreamSource],
-    base: str,
-    *,
-    dataset: SyntheticImageDataset,
-    stc: int,
-    rng: np.random.Generator,
-    total_samples: int,
-    base_options: dict,
-) -> StreamSource:
-    """The shared base-construction rule for wrapper factories.
-
-    A composition hands the already-built wrapped source in via
-    ``base_source``; the legacy ``base="name"`` option (plus forwarded
-    ``base_options``) builds it here.  Mixing explicit composition with
-    ``base_options`` is rejected — those options belong to the inner
-    node's own parentheses.
-    """
-    if base_source is not None:
-        if base_options:
-            raise TypeError(
-                f"{wrapper_name} does not accept option(s): "
-                f"{', '.join(sorted(base_options))} (give options for the "
-                "wrapped scenario inside its own parentheses)"
-            )
-        return base_source
-    if not is_composition(base):
-        if SCENARIOS.get(base).name == wrapper_name:
-            raise ValueError(f"the {wrapper_name} scenario cannot wrap itself")
-    return create_scenario(
-        base,
-        dataset=dataset,
-        stc=stc,
-        rng=rng,
-        total_samples=total_samples,
-        **base_options,
-    )
-
-
 def _count_option(name: str, value: Any, low: int) -> int:
     """A wrapper's count or length option as an int >= ``low``.
 
@@ -1122,31 +1066,18 @@ def corrupted_scenario(
     stc: int,
     rng: np.random.Generator,
     total_samples: int,
-    base: str = "temporal",
-    base_source: Optional[StreamSource] = None,
+    base_source: StreamSource,
     wrapper_layer: int = 0,
     corruption_levels: int = 3,
     corruption_phase_length: Optional[int] = None,
     noise_std: float = 0.2,
     blur: bool = True,
-    **base_options,
 ) -> CorruptedStream:
-    """Compose per-phase corruption on top of any *other* base scenario.
+    """Compose per-phase corruption on top of any other scenario.
 
-    ``base_options`` are forwarded to the base scenario's factory under
-    the usual explicit-option rule.  The default phase length walks
-    through all corruption levels twice over the stream.
+    The default phase length walks through all corruption levels twice
+    over the stream.
     """
-    source = _resolve_base(
-        "corrupted",
-        base_source,
-        base,
-        dataset=dataset,
-        stc=stc,
-        rng=rng,
-        total_samples=total_samples,
-        base_options=base_options,
-    )
     corruption_levels = _count_option("corruption_levels", corruption_levels, 2)
     if corruption_phase_length is None:
         corruption_phase_length = max(1, total_samples // (corruption_levels * 2))
@@ -1154,7 +1085,7 @@ def corrupted_scenario(
         "corruption_phase_length", corruption_phase_length, 1
     )
     return CorruptedStream(
-        source,
+        base_source,
         rng=derive_wrapper_rng(rng, wrapper_layer, "corrupted"),
         phase_length=corruption_phase_length,
         levels=corruption_levels,
@@ -1174,35 +1105,23 @@ def label_shift_scenario(
     stc: int,
     rng: np.random.Generator,
     total_samples: int,
-    base: str = "temporal",
-    base_source: Optional[StreamSource] = None,
+    base_source: StreamSource,
     wrapper_layer: int = 0,
     num_phases: int = 2,
     shift: float = 0.1,
     shift_phase_length: Optional[int] = None,
-    **base_options,
 ) -> LabelShiftStream:
     """Rotate which class group dominates, on top of any base scenario.
 
     The default phase length visits every class group twice over the
     stream.
     """
-    source = _resolve_base(
-        "label-shift",
-        base_source,
-        base,
-        dataset=dataset,
-        stc=stc,
-        rng=rng,
-        total_samples=total_samples,
-        base_options=base_options,
-    )
     num_phases = _count_option("num_phases", num_phases, 1)
     if shift_phase_length is None:
         shift_phase_length = max(1, total_samples // (num_phases * 2))
     shift_phase_length = _count_option("shift_phase_length", shift_phase_length, 1)
     return LabelShiftStream(
-        source,
+        base_source,
         rng=derive_wrapper_rng(rng, wrapper_layer, "label-shift"),
         num_classes=dataset.num_classes,
         phase_length=shift_phase_length,
@@ -1222,12 +1141,10 @@ def adversarial_scenario(
     stc: int,
     rng: np.random.Generator,
     total_samples: int,
-    base: str = "temporal",
-    base_source: Optional[StreamSource] = None,
+    base_source: StreamSource,
     wrapper_layer: int = 0,
     lookahead: int = 4,
     adversarial_phase_length: Optional[int] = None,
-    **base_options,
 ) -> AdversarialStream:
     """Greedy most-dissimilar-next window ordering over any base scenario.
 
@@ -1235,16 +1152,6 @@ def adversarial_scenario(
     over the stream.  One refill reads ``lookahead`` windows ahead, so
     that read-ahead may not exceed ``total_samples``.
     """
-    source = _resolve_base(
-        "adversarial",
-        base_source,
-        base,
-        dataset=dataset,
-        stc=stc,
-        rng=rng,
-        total_samples=total_samples,
-        base_options=base_options,
-    )
     lookahead = _count_option("lookahead", lookahead, 2)
     if adversarial_phase_length is None:
         adversarial_phase_length = max(1, total_samples // (lookahead * 2))
@@ -1258,7 +1165,7 @@ def adversarial_scenario(
             f"exceeds total_samples={total_samples}"
         )
     return AdversarialStream(
-        source,
+        base_source,
         rng=derive_wrapper_rng(rng, wrapper_layer, "adversarial"),
         num_classes=dataset.num_classes,
         phase_length=adversarial_phase_length,

@@ -236,8 +236,11 @@ def run_serve(
             cold = await _drive_inproc(
                 server, samples[:half], device_ids[:half], deadline_ms=deadline_ms
             )
-            session.run(stop_after=max(1, train_iterations - train_iterations // 2))
-            v2 = models.publish_session(session, source="midstream")
+            # The bump continues the warm-up run: a second run() on the
+            # same session would start over and retrain the same steps.
+            midstream = Session.from_state_dict(session.state_dict())
+            midstream.run(stop_after=max(1, train_iterations - train_iterations // 2))
+            v2 = models.publish_session(midstream, source="midstream")
             models.pin("device-0", v1)  # canary: keep one device on v1
             cold += await _drive_inproc(
                 server, samples[half:], device_ids[half:], deadline_ms=deadline_ms

@@ -57,7 +57,6 @@ error messages (nothing fails inside the first round).
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import os
 import time
@@ -66,6 +65,7 @@ from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.framework import MODEL_PREFIXES, load_model_slice, model_slice
 from repro.device.cost_model import DEVICE_PROFILES, iteration_compute_cost
 from repro.data.scenarios import canonical_scenario
 from repro.experiments.config import StreamExperimentConfig
@@ -97,6 +97,7 @@ from repro.fleet.faults import FaultPlan
 from repro.fleet.sampling import ClientSampler, create_client_sampler
 from repro.fleet.spec import DeviceSpec, FleetConfig
 from repro.nn.backend import use_backend
+from repro.nn.serialization import check_version, read_checkpoint, save_state, strip_prefix
 from repro.obs import (
     absorb_worker_telemetry,
     collect_worker_telemetry,
@@ -131,11 +132,6 @@ __all__ = [
     "FleetCoordinator",
     "MODEL_PREFIXES",
 ]
-
-#: Learner state keys that constitute "the model" for aggregation and
-#: broadcast: encoder and projector arrays (parameters + BN statistics).
-#: Optimizer moments, buffer contents, and counters stay device-local.
-MODEL_PREFIXES = ("encoder/", "projector/")
 
 #: Bumped whenever the fleet checkpoint layout changes incompatibly.
 FLEET_CHECKPOINT_VERSION = 1
@@ -1021,11 +1017,7 @@ class FleetCoordinator:
             self._device_states[i] = state
             self._last_results[i] = output["result"]
             knn = float(result.info["final_knn_accuracy"])
-            model_state = {
-                key: value
-                for key, value in state["learner"].items()
-                if key.startswith(MODEL_PREFIXES)
-            }
+            model_state = model_slice(state["learner"])
             if i in cast.late:
                 # A straggler: its update arrives int(delay / deadline)
                 # rounds from now and joins aggregation then, weighted
@@ -1180,20 +1172,7 @@ class FleetCoordinator:
                 )
             self._eval_pool = (comp, train_x, train_y, test_x, test_y)
         comp, train_x, train_y, test_x, test_y = self._eval_pool
-        comp.encoder.load_state_dict(
-            {
-                key[len("encoder/") :]: value
-                for key, value in self._global_state.items()
-                if key.startswith("encoder/")
-            }
-        )
-        comp.projector.load_state_dict(
-            {
-                key[len("projector/") :]: value
-                for key, value in self._global_state.items()
-                if key.startswith("projector/")
-            }
-        )
+        load_model_slice(self._global_state, comp.encoder, comp.projector)
         with use_backend(self._base_config.backend):
             accuracy = KnnProbe(comp.encoder).score(
                 train_x,
@@ -1260,19 +1239,9 @@ class FleetCoordinator:
             ],
             "has_global": self._global_state is not None,
             "global_version": self._global_version,
+            # each buffered report but its model arrays (pending{j}/*)
             "pending": [
-                {
-                    key: entry[key]
-                    for key in (
-                        "device",
-                        "device_index",
-                        "weight",
-                        "knn_accuracy",
-                        "dispatch_version",
-                        "dispatch_round",
-                        "arrival_round",
-                    )
-                }
+                {key: value for key, value in entry.items() if key != "model_state"}
                 for entry in self._pending
             ],
         }
@@ -1288,12 +1257,7 @@ class FleetCoordinator:
     def load_state_dict(self, state: Dict[str, Any]) -> None:
         """Restore the exact state written by :meth:`state_dict`."""
         meta = state["meta"]
-        version = meta.get("version")
-        if version != FLEET_CHECKPOINT_VERSION:
-            raise ValueError(
-                f"unsupported fleet checkpoint version {version!r} "
-                f"(this build reads version {FLEET_CHECKPOINT_VERSION})"
-            )
+        check_version(meta, FLEET_CHECKPOINT_VERSION, "fleet checkpoint")
         config = config_from_dict(meta["config"])
         if config != self.config:
             raise ValueError(
@@ -1301,7 +1265,7 @@ class FleetCoordinator:
                 "construct the coordinator from the checkpoint "
                 "(FleetCoordinator.resume) or with the matching config"
             )
-        arrays = state["arrays"]
+        arrays = {key: np.asarray(value).copy() for key, value in state["arrays"].items()}
         num = len(self._plans)
         self._round = int(meta["round"])
         self._seen = [int(v) for v in meta["seen"]]
@@ -1318,19 +1282,10 @@ class FleetCoordinator:
             if device_meta is None:
                 self._device_states.append(None)
                 continue
-            prefix = f"device{i}/"
-            learner = {
-                key[len(prefix) :]: np.asarray(value).copy()
-                for key, value in arrays.items()
-                if key.startswith(prefix)
-            }
+            learner = strip_prefix(arrays, f"device{i}/")
             self._device_states.append({"meta": device_meta, "learner": learner})
         if meta["has_global"]:
-            self._global_state = {
-                key[len("global/") :]: np.asarray(value).copy()
-                for key, value in arrays.items()
-                if key.startswith("global/")
-            }
+            self._global_state = strip_prefix(arrays, "global/")
         else:
             self._global_state = None
         # Population state.  Pre-population checkpoints lack these keys
@@ -1344,17 +1299,11 @@ class FleetCoordinator:
         )
         self._pending = []
         for index, entry in enumerate(meta.get("pending", ())):
-            prefix = f"pending{index}/"
-            model_state = {
-                key[len(prefix) :]: np.asarray(value).copy()
-                for key, value in arrays.items()
-                if key.startswith(prefix)
-            }
             self._pending.append(
                 {
                     "device": entry["device"],
                     "device_index": int(entry["device_index"]),
-                    "model_state": model_state,
+                    "model_state": strip_prefix(arrays, f"pending{index}/"),
                     "weight": float(entry["weight"]),
                     "knn_accuracy": float(entry["knn_accuracy"]),
                     "dispatch_version": int(entry["dispatch_version"]),
@@ -1371,14 +1320,10 @@ class FleetCoordinator:
         self._eval_pool = None  # rebuilt deterministically on demand
 
     def save_checkpoint(self, path: str) -> str:
-        """Write the fleet state to ``path`` (a single ``.npz``)."""
-        if not path.endswith(".npz"):
-            path += ".npz"  # np.savez would append it silently otherwise
+        """Write the fleet state to ``path`` (a single ``.npz``; the
+        suffix is appended when missing) and return the path written."""
         state = self.state_dict()
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-        np.savez(path, meta=np.array(json.dumps(state["meta"])), **state["arrays"])
-        return path
+        return save_state(state["arrays"], path, meta=state["meta"])
 
     @classmethod
     def resume(
@@ -1393,21 +1338,16 @@ class FleetCoordinator:
 
         ``workers`` and ``wire_format`` are execution choices, not
         state, so they are chosen fresh at resume time (neither
-        parallelism nor the transport codec ever changes results).
+        parallelism nor the transport codec ever changes results).  A
+        defective file raises one :class:`ValueError` naming ``path``
+        (:func:`repro.nn.serialization.read_checkpoint`).
         """
-        if not path.endswith(".npz"):
-            path += ".npz"  # mirror save_checkpoint's normalization
-        with np.load(path, allow_pickle=False) as archive:
-            meta = json.loads(str(archive["meta"]))
-            arrays = {
-                key: archive[key].copy() for key in archive.files if key != "meta"
-            }
-        version = meta.get("version")
-        if version != FLEET_CHECKPOINT_VERSION:
-            raise ValueError(
-                f"unsupported fleet checkpoint version {version!r} "
-                f"(this build reads version {FLEET_CHECKPOINT_VERSION})"
-            )
+        meta, arrays = read_checkpoint(
+            path,
+            kind="fleet checkpoint",
+            version=FLEET_CHECKPOINT_VERSION,
+            fields=("device_meta",),
+        )
         coordinator = cls(
             config_from_dict(meta["config"]),
             eval_points=int(meta["eval_points"]),

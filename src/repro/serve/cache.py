@@ -3,8 +3,8 @@
 Buffer members get re-scored constantly (the replacement policy
 re-scores every surviving entry each iteration, and devices re-submit
 the same frames), so the scoring service keys computed scores by
-*content digest* (:func:`repro.core.scoring.content_hash`) and, on the
-server path, by model version — a hit skips the whole forward.
+*content digest* (:func:`repro.core.scoring.content_hash`) and by model
+version — a hit skips the whole forward.
 
 Correctness contract (tested, and enforced by the perf suite's
 ``--check``):
@@ -12,8 +12,8 @@ Correctness contract (tested, and enforced by the perf suite's
 * a hit returns the **exact float64** stored by the miss that populated
   the entry — cache-hit decisions are bitwise-identical to cache-miss
   decisions for the same (content digest, model version);
-* entries are version-qualified on the server path, so a stale entry
-  can never answer for a newer model; on every model publish
+* entries are version-qualified, so a stale entry can never answer
+  for a newer model; on every model publish
   (:meth:`repro.serve.ModelRegistry.publish`, which fleet broadcasts
   drive) the server drops every entry whose version is no longer
   retained (:meth:`EmbeddingCache.invalidate_stale`).
@@ -30,9 +30,8 @@ __all__ = ["EmbeddingCache"]
 class EmbeddingCache:
     """A bounded LRU mapping cache keys to float64 scores.
 
-    Keys are arbitrary hashables: the in-library scoring hook
-    (:meth:`repro.core.scoring.ContrastScorer.with_score_cache`) uses
-    bare content digests, the scoring server uses
+    Keys are arbitrary hashables; the scoring server
+    (:class:`repro.serve.ScoringServer`) uses
     ``(content_digest, model_version)`` tuples.  Single-event-loop /
     single-thread use; no locking.
 
@@ -90,11 +89,10 @@ class EmbeddingCache:
         """Drop every version-qualified entry not at a live version.
 
         An entry is version-qualified when its key is a
-        ``(digest, version)`` tuple; bare-digest entries (the in-library
-        hook's keys) are always dropped, since they are only meaningful
-        for one frozen model.  Returns the number of entries removed.
-        The server calls this on every model publish, so entries of
-        pruned versions can never serve again.
+        ``(digest, version)`` tuple; any other key is always dropped,
+        since it names no model version.  Returns the number of entries
+        removed.  The server calls this on every model publish, so
+        entries of pruned versions can never serve again.
         """
         live = set(live_versions)
         stale = [

@@ -4,8 +4,8 @@ A :class:`ModelRegistry` holds immutable snapshots of "the model" —
 the ``encoder/*`` + ``projector/*`` arrays of a
 :meth:`repro.session.Session.state_dict` learner payload, the same
 slice the fleet engine aggregates and broadcasts
-(:data:`repro.fleet.MODEL_PREFIXES`) — under monotonically increasing
-integer versions:
+(:data:`repro.core.framework.MODEL_PREFIXES`) — under monotonically
+increasing integer versions:
 
 * :meth:`publish` snapshots a new version and advances the *current*
   pointer (what unpinned devices are served with);
@@ -25,20 +25,13 @@ in, and mutating a served model state never corrupts the registry.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
+from repro.core.framework import MODEL_PREFIXES, model_slice
+
 __all__ = ["ModelRegistry"]
-
-
-def _model_prefixes() -> Tuple[str, ...]:
-    # Imported lazily: repro.fleet.coordinator pulls in the experiments
-    # package, which imports repro.serve — a top-level import here
-    # would cycle when repro.serve is imported first.
-    from repro.fleet.coordinator import MODEL_PREFIXES
-
-    return MODEL_PREFIXES
 
 
 class ModelRegistry:
@@ -79,12 +72,11 @@ class ModelRegistry:
         """
         if not model_state:
             raise ValueError("model_state is empty: nothing to publish")
-        prefixes = _model_prefixes()
         for key in model_state:
-            if not key.startswith(prefixes):
+            if not key.startswith(MODEL_PREFIXES):
                 raise ValueError(
                     f"model_state key {key!r} lacks the model prefixes "
-                    f"{'/'.join(prefixes)} — pass the encoder/projector "
+                    f"{'/'.join(MODEL_PREFIXES)} — pass the encoder/projector "
                     "slice only (see publish_session)"
                 )
         version = self._next
@@ -106,16 +98,7 @@ class ModelRegistry:
         ``encoder/*`` + ``projector/*`` arrays — optimizer moments,
         buffer contents, and counters stay out of the serving tier.
         """
-        learner = session.state_dict()["learner"]
-        prefixes = _model_prefixes()
-        return self.publish(
-            {
-                key: value
-                for key, value in learner.items()
-                if key.startswith(prefixes)
-            },
-            source=source,
-        )
+        return self.publish(model_slice(session.state_dict()["learner"]), source=source)
 
     def attach(self, coordinator: Any, *, source: str = "fleet-broadcast") -> None:
         """Publish every synchronizing broadcast of ``coordinator``.

@@ -52,6 +52,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.core.framework import load_model_slice
 from repro.core.scoring import ContrastScorer, content_hash
 from repro.obs import metrics as process_metrics
 from repro.obs import metrics_enabled
@@ -539,20 +540,8 @@ class ScoringServer:
         """Load ``version`` into the scorer's modules (skip when loaded)."""
         if version == self._loaded_version:
             return
-        state = self.models.state_view(version)
-        self.scorer.encoder.load_state_dict(
-            {
-                key[len("encoder/") :]: value
-                for key, value in state.items()
-                if key.startswith("encoder/")
-            }
-        )
-        self.scorer.projector.load_state_dict(
-            {
-                key[len("projector/") :]: value
-                for key, value in state.items()
-                if key.startswith("projector/")
-            }
+        load_model_slice(
+            self.models.state_view(version), self.scorer.encoder, self.scorer.projector
         )
         self._loaded_version = version
 

@@ -32,8 +32,6 @@ Example
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
@@ -47,6 +45,7 @@ from repro.data.scenarios import StreamSource, canonical_scenario, create_scenar
 from repro.metrics.curves import LearningCurve
 from repro.nn.backend import use_backend
 from repro.nn.projection import ProjectionHead
+from repro.nn.serialization import check_version, read_checkpoint, save_state, strip_prefix
 from repro.obs import metrics, metrics_enabled, use_metrics
 from repro.obs.trace import set_clock, trace_span
 from repro.registry import AUGMENTS, ENCODERS, POLICIES, create_policy
@@ -435,6 +434,14 @@ class Session:
         stop_after:
             Stop after this many iterations *of this call* (used with
             checkpointing to split a run; None = run to completion).
+            Checked before anything is built, so a rejected value
+            keeps a pending resume.
+
+        Every call builds fresh components: unless a resume is pending
+        (:meth:`resume`, :meth:`from_state_dict`), a second call on
+        the same session starts the run over from step 0.  To continue
+        a stopped run, resume from its state:
+        ``Session.from_state_dict(session.state_dict()).run()``.
 
         The fresh-run path performs exactly the same sequence of RNG
         draws and model updates as the legacy
@@ -448,6 +455,8 @@ class Session:
         cross the wire to parallel-sweep workers and survive in
         checkpoints.
         """
+        if stop_after is not None and stop_after < 0:
+            raise ValueError(f"stop_after must be >= 0, got {stop_after}")
         with use_backend(self.config.backend), use_metrics(self.config.obs):
             return self._run(stop_after)
 
@@ -560,9 +569,6 @@ class Session:
         elif self._initial_learner is not None:
             learner.load_state_dict({**learner.state_dict(), **self._initial_learner})
             self._initial_learner = None
-
-        if stop_after is not None and stop_after < 0:
-            raise ValueError(f"stop_after must be >= 0, got {stop_after}")
 
         # Hot-path instrumentation (repro.obs): resolve every instrument
         # once, outside the loop, so the per-step cost when enabled is a
@@ -729,12 +735,7 @@ class Session:
         original run bitwise-identically.
         """
         meta = state["meta"]
-        version = meta.get("version")
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(
-                f"unsupported checkpoint version {version!r} "
-                f"(this build reads version {CHECKPOINT_VERSION})"
-            )
+        check_version(meta, CHECKPOINT_VERSION, "Session checkpoint")
         self.config = config_from_dict(meta["config"])
         self._policy_name = meta["policy"]
         self._eval_points = int(meta["eval_points"])
@@ -755,20 +756,16 @@ class Session:
         """A fresh session continuing the run captured by
         :meth:`state_dict` (the in-memory analogue of :meth:`resume`)."""
         meta = state["meta"]
-        version = meta.get("version")
-        if version != CHECKPOINT_VERSION:
-            # Checked before the config parse: an incompatible layout
-            # must fail with the version message, not a config error.
-            raise ValueError(
-                f"unsupported checkpoint version {version!r} "
-                f"(this build reads version {CHECKPOINT_VERSION})"
-            )
+        # Checked before the config parse: an incompatible layout must
+        # fail with the version message, not a config error.
+        check_version(meta, CHECKPOINT_VERSION, "Session checkpoint")
         session = cls(config_from_dict(meta["config"]), policy=meta["policy"])
         session.load_state_dict(state)
         return session
 
     def save_checkpoint(self, path: Optional[str] = None) -> str:
-        """Write the live run state to ``path`` (a single ``.npz``).
+        """Write the live run state to ``path`` (a single ``.npz``; the
+        suffix is appended when missing).
 
         Only meaningful during or after :meth:`run` (the learner must
         exist).  Returns the path written.
@@ -776,32 +773,21 @@ class Session:
         path = path if path is not None else self._checkpoint_path
         if path is None:
             raise ValueError("no checkpoint path: pass one or use with_checkpointing")
-        if not path.endswith(".npz"):
-            path += ".npz"  # np.savez would append it silently otherwise
         state = self.state_dict()
-        arrays = {
-            f"learner/{key}": value for key, value in state["learner"].items()
-        }
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-        np.savez(path, meta=np.array(json.dumps(state["meta"])), **arrays)
-        return path
+        arrays = {f"learner/{key}": value for key, value in state["learner"].items()}
+        return save_state(arrays, path, meta=state["meta"])
 
     @classmethod
     def resume(cls, path: str) -> "Session":
         """Rebuild a session from a checkpoint written by
         :meth:`save_checkpoint`; its :meth:`run` continues the original
-        run and produces bitwise-identical step statistics."""
-        if not path.endswith(".npz"):
-            path += ".npz"  # mirror save_checkpoint's normalization
-        with np.load(path, allow_pickle=False) as archive:
-            meta = json.loads(str(archive["meta"]))
-            arrays = {
-                key[len("learner/") :]: archive[key].copy()
-                for key in archive.files
-                if key.startswith("learner/")
-            }
-        session = cls.from_state_dict({"meta": meta, "learner": arrays})
+        run and produces bitwise-identical step statistics.  A defective
+        file raises one :class:`ValueError` naming ``path``
+        (:func:`repro.nn.serialization.read_checkpoint`)."""
+        meta, arrays = read_checkpoint(
+            path, kind="Session checkpoint", version=CHECKPOINT_VERSION, fields=("policy",)
+        )
+        session = cls.from_state_dict({"meta": meta, "learner": strip_prefix(arrays, "learner/")})
         session._checkpoint_path = path
         return session
 

@@ -175,23 +175,29 @@ class TestVectorizedScorerRegression:
     def test_loop_empty_batch(self, scorer):
         assert scorer.score_loop(np.zeros((0, 3, 8, 8), dtype=np.float32)).shape == (0,)
 
-    def test_score_many_matches_separate_calls(self, scorer, rng):
+    def test_score_batches_matches_separate_calls(self, scorer, rng):
+        from repro.core.scoring import score_batches
+
         a = rng.uniform(0, 1, size=(5, 3, 8, 8)).astype(np.float32)
         b = rng.uniform(0, 1, size=(7, 3, 8, 8)).astype(np.float32)
-        fused_a, fused_b = scorer.score_many([a, b])
+        fused_a, fused_b = score_batches(scorer, [a, b])
         np.testing.assert_allclose(fused_a, scorer.score(a), atol=1e-6)
         np.testing.assert_allclose(fused_b, scorer.score(b), atol=1e-6)
 
-    def test_score_many_empty_batches(self, scorer, rng):
+    def test_score_batches_empty_batches(self, scorer, rng):
+        from repro.core.scoring import score_batches
+
         a = rng.uniform(0, 1, size=(4, 3, 8, 8)).astype(np.float32)
         empty = a[:0]
-        e1, scores, e2 = scorer.score_many([empty, a, empty])
+        e1, scores, e2 = score_batches(scorer, [empty, a, empty])
         assert e1.shape == (0,) and e2.shape == (0,)
         np.testing.assert_allclose(scores, scorer.score(a), atol=1e-6)
 
-    def test_score_many_all_empty(self, scorer):
+    def test_score_batches_all_empty(self, scorer):
+        from repro.core.scoring import score_batches
+
         empty = np.zeros((0, 3, 8, 8), dtype=np.float32)
-        out = scorer.score_many([empty, empty])
+        out = score_batches(scorer, [empty, empty])
         assert [s.shape for s in out] == [(0,), (0,)]
 
 
@@ -223,8 +229,8 @@ class TestScoreBatchesFallback:
 
 
 class TestScoreBatchesFusedFallback:
-    """Satellite fix: duck-typed scorers without score_many get a single
-    concatenated forward when the batch shapes match."""
+    """Scorers that only implement ``score`` get a single concatenated
+    forward when the batch shapes match."""
 
     class CountingStub:
         def __init__(self):
@@ -320,38 +326,3 @@ class TestContentHash:
         assert content_hash(flipped) == content_hash(
             np.ascontiguousarray(flipped)
         )
-
-
-class TestScorerCacheHook:
-    def test_cache_hit_is_bitwise_identical_to_miss(self, scorer, images):
-        from repro.serve import EmbeddingCache
-
-        cache = EmbeddingCache()
-        scorer.with_score_cache(cache)
-        cold = scorer.score(images)
-        warm = scorer.score(images)
-        assert cold.tobytes() == warm.tobytes()  # bitwise, not approx
-        assert cache.hits == len(images)
-
-    def test_cached_matches_uncached_exactly(self, scorer, images):
-        from repro.serve import EmbeddingCache
-
-        plain = scorer.score(images)
-        scorer.with_score_cache(EmbeddingCache())
-        cached = scorer.score(images)
-        assert plain.tobytes() == cached.tobytes()
-
-    def test_duplicate_rows_forward_once(self, scorer, images):
-        from repro.serve import EmbeddingCache
-
-        cache = EmbeddingCache()
-        scorer.with_score_cache(cache)
-        batch = np.concatenate([images[:2], images[:2].copy()])
-        scores = scorer.score(batch)
-        np.testing.assert_array_equal(scores[:2], scores[2:])
-        assert len(cache) == 2
-
-    def test_with_score_cache_returns_scorer(self, scorer):
-        from repro.serve import EmbeddingCache
-
-        assert scorer.with_score_cache(EmbeddingCache()) is scorer

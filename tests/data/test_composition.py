@@ -9,7 +9,6 @@ from repro.data.composition import (
     CompositionSyntaxError,
     ScenarioExpr,
     format_scenario,
-    is_composition,
     parse_scenario,
 )
 
@@ -120,16 +119,3 @@ class TestSyntaxErrors:
         message = str(excinfo.value)
         assert "invalid scenario composition 'corrupted(bursty('" in message
         assert "at position 17" in message
-
-
-class TestIsComposition:
-    @pytest.mark.parametrize("text", ["temporal", "cyclic-drift", " bursty "])
-    def test_plain_names(self, text):
-        assert not is_composition(text)
-
-    @pytest.mark.parametrize(
-        "text",
-        ["corrupted(bursty)", "imbalanced(imbalance=0.1)", "a,b", "x=1"],
-    )
-    def test_composition_syntax(self, text):
-        assert is_composition(text)

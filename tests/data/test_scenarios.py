@@ -2,6 +2,8 @@
 StreamSource protocol, per-scenario generative behavior, label
 isolation, eager validation, and state round trips."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -224,12 +226,29 @@ class TestScenarioProcesses:
         with pytest.raises(ValueError, match="imbalance"):
             ImbalancedStream(dataset, 4, rng, imbalance=2.0)
 
-    def test_corrupted_cannot_wrap_itself(self, dataset):
-        with pytest.raises(ValueError, match="cannot wrap itself"):
-            make("corrupted", dataset, base="noisy")
+    @pytest.mark.parametrize("wrapper", ["corrupted", "label-shift", "adversarial"])
+    def test_wrapper_named_alone_wraps_temporal(self, dataset, wrapper):
+        """Nothing in parentheses means ``temporal``: the same segments,
+        stream state and driving-RNG state as the spelled-out form."""
+
+        def run(name):
+            rng = np.random.default_rng(0)
+            source = create_scenario(name, dataset=dataset, stc=4, rng=rng, total_samples=64)
+            segments = [(s.images.tobytes(), s.labels.tobytes()) for s in source.segments(8, 64)]
+            state = json.dumps(source.state_dict(), sort_keys=True, default=repr)
+            return source, segments, state, rng.bit_generator.state
+
+        alone, *rest = run(wrapper)
+        spelled, *spelled_rest = run(f"{wrapper}(temporal)")
+        assert isinstance(alone.base, TemporalStream)
+        assert rest == spelled_rest
+
+    def test_wrapper_takes_no_base_option(self, dataset):
+        with pytest.raises(TypeError, match="does not accept option.*base"):
+            make("corrupted", dataset, base="drift")
 
     def test_corrupted_composes_over_drift(self, dataset):
-        source = make("corrupted", dataset, base="drift", num_phases=2)
+        source = make("corrupted(drift(num_phases=2))", dataset)
         assert isinstance(source, CorruptedStream)
         assert isinstance(source.base, DriftStream)
         labels = np.concatenate([s.labels for s in source.segments(8, 32)])

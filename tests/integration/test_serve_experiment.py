@@ -1,6 +1,7 @@
 """The `serve` experiment harness: passes, invariants, fingerprints,
 the config-carried serve-policy field, and the CLI subcommand."""
 
+import numpy as np
 import pytest
 
 from repro.cli import main
@@ -48,6 +49,26 @@ class TestRunServe:
         # after the bump: device-0 pinned to v1, device-1 on current v2
         assert {d.model_version for d in second if d.device_id == "device-0"} == {1}
         assert {d.model_version for d in second if d.device_id == "device-1"} == {2}
+
+    def test_mid_stream_version_is_a_further_trained_model(
+        self, tiny_config, monkeypatch
+    ):
+        """v2 continues v1's training run: it is not the warm-up model
+        retrained from step 0 (which would equal v1 array for array)."""
+        from repro.serve import ModelRegistry
+
+        published = []
+        publish = ModelRegistry.publish
+
+        def record(self, model_state, **kwargs):
+            published.append({k: np.array(v) for k, v in model_state.items()})
+            return publish(self, model_state, **kwargs)
+
+        monkeypatch.setattr(ModelRegistry, "publish", record)
+        run_serve(tiny_config, requests=8, devices=2, train_iterations=4)
+        v1, v2 = published
+        assert v1.keys() == v2.keys()
+        assert any(not np.array_equal(v1[key], v2[key]) for key in v1)
 
     def test_tcp_transport_adds_the_echo_pass(self, tiny_config):
         result = run_serve(

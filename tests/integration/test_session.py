@@ -318,6 +318,35 @@ class TestCheckpointResume:
         with pytest.raises(ValueError, match="stop_after"):
             Session(tiny_config, "fifo").run(stop_after=-1)
 
+    def test_rejected_stop_after_keeps_pending_resume(self, tiny_config, tmp_path):
+        """A rejected ``stop_after`` is checked before anything is built,
+        so the pending resume (and initial learner) survive it."""
+        from repro.experiments.parallel import result_fingerprint
+
+        full_steps, steps = [], []
+        full = (
+            Session(tiny_config, "fifo")
+            .with_eval_points(1)
+            .on_step(lambda learner, stats: full_steps.append(stats.iteration))
+            .run()
+        )
+        part = Session(tiny_config, "fifo").with_eval_points(1)
+        part.run(stop_after=2)
+        resumed = Session.resume(part.save_checkpoint(str(tmp_path / "ckpt")))
+        with pytest.raises(ValueError, match="stop_after"):
+            resumed.run(stop_after=-1)
+        result = resumed.on_step(lambda learner, stats: steps.append(stats.iteration)).run()
+        assert steps == full_steps[2:]
+        assert result_fingerprint(result) == result_fingerprint(full)
+
+        given = part.state_dict()["learner"]
+        fresh = Session(tiny_config, "fifo").with_eval_points(1).with_initial_learner(given)
+        with pytest.raises(ValueError, match="stop_after"):
+            fresh.run(stop_after=-1)
+        fresh.run(stop_after=0)
+        adopted = fresh.learner.state_dict()
+        assert all(adopted[key].tobytes() == value.tobytes() for key, value in given.items())
+
     def test_checkpoint_before_run_rejected(self, tiny_config, tmp_path):
         session = Session(tiny_config, "fifo")
         with pytest.raises(RuntimeError, match="run\\(\\) has not started"):

@@ -31,7 +31,6 @@ class _StubScorer:
     def __init__(self):
         self.encoder = _StubModule()
         self.projector = _StubModule()
-        self.score_cache = None
 
     def score(self, images):
         return np.clip(

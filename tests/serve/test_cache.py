@@ -101,8 +101,8 @@ class TestInvalidation:
         assert cache.invalidations == 2
 
     def test_bare_digest_keys_always_dropped(self):
-        # The in-library hook's keys carry no version: only meaningful
-        # for one frozen model, so any publish drops them.
+        # A key without a version names no model, so any publish
+        # drops it.
         cache = EmbeddingCache()
         cache.put("bare-digest", 0.5)
         cache.put(("d", 1), 0.6)

@@ -57,7 +57,6 @@ BACKTICKED_RE = re.compile(r"`([a-z0-9]+(?:-[a-z0-9]+)*)`")
 METRIC_NAME_RE = re.compile(r"`([a-z]+(?:\.[a-z0-9_]+)+)`")
 SECTION_RE = re.compile(r"^## `([a-z0-9-]+)`", re.M)
 CLI_LIST_RE = re.compile(r"<!--\s*cli:list\s*-->\s*```text\n(.*?)```", re.S)
-SCENARIO_SECTION_RE = SECTION_RE  # kept: pre-fleet name of the pattern
 
 
 def parse_inventories(text: str) -> Dict[str, Set[str]]:
