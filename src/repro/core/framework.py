@@ -146,12 +146,26 @@ class OnDeviceContrastiveLearner:
 
     # ------------------------------------------------------------------
     def process_segment(self, segment: StreamSegment) -> StepStats:
-        """One framework iteration: replace buffer data, then train once."""
+        """One framework iteration: replace buffer data, then train once.
+
+        A segment holding any NaN or infinite value raises
+        :class:`ValueError` (naming the iteration and the count) before
+        the policy or the buffer sees it.
+        """
         incoming = segment.images
         if incoming.ndim != 4 or incoming.shape[0] == 0:
             raise ValueError(
                 f"segment must be a non-empty NCHW batch, got shape "
                 f"{segment.images.shape}"
+            )
+        # One NaN pixel would reach every parameter within a few steps,
+        # while ReLU (NaN -> 0) keeps the reported loss finite.
+        finite = np.isfinite(incoming)
+        if not finite.all():
+            raise ValueError(
+                f"segment at iteration {self.iteration} holds "
+                f"{finite.size - np.count_nonzero(finite)} non-finite values "
+                "(NaN or inf)"
             )
 
         # --- 1. data replacement (labels hidden from the policy) -------

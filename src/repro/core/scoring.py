@@ -145,10 +145,10 @@ class ContrastScorer:
 
         Vectorized: ``x`` and ``x+`` are stacked into one batch (legal
         because eval-mode batch norm makes every row independent of its
-        batch-mates) and the similarity ``z^T z+`` is one einsum over
-        the projection matrix, so the cost is a batched GEMM pipeline
-        instead of per-sample or per-view Python loops.  The stacked
-        batch still chunks at ``max_batch`` rows inside
+        batch-mates) and the similarity ``z^T z+`` is one stacked matmul
+        over the projection matrix, so the cost is a batched GEMM
+        pipeline instead of per-sample or per-view Python loops.  The
+        stacked batch still chunks at ``max_batch`` rows inside
         :meth:`project`, so pools beyond ``max_batch / 2`` images run
         several forwards (bounded peak memory), just never per-sample.
         """
@@ -157,7 +157,9 @@ class ContrastScorer:
             return np.zeros(0, dtype=np.float64)
         stacked = np.concatenate([images, self.view_fn(images)], axis=0)
         z = self.project(stacked)
-        scores = 1.0 - get_backend().einsum("nd,nd->n", z[:n], z[n:])
+        # Row-wise dot products as one stacked (1, d) @ (d, 1) matmul; the
+        # scorer fingerprint pins its bits.
+        scores = 1.0 - np.matmul(z[:n, None, :], z[n:, :, None]).reshape(n)
         # Scores are float64 vectors regardless of the backend's scoring
         # dtype (the buffer stores float64); the cast is N scalars.
         return np.clip(scores, 0.0, 2.0).astype(np.float64, copy=False)

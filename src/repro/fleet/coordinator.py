@@ -97,7 +97,13 @@ from repro.fleet.faults import FaultPlan
 from repro.fleet.sampling import ClientSampler, create_client_sampler
 from repro.fleet.spec import DeviceSpec, FleetConfig
 from repro.nn.backend import use_backend
-from repro.nn.serialization import check_version, read_checkpoint, save_state, strip_prefix
+from repro.nn.serialization import (
+    check_json,
+    check_version,
+    read_checkpoint,
+    save_state,
+    strip_prefix,
+)
 from repro.obs import (
     absorb_worker_telemetry,
     collect_worker_telemetry,
@@ -119,6 +125,9 @@ from repro.session import (
     _nan_if_none,
     _none_if_nan,
     build_components,
+    check_generator_state,
+    check_session_meta,
+    checked_config,
     config_from_dict,
     config_to_dict,
 )
@@ -143,6 +152,89 @@ _BUDGET_LAZY_LADDER: Tuple[Optional[int], ...] = (None, 2, 4, 8, 16, 32, 64)
 #: Per-process coordinator counter: makes delta channels unique across
 #: coordinator instances that share the persistent worker pool.
 _FLEET_COUNTER = itertools.count()
+
+
+#: The JSON shape of a fleet checkpoint's ``meta``
+#: (:meth:`FleetCoordinator.state_dict`; see
+#: :func:`repro.nn.serialization.check_json`).  Checkpoints that predate
+#: the population fields lack the ``?`` entries.
+_FLEET_META = {
+    "config": "an object",
+    "eval_points": "an integer",
+    "label_fraction": "a number",
+    "round": "an integer",
+    "seen": ["an integer"],
+    "history": [
+        {
+            "round_index": "an integer",
+            "devices": [
+                {
+                    "device": "a string",
+                    "knn_accuracy": "a number",
+                    "buffer_diversity": "a number",
+                    "samples": "an integer",
+                    "loss": ("a number", None),
+                }
+            ],
+            "global_knn_accuracy": ("a number", None),
+            "synchronized": "a boolean",
+            "participants?": (["an integer"], None),
+            "dropped?": (["an integer"], None),
+            "late?": (["an integer"], None),
+        }
+    ],
+    "device_results": [("an object", None)],
+    "device_meta": [("an object", None)],
+    "has_global": "a boolean",
+    "global_version?": "an integer",
+    "pending?": [
+        {
+            "device": "a string",
+            "device_index": "an integer",
+            "weight": "a number",
+            "knn_accuracy": "a number",
+            "dispatch_version": "an integer",
+            "dispatch_round": "an integer",
+            "arrival_round": "an integer",
+        }
+    ],
+    "sampler?": ({"rng": "an object", "state": "an object"}, None),
+}
+
+
+def _check_fleet_meta(meta: Dict[str, Any]) -> None:
+    """Raise :class:`ValueError` naming the first value of a fleet
+    checkpoint's ``meta`` that a resumed run cannot use: a missing
+    entry, a value of the wrong JSON kind, a config without a fleet or
+    one :func:`~repro.session.checked_config` rejects, an out-of-range
+    count or device index, a per-device list whose length is not the
+    roster's, a device state :func:`~repro.session.check_session_meta`
+    rejects, or a sampler generator state numpy rejects."""
+    check_json(meta, _FLEET_META)
+    config = checked_config(meta["config"], "meta['config']")
+    if config.fleet is None:
+        raise ValueError("meta['config'] has no fleet")
+    if meta["eval_points"] < 1:
+        raise ValueError(f"meta['eval_points'] must be >= 1, got {meta['eval_points']}")
+    if not 0.0 < meta["label_fraction"] <= 1.0:
+        raise ValueError(
+            f"meta['label_fraction'] must be in (0, 1], got {meta['label_fraction']}"
+        )
+    num = len(config.fleet.devices)
+    for name in ("seen", "device_results", "device_meta"):
+        if len(meta[name]) != num:
+            raise ValueError(f"meta[{name!r}] has {len(meta[name])} entries for {num} devices")
+    for index, device_meta in enumerate(meta["device_meta"]):
+        if device_meta is not None:
+            check_session_meta(device_meta, f"meta['device_meta'][{index}]")
+    for index, entry in enumerate(meta.get("pending", ())):
+        if not 0 <= entry["device_index"] < num:
+            raise ValueError(
+                f"meta['pending'][{index}]['device_index'] is {entry['device_index']}, "
+                f"not one of the {num} devices"
+            )
+    if meta.get("sampler") is not None:
+        check_generator_state(meta["sampler"]["rng"], "meta['sampler']['rng']")
 
 
 def _device_round_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -1340,13 +1432,16 @@ class FleetCoordinator:
         state, so they are chosen fresh at resume time (neither
         parallelism nor the transport codec ever changes results).  A
         defective file raises one :class:`ValueError` naming ``path``
-        (:func:`repro.nn.serialization.read_checkpoint`).
+        (:func:`repro.nn.serialization.read_checkpoint`), and so does a
+        ``meta`` value the fleet's own check rejects (each device's
+        state is checked as a Session checkpoint's ``meta``).
         """
         meta, arrays = read_checkpoint(
             path,
             kind="fleet checkpoint",
             version=FLEET_CHECKPOINT_VERSION,
             fields=("device_meta",),
+            check=_check_fleet_meta,
         )
         coordinator = cls(
             config_from_dict(meta["config"]),

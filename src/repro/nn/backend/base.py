@@ -16,9 +16,8 @@ Protocol surface (see the method groups on :class:`ArrayBackend`):
   ``zeros_like``;
 * **elementwise** — arithmetic, transcendentals, ``maximum`` /
   ``where`` / ``clip`` / ``relu``;
-* **reduction** — ``sum`` / ``mean`` / ``max`` / ``var``;
-* **linear algebra** — ``matmul`` (with optional ``out=``) and
-  ``einsum``;
+* **reduction** — ``sum`` / ``mean`` / ``max``;
+* **linear algebra** — ``matmul`` (with optional ``out=``);
 * **im2col gather/scatter** — ``im2col`` / ``col2im``, with a
   ``grad_free`` flag that lets the backend substitute workspace-backed
   scratch for gradient-free forwards;
@@ -194,15 +193,9 @@ class ArrayBackend:
     def max(self, x: np.ndarray, axis=None, keepdims: bool = False) -> np.ndarray:
         return x.max(axis=axis, keepdims=keepdims)
 
-    def var(self, x: np.ndarray, axis=None, keepdims: bool = False) -> np.ndarray:
-        return x.var(axis=axis, keepdims=keepdims)
-
     # -- linear algebra -------------------------------------------------
     def matmul(self, a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         return np.matmul(a, b, out=out) if out is not None else a @ b
-
-    def einsum(self, subscripts: str, *operands: np.ndarray) -> np.ndarray:
-        return np.einsum(subscripts, *operands, optimize=True)
 
     # -- im2col gather / scatter ----------------------------------------
     def im2col(

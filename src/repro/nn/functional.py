@@ -120,7 +120,9 @@ def conv2d(
             gcols = backend.matmul(g_nhwc, w_mat)  # (N, oh, ow, C*kh*kw)
             gx = backend.col2im(gcols, x.shape, (kh, kw), stride, padding)
         if weight.requires_grad:
-            gw_mat = backend.einsum("nijf,nijk->fk", g_nhwc, cols)
+            # One 2-D GEMM, (N*oh*ow, C_out)ᵀ @ (N*oh*ow, K): this operand
+            # layout fixes the gradient's bits, which the fingerprints pin.
+            gw_mat = g_nhwc.reshape(-1, c_out).T @ cols.reshape(-1, cols.shape[-1])
             gw = gw_mat.reshape(weight.shape)
         if bias is not None and bias.requires_grad:
             gb = g_nhwc.sum(axis=(0, 1, 2))

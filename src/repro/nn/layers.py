@@ -319,7 +319,10 @@ class BatchNorm2d(Module):
         if self.training:
             backend = backend_mod.get_backend()
             mean = backend.mean(x.data, axis=(0, 2, 3))
-            var = backend.var(x.data, axis=(0, 2, 3))
+            # The batch, centered once, feeds both the variance (bitwise
+            # ``x.var``, which centers on the same mean) and ``x_hat``.
+            centered = x.data - mean.reshape(1, -1, 1, 1)
+            var = backend.mean(centered * centered, axis=(0, 2, 3))
             n = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
             # Unbiased variance for the running estimate (PyTorch convention).
             unbiased = var * n / max(n - 1, 1)
@@ -331,18 +334,17 @@ class BatchNorm2d(Module):
                 (1 - self.momentum) * self._buffers["running_var"]
                 + self.momentum * unbiased
             ).astype(np.float32)
-            return self._normalize_train(x, mean, var)
+            return self._normalize_train(x, centered, var)
         return self._normalize_eval(x)
 
-    def _normalize_train(self, x: Tensor, mean: np.ndarray, var: np.ndarray) -> Tensor:
-        """Batch-stat normalization with the full BN backward."""
+    def _normalize_train(self, x: Tensor, centered: np.ndarray, var: np.ndarray) -> Tensor:
+        """Batch-stat normalization of the centered batch with the full BN backward."""
         from repro.nn.functional import _make_op  # local import avoids cycle at load
 
         eps = self.eps
-        mu = mean.reshape(1, -1, 1, 1)
         v = var.reshape(1, -1, 1, 1)
         inv_std = 1.0 / np.sqrt(v + eps)
-        x_hat = (x.data - mu) * inv_std
+        x_hat = centered * inv_std
         gamma, beta = self.gamma, self.beta
         out = x_hat * gamma.data.reshape(1, -1, 1, 1) + beta.data.reshape(1, -1, 1, 1)
         n = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]

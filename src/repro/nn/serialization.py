@@ -5,7 +5,9 @@
 :meth:`repro.fleet.FleetCoordinator.save_checkpoint` store a JSON
 ``meta`` entry (a 0-d string array) beside their prefixed arrays.  A
 checkpoint is outside bytes, so :func:`read_checkpoint` turns every
-defect of the file into one :class:`ValueError` that names the path.
+defect of the file, and every ``meta`` value its ``check`` rejects, into
+one :class:`ValueError` that names the path; :func:`check_json` checks
+a ``meta`` value against the JSON shape its reader expects.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import json
 import os
 import zipfile
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, TypeVar
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -25,6 +27,7 @@ __all__ = [
     "save_module",
     "load_module",
     "read_checkpoint",
+    "check_json",
     "check_version",
     "strip_prefix",
 ]
@@ -49,6 +52,68 @@ def strip_prefix(state: Mapping[str, _T], prefix: str) -> Dict[str, _T]:
     return {
         key[len(prefix) :]: value for key, value in state.items() if key.startswith(prefix)
     }
+
+
+#: The JSON kinds :func:`check_json` names, with the test for each.
+_KINDS = {
+    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "a number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "a string": lambda v: isinstance(v, str),
+    "a boolean": lambda v: isinstance(v, bool),
+    "an object": lambda v: isinstance(v, dict),
+}
+
+
+def _describe(shape: Any) -> str:
+    if shape is None:
+        return "null"
+    if isinstance(shape, tuple):
+        return " or ".join(_describe(alternative) for alternative in shape)
+    if isinstance(shape, list):
+        return "a list"
+    return shape if isinstance(shape, str) else "an object"
+
+
+def _fits(value: Any, shape: Any) -> bool:
+    """Whether ``value`` is of ``shape``'s outermost kind."""
+    if isinstance(shape, tuple):
+        return any(_fits(value, alternative) for alternative in shape)
+    if shape is None:
+        return value is None
+    if isinstance(shape, list):
+        return isinstance(value, list)
+    return _KINDS["an object" if isinstance(shape, dict) else shape](value)
+
+
+def _brief(value: Any) -> str:
+    text = json.dumps(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
+def check_json(value: Any, shape: Any, where: str = "meta") -> None:
+    """Raise :class:`ValueError` naming ``where`` unless ``value`` has ``shape``.
+
+    A shape is one of the kind names ``"an integer"``, ``"a number"``
+    (integers too), ``"a string"``, ``"a boolean"`` and ``"an object"``;
+    ``None`` for null; a tuple of alternative shapes; a one-item list
+    ``[item]`` for a list of such items; or a dict ``{key: shape}`` for
+    an object with those entries, where a key ending in ``?`` may be
+    absent.  The first alternative whose outermost kind fits decides.
+    """
+    if isinstance(shape, tuple):
+        shape = next((alt for alt in shape if _fits(value, alt)), shape)
+    if not _fits(value, shape):
+        raise ValueError(f"{where} is {_brief(value)}, not {_describe(shape)}")
+    if isinstance(shape, list):
+        for index, item in enumerate(value):
+            check_json(item, shape[0], f"{where}[{index}]")
+    elif isinstance(shape, dict):
+        for key, inner in shape.items():
+            name = key.rstrip("?")
+            if name in value:
+                check_json(value[name], inner, f"{where}[{name!r}]")
+            elif not key.endswith("?"):
+                raise ValueError(f"{where} lacks {name!r}")
 
 
 def check_version(meta: Mapping[str, Any], version: int, kind: str) -> None:
@@ -94,13 +159,20 @@ def load_state(path: str) -> Dict[str, np.ndarray]:
 
 
 def read_checkpoint(
-    path: str, *, kind: str, version: int, fields: Sequence[str]
+    path: str,
+    *,
+    kind: str,
+    version: int,
+    fields: Sequence[str],
+    check: Optional[Callable[[Dict[str, Any]], None]] = None,
 ) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
     """The ``(meta, arrays)`` of a checkpoint written with a ``meta``.
 
     Checks the file, the ``meta`` entry (a JSON object), ``version``,
     and that ``meta`` has ``fields`` — the entries only a ``kind``
     checkpoint writes, so another kind of checkpoint is named as such.
+    Then ``check(meta)``, which raises :class:`ValueError` on a value
+    the reader cannot use, names that value.
     """
     path = _npz_path(path)
     arrays = load_state(path)
@@ -119,6 +191,11 @@ def read_checkpoint(
     missing = [name for name in fields if name not in meta]
     if missing:
         raise _unreadable(path, f"not a {kind}: 'meta' lacks {', '.join(map(repr, missing))}")
+    if check is not None:
+        try:
+            check(meta)
+        except ValueError as error:
+            raise _unreadable(path, str(error)) from None
     return meta, arrays
 
 

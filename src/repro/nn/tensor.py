@@ -7,9 +7,13 @@ stands in for PyTorch.
 
 Design
 ------
-* A :class:`Tensor` wraps a ``numpy.ndarray`` (``data``) and, when
-  ``requires_grad`` is set, accumulates a gradient of the same shape in
-  ``grad`` during :meth:`Tensor.backward`.
+* A :class:`Tensor` wraps a ``numpy.ndarray`` (``data``).  Only a
+  *leaf* with ``requires_grad`` set — a tensor no op produced, such as
+  a parameter or an input created with ``requires_grad=True`` —
+  accumulates a gradient of the same shape in ``grad`` during
+  :meth:`Tensor.backward`.  Intermediate results pass their gradient on
+  to their inputs and keep ``grad`` as ``None``, as in PyTorch, so a
+  backward pass holds no activation-sized gradient per op.
 * Every differentiable operation builds a new ``Tensor`` holding a
   closure (``_backward``) that routes the output gradient to the
   operation's inputs.  ``backward()`` topologically sorts the graph and
@@ -108,8 +112,10 @@ class Tensor:
         pass an explicit numpy array to keep another float dtype (the
         test-suite uses ``float64`` for finite-difference checks).
     requires_grad:
-        Whether gradients should be accumulated into :attr:`grad` during
-        :meth:`backward`.
+        Whether gradients flow to this tensor during :meth:`backward`.
+        A leaf (a tensor no op produced) accumulates them into
+        :attr:`grad`; a result of an op routes them to its inputs and
+        its :attr:`grad` stays ``None``, as in PyTorch.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
@@ -201,7 +207,7 @@ class Tensor:
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
-        """Add ``grad`` into ``self.grad``, allocating on first use."""
+        """Add ``grad`` into a leaf's ``self.grad``, allocating on first use."""
         if not self.requires_grad:
             return
         if self.grad is None:
@@ -216,7 +222,8 @@ class Tensor:
 
         ``grad`` defaults to ones (i.e. ``d self / d self``); for
         non-scalar outputs an explicit seed gradient is usually what you
-        want.
+        want.  Gradients accumulate into the ``grad`` of the leaves the
+        graph reaches; no op result, this tensor included, gets one.
         """
         if not self.requires_grad:
             raise RuntimeError("backward() on a tensor that does not require grad")
@@ -239,8 +246,8 @@ class Tensor:
             node_grad = grads.pop(id(node), None)
             if node_grad is None:
                 continue
-            node._accumulate(node_grad)
             if node._backward is None:
+                node._accumulate(node_grad)
                 continue
             parent_grads = node._backward(node_grad)
             for parent, pgrad in zip(node._parents, parent_grads):

@@ -32,9 +32,11 @@ Example
 
 from __future__ import annotations
 
+import functools
 import time
-from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
+import typing
+from dataclasses import asdict, dataclass, field, fields
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -45,7 +47,13 @@ from repro.data.scenarios import StreamSource, canonical_scenario, create_scenar
 from repro.metrics.curves import LearningCurve
 from repro.nn.backend import use_backend
 from repro.nn.projection import ProjectionHead
-from repro.nn.serialization import check_version, read_checkpoint, save_state, strip_prefix
+from repro.nn.serialization import (
+    check_json,
+    check_version,
+    read_checkpoint,
+    save_state,
+    strip_prefix,
+)
 from repro.obs import metrics, metrics_enabled, use_metrics
 from repro.obs.trace import set_clock, trace_span
 from repro.registry import AUGMENTS, ENCODERS, POLICIES, create_policy
@@ -66,6 +74,9 @@ __all__ = [
     "build_components",
     "config_to_dict",
     "config_from_dict",
+    "checked_config",
+    "check_session_meta",
+    "check_generator_state",
 ]
 
 #: Bumped whenever the checkpoint layout changes incompatibly.
@@ -148,6 +159,119 @@ def config_from_dict(data: Dict[str, Any]) -> StreamExperimentConfig:
     if data.get("fleet") is not None:
         data["fleet"] = FleetConfig.from_dict(data["fleet"])
     return StreamExperimentConfig(**data)
+
+
+@functools.lru_cache(maxsize=None)
+def _config_shape() -> Dict[str, Any]:
+    """The JSON shape of :func:`config_to_dict` output (see
+    :func:`repro.nn.serialization.check_json`), read off the config's
+    field annotations; every field has a default, so each may be absent."""
+    from repro.experiments.config import StreamExperimentConfig
+    from repro.fleet.spec import FleetConfig
+
+    hints = typing.get_type_hints(StreamExperimentConfig, localns={"FleetConfig": FleetConfig})
+    kinds = {
+        int: "an integer",
+        float: "a number",
+        str: "a string",
+        bool: "a boolean",
+        Tuple[int, ...]: ["an integer"],
+        FleetConfig: "an object",
+    }
+    shape: Dict[str, Any] = {}
+    for config_field in fields(StreamExperimentConfig):
+        hint = hints[config_field.name]
+        args = typing.get_args(hint)
+        optional = type(None) in args
+        kind = kinds[args[0] if optional else hint]
+        shape[config_field.name + "?"] = (kind, None) if optional else kind
+    return shape
+
+
+def checked_config(data: Any, where: str) -> StreamExperimentConfig:
+    """:func:`config_from_dict` for outside bytes: an unknown field, a
+    value of the wrong JSON kind, or a value the config (or its fleet
+    spec) rejects raises one :class:`ValueError` naming ``where``."""
+    shape = _config_shape()
+    check_json(data, shape, where)
+    unknown = sorted(set(data) - {key.rstrip("?") for key in shape})
+    if unknown:
+        raise ValueError(f"{where} has unknown fields {', '.join(map(repr, unknown))}")
+    try:
+        return config_from_dict(data)
+    except (KeyError, TypeError, ValueError) as error:
+        detail = f"{type(error).__name__}: {error}"
+        raise ValueError(f"{where} is not a valid config ({detail})") from None
+
+
+def check_generator_state(state: Any, where: str) -> None:
+    """Raise :class:`ValueError` naming ``where`` unless ``state`` is a
+    PCG64 bit-generator state (what every generator here saves)."""
+    try:
+        np.random.PCG64(0).state = state
+    except (KeyError, TypeError, ValueError) as error:
+        detail = f"{type(error).__name__}: {error}"
+        raise ValueError(f"{where} is not a PCG64 state ({detail})") from None
+
+
+#: The JSON shape of a Session checkpoint's ``meta`` (:meth:`Session.state_dict`).
+_SESSION_META = {
+    "config": "an object",
+    "policy": "a string",
+    "eval_points": "an integer",
+    "label_fraction": "a number",
+    "lazy_interval": ("an integer", None),
+    "score_momentum": "a number",
+    "checkpoint_every?": ("an integer", None),
+    "injected_components?": "a boolean",
+    "rng": "an object",
+    "stream": "an object",
+    "lazy": (
+        {
+            "interval": ("an integer", None),
+            "rescored_total": "an integer",
+            "candidates_total": "an integer",
+            "steps": "an integer",
+        },
+        None,
+    ),
+    "curve": {"seen_inputs": ["an integer"], "accuracies": ["a number"]},
+    "diversity": ["a number"],
+    "final_loss": "a number",
+    "wall_accum?": "a number",
+}
+
+
+def check_session_meta(meta: Dict[str, Any], where: str = "meta") -> None:
+    """Raise :class:`ValueError` naming the first value of a Session
+    checkpoint's ``meta`` that a resumed run cannot use: a missing
+    entry, a value of the wrong JSON kind, another version, a config
+    :func:`checked_config` rejects, an unknown policy, a count below 1,
+    a curve whose two lists differ in length, or a generator state
+    numpy rejects.  The stream state's entries are the scenario's own;
+    its ``load_state_dict`` checks them when the run starts."""
+    check_json(meta, _SESSION_META, where)
+    try:
+        check_version(meta, CHECKPOINT_VERSION, "Session checkpoint")
+    except ValueError as error:
+        raise ValueError(f"{where}: {error}") from None
+    try:
+        POLICIES.get(meta["policy"])
+    except ValueError as error:
+        raise ValueError(f"{where}['policy']: {error}") from None
+    checked_config(meta["config"], f"{where}['config']")
+    for name in ("eval_points", "lazy_interval", "checkpoint_every"):
+        value = meta.get(name)
+        if value is not None and value < 1:
+            raise ValueError(f"{where}[{name!r}] must be >= 1, got {value}")
+    curve = meta["curve"]
+    if len(curve["seen_inputs"]) != len(curve["accuracies"]):
+        raise ValueError(
+            f"{where}['curve'] has {len(curve['seen_inputs'])} seen_inputs "
+            f"but {len(curve['accuracies'])} accuracies"
+        )
+    for name, state in meta["rng"].items():
+        check_generator_state(state, f"{where}['rng'][{name!r}]")
 
 
 def _none_if_nan(value: float) -> Optional[float]:
@@ -783,9 +907,14 @@ class Session:
         :meth:`save_checkpoint`; its :meth:`run` continues the original
         run and produces bitwise-identical step statistics.  A defective
         file raises one :class:`ValueError` naming ``path``
-        (:func:`repro.nn.serialization.read_checkpoint`)."""
+        (:func:`repro.nn.serialization.read_checkpoint`), and so does a
+        ``meta`` value :func:`check_session_meta` rejects."""
         meta, arrays = read_checkpoint(
-            path, kind="Session checkpoint", version=CHECKPOINT_VERSION, fields=("policy",)
+            path,
+            kind="Session checkpoint",
+            version=CHECKPOINT_VERSION,
+            fields=("policy",),
+            check=check_session_meta,
         )
         session = cls.from_state_dict({"meta": meta, "learner": strip_prefix(arrays, "learner/")})
         session._checkpoint_path = path

@@ -10,6 +10,7 @@ from repro.data.stream import StreamSegment, TemporalStream
 from repro.data.synthetic import SyntheticConfig, SyntheticImageDataset
 from repro.nn.projection import ProjectionHead
 from repro.nn.resnet import resnet_micro
+from repro.registry import create_policy, policy_names
 from repro.selection import FIFOPolicy, RandomReplacePolicy
 
 
@@ -95,6 +96,41 @@ class TestProcessSegment:
             learner.process_segment(seg)
         assert len(learner.history) == 5
         assert learner.history[-1].seen_inputs == 20
+
+
+class TestNonFiniteSegments:
+    """A NaN or infinite pixel is rejected before any policy or the
+    buffer sees it: it would reach every parameter within a few steps
+    while the loss still read finite."""
+
+    @pytest.mark.parametrize("name", policy_names())
+    def test_rejected_with_state_unchanged(self, dataset, rng, name):
+        model_rng = np.random.default_rng(1)
+        encoder = resnet_micro(rng=model_rng)
+        projector = ProjectionHead(encoder.feature_dim, out_dim=8, rng=model_rng)
+        policy = create_policy(
+            name,
+            capacity=4,
+            scorer=ContrastScorer(encoder, projector),
+            rng=np.random.default_rng(2),
+        )
+        learner = OnDeviceContrastiveLearner(encoder, projector, policy, 4, rng, lr=1e-3)
+        labels = np.array([0, 1, 2, 3])
+        learner.process_segment(StreamSegment(dataset.sample(labels, rng), labels, 0))
+        images = dataset.sample(labels, rng)
+        images[0, 0, 0, 0] = np.nan
+        images[2, 1, 3, 4] = np.inf
+        images[3, 2, 7, 7] = -np.inf
+        before = {key: value.copy() for key, value in learner.state_dict().items()}
+        rng_before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="iteration 1 holds 3 non-finite values"):
+            learner.process_segment(StreamSegment(images, labels, 1))
+        after = learner.state_dict()
+        assert after.keys() == before.keys()
+        for key, value in before.items():
+            assert after[key].tobytes() == value.tobytes(), key
+        assert rng.bit_generator.state == rng_before
+        assert learner.iteration == 1 and len(learner.history) == 1
 
 
 class TestLabelTracking:

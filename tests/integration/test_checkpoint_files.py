@@ -176,3 +176,150 @@ def test_other_version_names_the_path(checkpoints, tmp_path):
         with pytest.raises(ValueError, match="checkpoint version 2") as excinfo:
             LOADERS[loader](target)
         assert target in str(excinfo.value)
+
+
+def _set(*keys_and_value):
+    """A meta edit: set the entry at ``keys`` to ``value``."""
+    *keys, last, value = keys_and_value
+
+    def edit(meta):
+        for key in keys:
+            meta = meta[key]
+        meta[last] = value
+
+    return edit
+
+
+def _delete(key):
+    def edit(meta):
+        del meta[key]
+
+    return edit
+
+
+def _append_accuracy(meta):
+    meta["curve"]["accuracies"].append(0.5)
+
+
+def _break_first_rng(meta):
+    name = sorted(meta["rng"])[0]
+    meta["rng"][name] = {"bit_generator": "MT19937", "state": {"key": [], "pos": 0}}
+
+
+#: Session ``meta`` values ``Session.resume`` cannot use, each with the
+#: detail its error names.  Through the fleet reader each edit applies
+#: to a device's state instead.
+SESSION_META_DEFECTS = {
+    "config-extra-key": (_set("config", "bogus", 1), "unknown fields 'bogus'"),
+    "config-not-object": (_set("config", 5), "['config'] is 5, not an object"),
+    "config-field-kind": (
+        _set("config", "lr", "fast"),
+        "['config']['lr'] is \"fast\", not a number",
+    ),
+    "config-widths-kind": (
+        _set("config", "encoder_widths", 8),
+        "['encoder_widths'] is 8, not a list",
+    ),
+    "config-value": (_set("config", "buffer_size", 1), "buffer_size must be >= 2"),
+    "eval-points-string": (
+        _set("eval_points", "two"),
+        "['eval_points'] is \"two\", not an integer",
+    ),
+    "eval-points-zero": (_set("eval_points", 0), "['eval_points'] must be >= 1, got 0"),
+    "eval-points-bool": (_set("eval_points", True), "is true, not an integer"),
+    "policy-unknown": (_set("policy", "nope"), "unknown policy 'nope'"),
+    "policy-kind": (_set("policy", 3), "['policy'] is 3, not a string"),
+    "lazy-interval-kind": (
+        _set("lazy_interval", "2"),
+        "['lazy_interval'] is \"2\", not an integer or null",
+    ),
+    "no-rng": (_delete("rng"), "lacks 'rng'"),
+    "rng-state": (_break_first_rng, "is not a PCG64 state"),
+    "no-stream": (_delete("stream"), "lacks 'stream'"),
+    "no-curve": (_delete("curve"), "lacks 'curve'"),
+    "curve-lengths": (_append_accuracy, "seen_inputs but"),
+    "diversity-kind": (_set("diversity", ["x"]), "['diversity'][0] is \"x\", not a number"),
+    "final-loss-kind": (_set("final_loss", None), "['final_loss'] is null, not a number"),
+    "lazy-kind": (_set("lazy", 3), "['lazy'] is 3, not an object or null"),
+}
+
+
+def _first_device_state(meta):
+    return next(state for state in meta["device_meta"] if state is not None)
+
+
+def _first_pending(meta):
+    return meta["pending"][0]
+
+
+#: Fleet ``meta`` values ``FleetCoordinator.resume`` cannot use.
+FLEET_META_DEFECTS = {
+    "round-string": (_set("round", "two"), "meta['round'] is \"two\", not an integer"),
+    "seen-length": (lambda meta: meta["seen"].pop(), "meta['seen'] has 3 entries for 4 devices"),
+    "device-meta-length": (
+        lambda meta: meta["device_meta"].append(None),
+        "meta['device_meta'] has 5 entries for 4 devices",
+    ),
+    "history-kind": (
+        lambda meta: meta["history"][0].update(synchronized="yes"),
+        "meta['history'][0]['synchronized'] is \"yes\", not a boolean",
+    ),
+    "no-has-global": (_delete("has_global"), "meta lacks 'has_global'"),
+    "pending-device": (
+        lambda meta: _first_pending(meta).update(device_index=9),
+        "['device_index'] is 9, not one of the 4 devices",
+    ),
+    "pending-kind": (
+        lambda meta: _first_pending(meta).update(weight="heavy"),
+        "['weight'] is \"heavy\", not a number",
+    ),
+    "sampler-rng": (
+        lambda meta: meta["sampler"].update(rng={"bit_generator": "PCG64"}),
+        "meta['sampler']['rng'] is not a PCG64 state",
+    ),
+    "no-fleet": (_set("config", "fleet", None), "meta['config'] has no fleet"),
+    "label-fraction": (_set("label_fraction", 0.0), "must be in (0, 1], got 0.0"),
+}
+
+META_CASES = (
+    [("session", name) for name in sorted(SESSION_META_DEFECTS)]
+    + [("fleet", name) for name in sorted(SESSION_META_DEFECTS)]
+    + [("fleet", name) for name in sorted(FLEET_META_DEFECTS)]
+)
+
+
+@pytest.mark.parametrize("loader, defect", META_CASES)
+def test_defective_meta_value_is_one_named_error(checkpoints, tmp_path, loader, defect):
+    """Each defect raises one ``ValueError`` naming the path and the
+    value from ``resume`` itself, before anything runs."""
+    source = checkpoints[loader]
+    entries = _entries(source)
+    meta = json.loads(str(entries["meta"]))
+    if defect in FLEET_META_DEFECTS and loader == "fleet":
+        edit, detail = FLEET_META_DEFECTS[defect]
+        edit(meta)
+    else:
+        edit, detail = SESSION_META_DEFECTS[defect]
+        edit(meta if loader == "session" else _first_device_state(meta))
+    entries["meta"] = np.array(json.dumps(meta))
+    target = str(tmp_path / f"{loader}-{defect}.npz")
+    np.savez(target, **entries)
+    with pytest.raises(ValueError) as excinfo:
+        LOADERS[loader](target)
+    message = str(excinfo.value)
+    assert message.startswith(f"cannot read checkpoint {target!r}: ")
+    assert detail in message
+    if loader == "fleet" and defect in SESSION_META_DEFECTS:
+        assert "meta['device_meta'][" in message
+
+
+def test_meta_checks_accept_what_the_writers_write(checkpoints, tmp_path):
+    """Undamaged files resume, a fleet whose unsampled device has null
+    entries included."""
+    Session.resume(checkpoints["session"])
+    FleetCoordinator.resume(checkpoints["fleet"])
+    fleet = FleetCoordinator(FLEET_CONFIG)
+    fleet.run(rounds=1)
+    path = fleet.save_checkpoint(str(tmp_path / "fleet-round-1"))
+    assert None in json.loads(str(_entries(path)["meta"]))["device_meta"]
+    FleetCoordinator.resume(path)

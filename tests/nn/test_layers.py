@@ -226,6 +226,47 @@ class TestBatchNorm2d:
         assert "running_mean" in state
         assert "running_var" in state
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_train_forward_is_bitwise_the_two_pass_formula(self, dtype, seed):
+        """One batch mean feeds both the variance and ``x_hat``; output and
+        running statistics equal, byte for byte, the formula built on
+        ``x.mean`` and ``x.var``, on maps holding signed zeros,
+        subnormals, infinities and NaN."""
+        rng = np.random.default_rng(seed)
+        x = rng.normal(2.0, 3.0, size=(4, 6, 3, 5)).astype(dtype)
+        tiny = np.finfo(dtype).smallest_subnormal
+        x[:, 1] = rng.choice([0.0, -0.0, tiny, -tiny, 7 * tiny], size=x[:, 1].shape)
+        x[1, 2, 0, 0] = -0.0
+        x[0, 3, 1, 2] = np.inf
+        x[2, 4, 2, 4] = np.nan
+        x[3, 5, 0, 1], x[0, 5, 2, 3] = np.inf, -np.inf
+        bn = BatchNorm2d(6, momentum=0.3)
+        bn.gamma.data = rng.normal(1.0, 0.5, size=6).astype(np.float32)
+        bn.beta.data = rng.normal(0.0, 0.5, size=6).astype(np.float32)
+        running_mean = rng.normal(size=6).astype(np.float32)
+        running_var = rng.uniform(0.5, 2.0, size=6).astype(np.float32)
+        bn._buffers["running_mean"] = running_mean.copy()
+        bn._buffers["running_var"] = running_var.copy()
+        with np.errstate(all="ignore"):
+            out = bn(Tensor(x)).data
+            mean = x.mean(axis=(0, 2, 3))
+            var = x.var(axis=(0, 2, 3))
+            n = x.shape[0] * x.shape[2] * x.shape[3]
+            unbiased = var * n / max(n - 1, 1)
+            expected_mean = ((1 - 0.3) * running_mean + 0.3 * mean).astype(np.float32)
+            expected_var = ((1 - 0.3) * running_var + 0.3 * unbiased).astype(np.float32)
+            inv_std = 1.0 / np.sqrt(var.reshape(1, -1, 1, 1) + bn.eps)
+            x_hat = (x - mean.reshape(1, -1, 1, 1)) * inv_std
+            expected = x_hat * bn.gamma.data.reshape(1, -1, 1, 1) + bn.beta.data.reshape(
+                1, -1, 1, 1
+            )
+        assert np.isnan(out).any() and np.isfinite(out[:, 0]).all()
+        assert out.dtype == dtype
+        assert out.tobytes() == expected.astype(dtype, copy=False).tobytes()
+        assert bn.get_buffer("running_mean").tobytes() == expected_mean.tobytes()
+        assert bn.get_buffer("running_var").tobytes() == expected_var.tobytes()
+
 
 class TestContainers:
     def test_sequential_applies_in_order(self, rng):

@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.nn import functional as F
+from repro.nn.layers import BatchNorm2d, Conv2d
+from repro.nn.losses import nt_xent_loss
 from repro.nn.tensor import Tensor, no_grad, unbroadcast
 
 from tests.helpers import assert_grad_close, leaf
@@ -222,6 +225,29 @@ class TestBackward:
         t.sum().backward()
         t.zero_grad()
         assert t.grad is None
+
+    def test_only_leaves_keep_grad(self, rng):
+        """After backward through conv -> BN -> ReLU -> NT-Xent, every op
+        result keeps ``grad`` None and every parameter and input leaf
+        has one, as in PyTorch."""
+        conv = Conv2d(3, 4, 3, padding=1, rng=rng)
+        bn = BatchNorm2d(4)
+        views = [
+            Tensor(rng.normal(size=(4, 3, 6, 6)).astype(np.float32), requires_grad=True)
+            for _ in range(2)
+        ]
+        z1, z2 = (
+            F.l2_normalize(bn(conv(v)).relu().mean(axis=(2, 3)), axis=1) for v in views
+        )
+        loss = nt_xent_loss(z1, z2, 0.5)
+        loss.backward()
+        nodes = loss._topological_order()
+        results = [node for node in nodes if node._backward is not None]
+        leaves = {id(node) for node in nodes if node._backward is None}
+        assert results and all(node.grad is None for node in results)
+        parameters = conv.parameters() + bn.parameters()
+        assert {id(p) for p in parameters + views} <= leaves
+        assert all(p.grad is not None and p.grad.shape == p.shape for p in parameters + views)
 
     def test_diamond_graph_accumulates_once_per_path(self):
         # y = x*x + x  =>  dy/dx = 2x + 1

@@ -2,10 +2,14 @@
 """Print one ``name digest`` line per bitwise contract of the library.
 
     python tools/fingerprints.py
+    python tools/fingerprints.py --against REF
 
-Two trees that keep every contract print identical lines, so running
-the tool on a parent checkout and on a change shows whether any
-fingerprint moved.  The lines:
+Two trees that keep every contract print identical lines.  With
+``--against REF`` the tool runs this same file in a temporary
+``git worktree`` of the commit ``REF`` and in this tree, each in its own
+process, removes the worktree, and prints ``name parent change
+same|MOVED`` per digest (a digest only one side printed reads ``-`` on
+the other side and MOVED).  The lines:
 
 * ``stream`` — perfbench's ``stream`` session at seed 101 (its loss
   trace and final kNN accuracy, digested the way perfbench does);
@@ -20,21 +24,27 @@ fingerprint moved.  The lines:
 * ``session.straight`` and ``session.resumed`` — a small Session run
   straight through, and the same run split by a checkpoint file and
   resumed.  The two digests are equal when resume is bitwise; the tool
-  exits 1 when they differ.
+  exits 1 when they differ (with ``--against``: on either side).  A
+  moved digest does not change the exit status.
 
 ``repro`` is imported from the ``src/`` directory next to this file and
 the workload definitions from ``perfbench/``, through names that older
 trees have too, so a copy of this file runs on a parent checkout.  BLAS
-runs one thread, as in perfbench.  Takes about 15 s on 2 CPUs.
+runs one thread, as in perfbench.  Takes about 15 s on 2 CPUs (30 s
+with ``--against``).
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
+import shutil
+import subprocess
 import sys
 import tempfile
+from typing import Dict, List, NoReturn, Sequence
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -144,6 +154,69 @@ def session_lines():
     yield "session.resumed", common.fingerprint_digest(result_fingerprint(resumed))
 
 
+def parse_lines(lines: Sequence[str]) -> Dict[str, str]:
+    """``{name: digest}`` of the tool's output lines."""
+    return dict(line.split() for line in lines if line.strip())
+
+
+def compare(parent: Dict[str, str], change: Dict[str, str]) -> List[str]:
+    """One ``name parent change same|MOVED`` line per name either side
+    printed, the parent's order first; a side's missing digest reads
+    ``-`` and counts as moved."""
+    names = list(parent) + [name for name in change if name not in parent]
+    rows = []
+    for name in names:
+        before, after = parent.get(name, "-"), change.get(name, "-")
+        verdict = "same" if before == after != "-" else "MOVED"
+        rows.append(f"{name} {before} {after} {verdict}")
+    return rows
+
+
+def resume_differs(digests: Dict[str, str]) -> bool:
+    return digests["session.straight"] != digests["session.resumed"]
+
+
+def _fail(message: str) -> NoReturn:
+    """End the tool with status 2: a side could not be run at all."""
+    sys.stderr.write(message + "\n")
+    raise SystemExit(2)
+
+
+def _run_side(tree: str) -> Dict[str, str]:
+    """The digests this file prints when run from ``tree``'s ``tools/``."""
+    script = os.path.join(tree, "tools", "fingerprints.py")
+    done = subprocess.run([sys.executable, script], capture_output=True, text=True)
+    if done.returncode not in (0, 1):  # 1: resume differs, digests printed
+        _fail(f"{done.stderr}{script} exited {done.returncode}")
+    return parse_lines(done.stdout.splitlines())
+
+
+def against(ref: str) -> int:
+    """Compare the digests of the commit ``ref`` with this tree's."""
+    scratch = tempfile.mkdtemp(prefix="fingerprints-")
+    tree = os.path.join(scratch, "ref")
+    worktree = ["git", "-C", ROOT, "worktree"]
+    try:
+        added = subprocess.run(
+            worktree + ["add", "--detach", "--quiet", tree, ref], capture_output=True, text=True
+        )
+        if added.returncode:
+            _fail(f"{added.stderr}cannot check out {ref!r}")
+        try:
+            copy = os.path.join(tree, "tools", "fingerprints.py")
+            os.makedirs(os.path.dirname(copy), exist_ok=True)
+            shutil.copyfile(os.path.abspath(__file__), copy)
+            parent = _run_side(tree)
+        finally:
+            subprocess.run(worktree + ["remove", "--force", tree], check=False)
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+    change = _run_side(ROOT)
+    for row in compare(parent, change):
+        print(row, flush=True)
+    return int(resume_differs(parent) or resume_differs(change))
+
+
 def main() -> int:
     digests = {"stream": stream_line(), "fleet": fleet_line()}
     for name, digest in digests.items():
@@ -152,8 +225,11 @@ def main() -> int:
         for name, digest in lines:
             digests[name] = digest
             print(name, digest, flush=True)
-    return int(digests["session.straight"] != digests["session.resumed"])
+    return int(resume_differs(digests))
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", metavar="REF", help="compare with the commit REF")
+    args = parser.parse_args()
+    sys.exit(against(args.against) if args.against else main())
