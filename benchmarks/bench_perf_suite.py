@@ -194,11 +194,18 @@ def _time_unfold(rng: np.random.Generator, batch: int, repeats: int) -> Dict[str
 
 
 def bench_stream(scale: float, seed: int) -> Dict[str, object]:
-    """End-to-end stage-1 steps of a short contrast-scoring run."""
+    """End-to-end stage-1 steps of a short contrast-scoring run.
+
+    ``workspace_bytes`` is what the process-wide unfold workspace holds
+    after the session, its final probe and kNN readout included: the
+    eval forwards' blocks bound it, not the 400-image probe pool.
+    """
     config = default_config(seed=seed).with_(
         total_samples=max(32 * 8, int(round(1024 * scale))),
         probe_epochs=5,
     )
+    workspace = default_workspace()
+    workspace.clear()
     session = Session.from_config(config, policy="contrast-scoring").with_eval_points(1)
     result = session.run()
     return {
@@ -208,6 +215,7 @@ def bench_stream(scale: float, seed: int) -> Dict[str, object]:
         "mean_step_s": result.mean_select_seconds + result.mean_train_seconds,
         "relative_batch_time": result.relative_batch_time,
         "wall_s": result.wall_seconds,
+        "workspace_bytes": workspace.stats()["bytes"],
     }
 
 
@@ -763,8 +771,11 @@ def main(argv=None) -> int:
         )
     report["stream"] = bench_stream(scale, seed)
     print(
-        "  stream: {:.4f}s/step over {} iterations".format(
-            report["stream"]["mean_step_s"], report["stream"]["iterations"]
+        "  stream: {:.4f}s/step over {} iterations, {:.2f} MB of unfold "
+        "scratch kept".format(
+            report["stream"]["mean_step_s"],
+            report["stream"]["iterations"],
+            report["stream"]["workspace_bytes"] / 1e6,
         )
     )
     report["obs"] = bench_obs(scale, seed)

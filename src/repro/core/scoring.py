@@ -94,8 +94,10 @@ class ContrastScorer:
         to horizontal flip, the paper's choice.  Must be deterministic —
         pass a pure function of the image batch only.
     max_batch:
-        Upper bound on images pushed through the model at once (keeps
-        peak memory flat when scoring large candidate pools).
+        Most images handed to the encoder in one call.  It no longer
+        bounds peak memory: the encoder runs every eval batch in blocks
+        of at most :data:`repro.nn.resnet.EVAL_BLOCK` images, so its
+        unfold scratch never outgrows one block whatever the pool.
     """
 
     def __init__(
@@ -148,9 +150,10 @@ class ContrastScorer:
         batch-mates) and the similarity ``z^T z+`` is one stacked matmul
         over the projection matrix, so the cost is a batched GEMM
         pipeline instead of per-sample or per-view Python loops.  The
-        stacked batch still chunks at ``max_batch`` rows inside
-        :meth:`project`, so pools beyond ``max_batch / 2`` images run
-        several forwards (bounded peak memory), just never per-sample.
+        stacked batch chunks at ``max_batch`` rows inside
+        :meth:`project`, and the encoder runs each chunk in blocks of at
+        most :data:`repro.nn.resnet.EVAL_BLOCK` images (bounded peak
+        memory, the same bytes), never per-sample.
         """
         n = images.shape[0]
         if n == 0:

@@ -65,7 +65,12 @@ from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.framework import MODEL_PREFIXES, load_model_slice, model_slice
+from repro.core.framework import (
+    MODEL_PREFIXES,
+    load_model_slice,
+    model_slice,
+    model_slice_from,
+)
 from repro.device.cost_model import DEVICE_PROFILES, iteration_compute_cost
 from repro.data.scenarios import canonical_scenario
 from repro.experiments.config import StreamExperimentConfig
@@ -98,6 +103,8 @@ from repro.fleet.sampling import ClientSampler, create_client_sampler
 from repro.fleet.spec import DeviceSpec, FleetConfig
 from repro.nn.backend import use_backend
 from repro.nn.serialization import (
+    Layout,
+    check_arrays,
     check_json,
     check_version,
     read_checkpoint,
@@ -127,6 +134,7 @@ from repro.session import (
     build_components,
     check_generator_state,
     check_session_meta,
+    check_session_state,
     checked_config,
     config_from_dict,
     config_to_dict,
@@ -235,6 +243,30 @@ def _check_fleet_meta(meta: Dict[str, Any]) -> None:
             )
     if meta.get("sampler") is not None:
         check_generator_state(meta["sampler"]["rng"], "meta['sampler']['rng']")
+
+
+def _check_fleet_checkpoint(meta: Dict[str, Any], arrays: Dict[str, np.ndarray]) -> None:
+    """:meth:`FleetCoordinator.resume`'s check: the ``meta`` values
+    (:func:`_check_fleet_meta`), then each device's stream state and
+    every array.  A device's ``device{i}/*`` arrays must fit its fresh
+    learner (:func:`~repro.session.check_session_state`); ``global/*``
+    (when ``has_global``) and each ``pending{j}/*`` must be a model
+    slice of the fleet's config."""
+    _check_fleet_meta(meta)
+    layout: Layout = {}
+    for index, device_meta in enumerate(meta["device_meta"]):
+        if device_meta is not None:
+            where = f"meta['device_meta'][{index}]"
+            for key, shape in (check_session_state(device_meta, where) or {}).items():
+                layout[f"device{index}/{key}"] = shape
+    slices = ["global/"] if meta["has_global"] else []
+    slices += [f"pending{index}/" for index in range(len(meta.get("pending", ())))]
+    if slices:
+        base = config_from_dict(meta["config"]).with_(fleet=None, aggregator=None)
+        comp = build_components(base)
+        for key, value in model_slice_from(comp.encoder, comp.projector).items():
+            layout.update({prefix + key: np.shape(value) for prefix in slices})
+    check_arrays(arrays, layout)
 
 
 def _device_round_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -1434,14 +1466,16 @@ class FleetCoordinator:
         defective file raises one :class:`ValueError` naming ``path``
         (:func:`repro.nn.serialization.read_checkpoint`), and so does a
         ``meta`` value the fleet's own check rejects (each device's
-        state is checked as a Session checkpoint's ``meta``).
+        state is checked as a Session checkpoint's ``meta``), or a
+        stream state or set of arrays that does not fit the fleet
+        (:func:`_check_fleet_checkpoint`).
         """
         meta, arrays = read_checkpoint(
             path,
             kind="fleet checkpoint",
             version=FLEET_CHECKPOINT_VERSION,
             fields=("device_meta",),
-            check=_check_fleet_meta,
+            check=_check_fleet_checkpoint,
         )
         coordinator = cls(
             config_from_dict(meta["config"]),

@@ -72,13 +72,16 @@ class Im2colWorkspace:
     """Per-role scratch arenas for im2col (padded input, columns).
 
     ``get(role, shape, dtype)`` returns a view of the role's flat byte
-    arena, grown (never shrunk) to the largest request seen, so memory
-    stays bounded at one arena per role no matter how many distinct
-    shapes pass through — the fused scoring path produces a different
-    batch size almost every iteration, and caching per exact shape
-    would leak a buffer pair per size for the process lifetime.  By
-    invariant 1 (module docstring) only the most recent view per role
-    is ever live, which is what makes a single arena sufficient.
+    arena, grown (never shrunk) to the largest request seen, so there
+    is one arena per role no matter how many distinct shapes pass
+    through — the scoring path produces a different batch size almost
+    every iteration, and caching per exact shape would leak a buffer
+    pair per size for the process lifetime.  The largest request is one
+    eval block: :meth:`repro.nn.resnet.ResNetEncoder.forward` runs eval
+    batches in blocks of at most :data:`repro.nn.resnet.EVAL_BLOCK`
+    images, so a 400-image probe pool leaves ~2 MB here, not ~29 MB.
+    By invariant 1 (module docstring) only the most recent view per
+    role is ever live, which is what makes a single arena sufficient.
     Contents are undefined on return — callers overwrite every element
     they read.  A "hit" is a request served without growing the arena.
     """

@@ -29,6 +29,14 @@ from repro.registry import register_encoder
 
 __all__ = ["BasicBlock", "ResNetEncoder", "resnet_mini", "resnet_micro"]
 
+#: Most images one eval no-grad forward unfolds at once.  The unfold
+#: scratch arenas grow to the largest forward they serve and live as
+#: long as the process (:class:`repro.nn.im2col.Im2colWorkspace`), so
+#: an unblocked 400-image probe pool pinned ~29 MB of columns for good;
+#: 32 images of the 12-px default encoder need ~2 MB.  Larger batches
+#: run as near-equal blocks (see :meth:`ResNetEncoder.forward`).
+EVAL_BLOCK = 32
+
 
 def _conv_bn_nhwc(
     backend: ArrayBackend, x: np.ndarray, conv: Conv2d, bn: BatchNorm2d, relu: bool
@@ -151,13 +159,33 @@ class ResNetEncoder(Module):
         backend's channels-last chain: one NHWC repack at entry,
         conv→BN(→ReLU) per layer, and a pooled (N, C) exit — no
         per-layer layout round-trips.  On the reference backend the
-        chain is bitwise equal to the module path.  All other calls
-        compose the modules (identical autograd math on every backend).
+        chain is bitwise equal to the module path.
+
+        The chain bounds its own working set: a batch of more than
+        :data:`EVAL_BLOCK` images runs as ``ceil(n / EVAL_BLOCK)``
+        near-equal blocks (``np.array_split``), so the unfold scratch
+        never outgrows one block.  Blocking keeps every byte.  The
+        reference chain works one image at a time, so any split gives
+        the same result.  The fused backend runs one 2-D GEMM over a
+        block's rows, whose bits can follow the row count; balanced
+        blocks hold at least ``EVAL_BLOCK / 2`` images, and at every
+        size measured they matched the unblocked chain byte for byte
+        (a lone last image did not; ``tests/nn/test_eval_blocks.py``).
+
+        All other calls compose the modules (identical autograd math
+        on every backend); a training-mode forward normalizes over the
+        whole batch, with or without gradients.
         """
         if x.ndim != 4:
             raise ValueError(f"encoder expects NCHW input, got shape {x.shape}")
         if not self.training and not is_grad_enabled():
-            return Tensor(self._infer_nhwc_chain(x.data, get_backend()))
+            backend = get_backend()
+            if x.shape[0] <= EVAL_BLOCK:  # every serve batch: skip the split
+                return Tensor(self._infer_nhwc_chain(x.data, backend))
+            blocks = np.array_split(x.data, -(-x.shape[0] // EVAL_BLOCK))
+            return Tensor(
+                np.concatenate([self._infer_nhwc_chain(b, backend) for b in blocks])
+            )
         out = F.conv_bn_relu(x, self.stem_conv, self.stem_bn)
         for stage in self.stages:
             out = stage(out)

@@ -7,7 +7,8 @@
 checkpoint is outside bytes, so :func:`read_checkpoint` turns every
 defect of the file, and every ``meta`` value its ``check`` rejects, into
 one :class:`ValueError` that names the path; :func:`check_json` checks
-a ``meta`` value against the JSON shape its reader expects.
+a ``meta`` value against the JSON shape its reader expects, and
+:func:`check_arrays` the arrays against the state its reader builds.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ __all__ = [
     "load_module",
     "read_checkpoint",
     "check_json",
+    "check_arrays",
     "check_version",
     "strip_prefix",
 ]
@@ -116,6 +118,36 @@ def check_json(value: Any, shape: Any, where: str = "meta") -> None:
                 raise ValueError(f"{where} lacks {name!r}")
 
 
+#: The arrays a reader expects: each key's shape, or None where any
+#: shape is valid (see :func:`check_arrays`).
+Layout = Dict[str, Optional[Tuple[int, ...]]]
+
+
+def check_arrays(arrays: Mapping[str, np.ndarray], layout: Layout) -> None:
+    """Raise :class:`ValueError` unless ``arrays`` has exactly the keys of
+    ``layout``, each of the shape ``layout`` gives (``None``: any
+    shape).  The message names every missing, unexpected and misshapen
+    key."""
+    missing = [key for key in layout if key not in arrays]
+    unexpected = [key for key in arrays if key not in layout]
+    misshapen = [
+        f"{key} {np.shape(arrays[key])} (expected {shape})"
+        for key, shape in layout.items()
+        if shape is not None and key in arrays and np.shape(arrays[key]) != shape
+    ]
+    problems = [
+        f"{label} {', '.join(keys)}"
+        for label, keys in (
+            ("missing", missing),
+            ("unexpected", unexpected),
+            ("misshapen", misshapen),
+        )
+        if keys
+    ]
+    if problems:
+        raise ValueError(f"the arrays do not fit the run: {'; '.join(problems)}")
+
+
 def check_version(meta: Mapping[str, Any], version: int, kind: str) -> None:
     """Raise :class:`ValueError` unless ``meta`` carries ``version``."""
     found = meta.get("version")
@@ -164,15 +196,15 @@ def read_checkpoint(
     kind: str,
     version: int,
     fields: Sequence[str],
-    check: Optional[Callable[[Dict[str, Any]], None]] = None,
+    check: Optional[Callable[[Dict[str, Any], Dict[str, np.ndarray]], None]] = None,
 ) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
     """The ``(meta, arrays)`` of a checkpoint written with a ``meta``.
 
     Checks the file, the ``meta`` entry (a JSON object), ``version``,
     and that ``meta`` has ``fields`` — the entries only a ``kind``
     checkpoint writes, so another kind of checkpoint is named as such.
-    Then ``check(meta)``, which raises :class:`ValueError` on a value
-    the reader cannot use, names that value.
+    Then ``check(meta, arrays)``, which raises :class:`ValueError` on a
+    value or an array the reader cannot use, names it.
     """
     path = _npz_path(path)
     arrays = load_state(path)
@@ -193,7 +225,7 @@ def read_checkpoint(
         raise _unreadable(path, f"not a {kind}: 'meta' lacks {', '.join(map(repr, missing))}")
     if check is not None:
         try:
-            check(meta)
+            check(meta, arrays)
         except ValueError as error:
             raise _unreadable(path, str(error)) from None
     return meta, arrays

@@ -303,11 +303,15 @@ class ScoringServer:
         once per *batch* rather than once per request.  Admission
         semantics are identical to N :meth:`submit` calls — per-request
         version resolution, and the admission policy consulted whenever
-        the queue is full.
+        the queue is full.  Every sample is admitted before the first
+        is queued, so a sample :meth:`submit` would reject raises here
+        with none of the batch queued.
         """
+        requests = [
+            self._admit(sample, device_id, model_version, deadline_ms) for sample in samples
+        ]
         outcomes: List[Any] = []
-        for sample in samples:
-            request = self._admit(sample, device_id, model_version, deadline_ms)
+        for request in requests:
             fallback = await self._enqueue(request)
             outcomes.append(fallback if fallback is not None else request.future)
         # Bare futures gather without task wrapping; policy fallbacks
@@ -325,7 +329,12 @@ class ScoringServer:
         deadline_ms: Optional[float],
     ) -> ScoreRequest:
         """Validate one sample and resolve its version (explicit > pin >
-        current) into a queued-but-not-yet-enqueued request."""
+        current) into a queued-but-not-yet-enqueued request.
+
+        A sample with a NaN or infinite value raises :class:`ValueError`
+        naming the counts: the forward would answer a NaN or a finite,
+        meaningless score, and cache it under the sample's digest.
+        """
         if self._queue is None:
             raise RuntimeError("server is not running: call start() first")
         if self._closed:
@@ -333,6 +342,11 @@ class ScoringServer:
         sample = np.asarray(sample)
         if sample.ndim != 3:
             raise ValueError(f"expected one CHW sample, got shape {sample.shape}")
+        finite = np.isfinite(sample)
+        if not finite.all():
+            nan = int(np.count_nonzero(np.isnan(sample)))
+            inf = finite.size - int(np.count_nonzero(finite)) - nan
+            raise ValueError(f"sample holds {nan} NaN and {inf} infinite (+-inf) values")
         if deadline_ms is not None and deadline_ms <= 0:
             raise ValueError(f"deadline_ms must be > 0, got {deadline_ms}")
         version = (

@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.framework import OnDeviceContrastiveLearner, StepStats
+from repro.core.framework import MODEL_PREFIXES, OnDeviceContrastiveLearner, StepStats
 from repro.core.replacement import ContrastScoringPolicy
 from repro.core.scoring import ContrastScorer
 from repro.data.scenarios import StreamSource, canonical_scenario, create_scenario
@@ -48,6 +48,8 @@ from repro.metrics.curves import LearningCurve
 from repro.nn.backend import use_backend
 from repro.nn.projection import ProjectionHead
 from repro.nn.serialization import (
+    Layout,
+    check_arrays,
     check_json,
     check_version,
     read_checkpoint,
@@ -76,6 +78,7 @@ __all__ = [
     "config_from_dict",
     "checked_config",
     "check_session_meta",
+    "check_session_state",
     "check_generator_state",
 ]
 
@@ -134,6 +137,51 @@ def build_augment(config: StreamExperimentConfig):
         jitter_strength=config.augment_jitter,
         grayscale_p=config.augment_grayscale_p,
     )
+
+
+def _build_run(
+    config: StreamExperimentConfig,
+    comp: ExperimentComponents,
+    policy_name: str,
+    lazy_interval: Optional[int],
+    score_momentum: float,
+) -> Tuple[ReplacementPolicy, OnDeviceContrastiveLearner, StreamSource]:
+    """The policy, learner and stream of one run on ``comp``; each draws
+    from its own named generator of ``comp.rngs``."""
+    rngs = comp.rngs
+    policy = create_policy(
+        policy_name,
+        scorer=comp.scorer,
+        capacity=config.buffer_size,
+        rng=rngs.get("policy"),
+        temperature=config.temperature,
+        lazy_interval=lazy_interval,
+        score_momentum=score_momentum,
+    )
+    if not isinstance(policy, ReplacementPolicy):
+        raise TypeError(
+            f"policy {policy_name!r} built a {type(policy).__name__}, "
+            "expected a ReplacementPolicy"
+        )
+    learner = OnDeviceContrastiveLearner(
+        comp.encoder,
+        comp.projector,
+        policy,
+        config.buffer_size,
+        rngs.get("augment"),
+        temperature=config.temperature,
+        lr=config.lr,
+        weight_decay=config.weight_decay,
+        augment=build_augment(config),
+    )
+    stream = create_scenario(
+        config.scenario,
+        dataset=comp.dataset,
+        stc=config.stc,
+        rng=rngs.get("stream"),
+        total_samples=config.total_samples,
+    )
+    return policy, learner, stream
 
 
 # ----------------------------------------------------------------------
@@ -248,8 +296,8 @@ def check_session_meta(meta: Dict[str, Any], where: str = "meta") -> None:
     entry, a value of the wrong JSON kind, another version, a config
     :func:`checked_config` rejects, an unknown policy, a count below 1,
     a curve whose two lists differ in length, or a generator state
-    numpy rejects.  The stream state's entries are the scenario's own;
-    its ``load_state_dict`` checks them when the run starts."""
+    numpy rejects.  The stream state's entries are the scenario's own:
+    :func:`check_session_state` loads them into a scratch stream."""
     check_json(meta, _SESSION_META, where)
     try:
         check_version(meta, CHECKPOINT_VERSION, "Session checkpoint")
@@ -272,6 +320,61 @@ def check_session_meta(meta: Dict[str, Any], where: str = "meta") -> None:
         )
     for name, state in meta["rng"].items():
         check_generator_state(state, f"{where}['rng'][{name!r}]")
+
+
+#: Learner-state keys whose shapes the config fixes: the model slice and
+#: the optimizer moments.  The buffer and the history vary in length.
+_SHAPED_STATE = MODEL_PREFIXES + ("optimizer/",)
+
+
+def check_session_state(meta: Dict[str, Any], where: str = "meta") -> Optional[Layout]:
+    """Check a Session checkpoint's stream state against the run its
+    ``meta`` (already passed by :func:`check_session_meta`) builds, and
+    return the layout its learner arrays must have.
+
+    ``meta['stream']`` must load into a scratch stream of the config's
+    scenario, or :class:`ValueError` names ``where``.  The layout holds
+    the keys of a freshly built learner (unprefixed), with its shapes
+    for the model slice and the optimizer moments
+    (:func:`repro.nn.serialization.check_arrays` compares them).  A
+    session on injected components returns None: it is checked when
+    :meth:`Session.run` loads it into the components
+    :meth:`Session.with_components` passed.
+    """
+    if meta.get("injected_components"):
+        return None
+    config = config_from_dict(meta["config"])
+    try:
+        _, fresh, stream = _build_run(
+            config,
+            build_components(config),
+            meta["policy"],
+            meta["lazy_interval"],
+            meta["score_momentum"],
+        )
+    except (KeyError, TypeError, ValueError) as error:
+        detail = f"{type(error).__name__}: {error}"
+        raise ValueError(f"{where}['config'] does not build a run ({detail})") from None
+    try:
+        stream.load_state_dict(meta["stream"])
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as error:
+        detail = f"{type(error).__name__}: {error}"
+        raise ValueError(
+            f"{where}['stream'] is not the state of a {config.scenario!r} stream ({detail})"
+        ) from None
+    return {
+        key: np.shape(value) if key.startswith(_SHAPED_STATE) else None
+        for key, value in fresh.state_dict().items()
+    }
+
+
+def _check_session_checkpoint(meta: Dict[str, Any], arrays: Dict[str, np.ndarray]) -> None:
+    """:meth:`Session.resume`'s check: the ``meta`` values, the stream
+    state, and the ``learner/*`` arrays."""
+    check_session_meta(meta)
+    layout = check_session_state(meta)
+    if layout is not None:
+        check_arrays(arrays, {f"learner/{key}": shape for key, shape in layout.items()})
 
 
 def _none_if_nan(value: float) -> Optional[float]:
@@ -617,42 +720,11 @@ class Session:
         )
         self._components = comp
         rngs = comp.rngs
-
-        policy = create_policy(
-            self._policy_name,
-            scorer=comp.scorer,
-            capacity=config.buffer_size,
-            rng=rngs.get("policy"),
-            temperature=config.temperature,
-            lazy_interval=self._lazy_interval,
-            score_momentum=self._score_momentum,
+        policy, learner, stream = _build_run(
+            config, comp, self._policy_name, self._lazy_interval, self._score_momentum
         )
-        if not isinstance(policy, ReplacementPolicy):
-            raise TypeError(
-                f"policy {self._policy_name!r} built a {type(policy).__name__}, "
-                "expected a ReplacementPolicy"
-            )
         self._policy = policy
-        augment = build_augment(config)
-        learner = OnDeviceContrastiveLearner(
-            comp.encoder,
-            comp.projector,
-            policy,
-            config.buffer_size,
-            rngs.get("augment"),
-            temperature=config.temperature,
-            lr=config.lr,
-            weight_decay=config.weight_decay,
-            augment=augment,
-        )
         self._learner = learner
-        stream = create_scenario(
-            config.scenario,
-            dataset=comp.dataset,
-            stc=config.stc,
-            rng=rngs.get("stream"),
-            total_samples=config.total_samples,
-        )
         self._stream = stream
 
         # Fixed evaluation pools shared across checkpoints (and across
@@ -908,13 +980,14 @@ class Session:
         run and produces bitwise-identical step statistics.  A defective
         file raises one :class:`ValueError` naming ``path``
         (:func:`repro.nn.serialization.read_checkpoint`), and so does a
-        ``meta`` value :func:`check_session_meta` rejects."""
+        ``meta`` value :func:`check_session_meta` rejects, or a stream
+        state or set of arrays :func:`check_session_state` rejects."""
         meta, arrays = read_checkpoint(
             path,
             kind="Session checkpoint",
             version=CHECKPOINT_VERSION,
             fields=("policy",),
-            check=check_session_meta,
+            check=_check_session_checkpoint,
         )
         session = cls.from_state_dict({"meta": meta, "learner": strip_prefix(arrays, "learner/")})
         session._checkpoint_path = path

@@ -1,5 +1,6 @@
 """Checkpoint files are outside bytes: their layout is pinned, and every
-defective file reaches ``Session.resume`` and ``FleetCoordinator.resume``
+defective file — its archive, its ``meta`` values, its stream state or
+its arrays — reaches ``Session.resume`` and ``FleetCoordinator.resume``
 as one ``ValueError`` naming the path."""
 
 import json
@@ -241,6 +242,11 @@ SESSION_META_DEFECTS = {
     "diversity-kind": (_set("diversity", ["x"]), "['diversity'][0] is \"x\", not a number"),
     "final-loss-kind": (_set("final_loss", None), "['final_loss'] is null, not a number"),
     "lazy-kind": (_set("lazy", 3), "['lazy'] is 3, not an object or null"),
+    "stream-empty": (_set("stream", {}), "['stream'] is not the state of a"),
+    "stream-position": (
+        _set("stream", "position", "x"),
+        "(ValueError: invalid literal for int() with base 10: 'x')",
+    ),
 }
 
 
@@ -323,3 +329,96 @@ def test_meta_checks_accept_what_the_writers_write(checkpoints, tmp_path):
     path = fleet.save_checkpoint(str(tmp_path / "fleet-round-1"))
     assert None in json.loads(str(_entries(path)["meta"]))["device_meta"]
     FleetCoordinator.resume(path)
+
+
+def _learner_prefix(loader, entries):
+    """Where a learner's arrays sit: ``learner/``, or the first device
+    with a state in a fleet file."""
+    if loader == "session":
+        return "learner/"
+    meta = json.loads(str(entries["meta"]))
+    index = next(i for i, state in enumerate(meta["device_meta"]) if state is not None)
+    return f"device{index}/"
+
+
+def _drop(key):
+    def edit(entries, prefix):
+        del entries[prefix + key]
+
+    return edit
+
+
+def _put(key, value):
+    def edit(entries, prefix):
+        entries[prefix + key] = value
+
+    return edit
+
+
+def _drop_group(group):
+    def edit(entries, prefix):
+        for key in [key for key in entries if key.startswith(group)]:
+            del entries[key]
+
+    return edit
+
+
+#: Learner arrays ``resume`` cannot use, each with the detail its error
+#: names (``{p}`` is the learner's prefix).  Through the fleet reader
+#: each edit applies to a device's arrays.
+LEARNER_ARRAY_DEFECTS = {
+    "model-missing": (
+        _drop("encoder/stem_conv.weight"),
+        "missing {p}encoder/stem_conv.weight",
+    ),
+    "model-misshapen": (
+        _put("projector/fc2.weight", np.zeros((16, 8), dtype=np.float32)),
+        "misshapen {p}projector/fc2.weight (16, 8) (expected (8, 16))",
+    ),
+    "moment-misshapen": (
+        _put("optimizer/m0", np.zeros(3, dtype=np.float32)),
+        "misshapen {p}optimizer/m0 (3,) (expected (8, 3, 3, 3))",
+    ),
+    "buffer-missing": (_drop("buffer/images"), "missing {p}buffer/images"),
+    "unexpected": (_put("bogus/extra", np.zeros(3)), "unexpected {p}bogus/extra"),
+}
+
+#: Fleet arrays outside any device's learner that ``resume`` rejects.
+FLEET_ARRAY_DEFECTS = {
+    "no-global": (_drop_group("global/"), "missing global/encoder/stem_conv.weight"),
+    "pending-misshapen": (
+        lambda entries, prefix: entries.update(
+            {"pending0/encoder/stem_bn.gamma": np.zeros(3, dtype=np.float32)}
+        ),
+        "misshapen pending0/encoder/stem_bn.gamma (3,) (expected (8,))",
+    ),
+    "stray-group": (
+        lambda entries, prefix: entries.update({"device9/iteration": np.array(1)}),
+        "unexpected device9/iteration",
+    ),
+}
+
+ARRAY_CASES = (
+    [("session", name) for name in sorted(LEARNER_ARRAY_DEFECTS)]
+    + [("fleet", name) for name in sorted(LEARNER_ARRAY_DEFECTS)]
+    + [("fleet", name) for name in sorted(FLEET_ARRAY_DEFECTS)]
+)
+
+
+@pytest.mark.parametrize("loader, defect", ARRAY_CASES)
+def test_arrays_that_do_not_fit_are_one_named_error(checkpoints, tmp_path, loader, defect):
+    """Keys are checked against a freshly built learner (and model
+    slice), shapes for the model and the optimizer moments, at
+    ``resume`` itself rather than when ``run()`` loads them."""
+    source = checkpoints[loader]
+    entries = _entries(source)
+    prefix = _learner_prefix(loader, entries)
+    edit, detail = {**LEARNER_ARRAY_DEFECTS, **FLEET_ARRAY_DEFECTS}[defect]
+    edit(entries, prefix)
+    target = str(tmp_path / f"{loader}-{defect}.npz")
+    np.savez(target, **entries)
+    with pytest.raises(ValueError) as excinfo:
+        LOADERS[loader](target)
+    message = str(excinfo.value)
+    assert message.startswith(f"cannot read checkpoint {target!r}: ")
+    assert detail.format(p=prefix) in message

@@ -283,8 +283,8 @@ class TestCheckpointResume:
             Session.resume(path)
 
     def test_resume_rejects_unknown_learner_entry(self, tiny_config, tmp_path):
-        """A checkpoint entry the learner does not own fails loudly,
-        naming the key, instead of being ignored."""
+        """A checkpoint entry the learner does not own fails loudly at
+        resume, naming the path and the key, instead of being ignored."""
         part = Session(tiny_config, "fifo").with_eval_points(1)
         part.run(stop_after=2)
         path = part.save_checkpoint(str(tmp_path / "extra.npz"))
@@ -292,8 +292,9 @@ class TestCheckpointResume:
             entries = {key: archive[key] for key in archive.files}
         entries["learner/bogus/extra"] = np.zeros(3, dtype=np.float32)
         np.savez(path, **entries)
-        with pytest.raises(KeyError, match="bogus/extra"):
-            Session.resume(path).run()
+        with pytest.raises(ValueError, match="unexpected learner/bogus/extra") as excinfo:
+            Session.resume(path)
+        assert path in str(excinfo.value)
 
     def test_in_memory_state_rejects_unknown_optimizer_key(self, tiny_config):
         part = Session(tiny_config, "fifo").with_eval_points(1)

@@ -481,6 +481,109 @@ class TestRobustness:
         asyncio.run(run())
 
 
+def poisoned(sample, nan=0, posinf=0, neginf=0):
+    """A copy of ``sample`` whose first pixels are NaN, then +inf, then -inf."""
+    bad = sample.copy()
+    flat = bad.reshape(-1)
+    flat[:nan] = np.nan
+    flat[nan : nan + posinf] = np.inf
+    flat[nan + posinf : nan + posinf + neginf] = -np.inf
+    return bad
+
+
+class TestNonFiniteSamples:
+    """A sample with a NaN or +-inf value is refused at admission with
+    one ValueError naming the counts.  It never reaches a forward (the
+    fused backend would answer NaN, the reference a finite, meaningless
+    score) nor the cache; the requests around it are answered."""
+
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            ((1, 0, 0), "sample holds 1 NaN and 0 infinite (+-inf) values"),
+            ((0, 1, 0), "sample holds 0 NaN and 1 infinite (+-inf) values"),
+            ((2, 1, 1), "sample holds 2 NaN and 2 infinite (+-inf) values"),
+        ],
+    )
+    def test_submit_rejects_and_serves_the_rest(self, published, counts, message):
+        good = make_samples(2)
+        bad = poisoned(make_samples(1, seed=1)[0], *counts)
+
+        async def run():
+            async with make_server(published) as reference:
+                expected = await reference.submit_many(good)
+            async with make_server(published) as server:
+                outcomes = await asyncio.gather(
+                    server.submit(good[0]),
+                    server.submit(bad),
+                    server.submit(good[1]),
+                    return_exceptions=True,
+                )
+                return expected, outcomes, len(server.cache)
+
+        expected, (first, error, last), cached = asyncio.run(run())
+        assert isinstance(error, ValueError) and str(error) == message
+        assert [first.score, last.score] == [d.score for d in expected]
+        assert first.status == last.status == "ok"
+        assert cached == 2
+
+    def test_submit_many_queues_none_of_a_rejected_list(self, published):
+        good = make_samples(3)
+        bad = poisoned(good[1], nan=1)
+
+        async def run():
+            async with make_server(published) as server:
+                rejected, other = await asyncio.gather(
+                    server.submit_many([good[0], bad, good[2]]),
+                    server.submit(good[2]),
+                    return_exceptions=True,
+                )
+                stats = server.stats()
+                retry = await server.submit_many([good[0], good[2]])
+                return rejected, other, stats, retry
+
+        rejected, other, stats, retry = asyncio.run(run())
+        assert isinstance(rejected, ValueError) and "1 NaN" in str(rejected)
+        assert other.status == "ok" and np.isfinite(other.score)
+        assert stats["decisions"]["ok"] == 1 and stats["forwarded"] == 1
+        assert [d.status for d in retry] == ["ok", "ok"]
+        assert retry[1].score == other.score and retry[1].cache_hit
+
+    def test_tcp_answers_one_error_line_and_serves_the_rest(self, published):
+        good = make_samples(2)
+        bad = poisoned(good[0], posinf=1, neginf=2)
+
+        async def run():
+            async with make_server(published) as server:
+                tcp = await serve_tcp(server)
+                port = tcp.sockets[0].getsockname()[1]
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                try:
+                    for sample in (good[0], bad, good[1]):
+                        message = _score_request(sample, "dev", None, None)
+                        writer.write(json.dumps(message).encode("utf-8") + b"\n")
+                    await writer.drain()
+                    replies = [
+                        json.loads(await asyncio.wait_for(reader.readline(), 10))
+                        for _ in range(3)
+                    ]
+                finally:
+                    writer.close()
+                    tcp.close()
+                    await tcp.wait_closed()
+                return replies, len(server.cache)
+
+        (first, error, last), cached = asyncio.run(run())
+        assert error == {
+            "ok": False,
+            "error": "sample holds 0 NaN and 3 infinite (+-inf) values",
+        }
+        for reply in (first, last):
+            assert reply["ok"] and reply["decision"]["status"] == "ok"
+            assert np.isfinite(reply["decision"]["score"])
+        assert cached == 2
+
+
 class TestClientsAndTcp:
     def test_inproc_client_stream_and_sequential_agree(self, published):
         samples = make_samples(6)
