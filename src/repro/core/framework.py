@@ -84,10 +84,6 @@ class StepStats:
     train_seconds: float
     info: Dict[str, float] = field(default_factory=dict)
 
-    @property
-    def total_seconds(self) -> float:
-        return self.select_seconds + self.train_seconds
-
 
 class OnDeviceContrastiveLearner:
     """Self-supervised learner over an unlabeled, non-iid input stream.

@@ -32,7 +32,7 @@ composition survives the checkpoint / sweep-payload round trip bitwise.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, Optional, Tuple
 
 __all__ = [
@@ -98,12 +98,6 @@ class ScenarioExpr:
         while node is not None:
             yield node
             node = node.child
-
-    def with_name(self, name: str) -> "ScenarioExpr":
-        return replace(self, name=name)
-
-    def with_child(self, child: Optional["ScenarioExpr"]) -> "ScenarioExpr":
-        return replace(self, child=child)
 
     def __str__(self) -> str:
         return format_scenario(self)

@@ -77,14 +77,6 @@ class ServeExperimentResult:
     cold_seconds: float = field(default=0.0)
     repeat_seconds: float = field(default=0.0)
 
-    @property
-    def cold_rps(self) -> float:
-        return self.requests / self.cold_seconds if self.cold_seconds else 0.0
-
-    @property
-    def repeat_rps(self) -> float:
-        return self.requests / self.repeat_seconds if self.repeat_seconds else 0.0
-
     def status_counts(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}
         for decision in self.cold + self.warm + self.repeat:

@@ -434,12 +434,6 @@ class FleetRoundStats:
             return float("nan")
         return float(np.mean([d.knn_accuracy for d in self.devices]))
 
-    @property
-    def mean_buffer_diversity(self) -> float:
-        if not self.devices:
-            return float("nan")
-        return float(np.mean([d.buffer_diversity for d in self.devices]))
-
     def to_dict(self) -> Dict[str, Any]:
         payload = {
             "round_index": self.round_index,

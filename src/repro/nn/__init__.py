@@ -1,9 +1,9 @@
 """Neural-network substrate: autograd tensors, layers, ResNet encoder,
 optimizers, and losses — the numpy stand-in for the paper's PyTorch stack.
 
-All numeric compute routes through a pluggable array backend
-(:mod:`repro.nn.backend`): ``numpy`` is the reference, ``fused`` the
-buffer-reusing, conv→BN→ReLU-fusing inference engine.
+Convolution unfolds, GEMMs and eval forwards run on a pluggable array
+backend (:mod:`repro.nn.backend`): ``numpy`` is the reference, ``fused``
+the buffer-reusing, conv→BN→ReLU-fusing inference engine.
 """
 
 from repro.nn.backend import (

@@ -1,7 +1,7 @@
 """Pluggable array-backend execution layer (see DESIGN.md §8).
 
 One :class:`~repro.nn.backend.base.ArrayBackend` strategy object
-decides how every numeric operation of the nn stack executes —
+decides how the nn stack's unfolds, GEMMs and inference chain execute —
 precision, scratch-buffer reuse, and inference fusion — while storage
 stays ``numpy.ndarray`` everywhere.  Built-ins:
 

@@ -1,34 +1,35 @@
 """The :class:`ArrayBackend` protocol and the active-backend state.
 
-Every numeric operation of the nn stack — tensor arithmetic,
-convolution unfolds, softmax reductions, loss precision — routes
-through one *array backend*.  A backend is a strategy object: storage
-is always a ``numpy.ndarray`` (that is the substrate contract the
-autograd engine relies on), but the backend decides **how** compute
-runs — which precision gradient-free forwards use, whether scratch
-buffers are reused, and whether adjacent inference ops are fused.
-Swapping the backend never changes *what* is computed, only how fast
-and at which precision.
+The nn stack runs its convolution unfolds, its GEMMs and its
+gradient-free inference chain through one *array backend*.  A backend
+is a strategy object: storage is always a ``numpy.ndarray`` (that is
+the substrate contract the autograd engine relies on), but the backend
+decides **how** those ops run — which precision gradient-free scoring
+uses, whether scratch buffers are reused, and whether adjacent
+inference ops are fused.  Every other array operation (tensor
+arithmetic, reductions, softmax, loss math) calls numpy directly: no
+backend may change what autograd computes, so there is nothing to
+dispatch.  Swapping the backend never changes *what* is computed, only
+how fast and at which precision.
 
-Protocol surface (see the method groups on :class:`ArrayBackend`):
+Protocol surface — the members a backend specializes, plus
+``matmul`` and ``col2im`` (see the method groups on
+:class:`ArrayBackend`):
 
-* **creation** — ``asarray``, ``empty``, ``zeros``, ``ones``,
-  ``zeros_like``;
-* **elementwise** — arithmetic, transcendentals, ``maximum`` /
-  ``where`` / ``clip`` / ``relu``;
-* **reduction** — ``sum`` / ``mean`` / ``max``;
-* **linear algebra** — ``matmul`` (with optional ``out=``);
+* **elementwise** — ``relu`` (gradient-free calls only);
+* **linear algebra** — ``matmul``, the documented extension point of a
+  BLAS-swapping backend;
 * **im2col gather/scatter** — ``im2col`` / ``col2im``, with a
-  ``grad_free`` flag that lets the backend substitute workspace-backed
-  scratch for gradient-free forwards;
-* **inference fast paths** — ``conv2d_infer`` (a gradient-free
-  ``F.conv2d``) and the channels-last chain ``to_nhwc`` /
-  ``conv_bn_nhwc`` / ``add_relu_infer`` / ``pool_mean_nhwc`` every
-  eval no-grad encoder forward runs through;
-* **precision policy** — ``compute_dtype`` / ``scoring_dtype`` /
-  ``loss_reduction_dtype`` (see the attribute docs; this is the
-  explicit home of every "which float width?" decision that used to be
-  hard-coded across the nn modules).
+  ``grad_free`` flag on ``im2col`` that lets the backend substitute
+  workspace-backed scratch for gradient-free forwards (a no-grad
+  ``F.conv2d`` passes it);
+* **inference fast paths** — ``add_relu_infer`` and the channels-last
+  chain ``conv_bn_nhwc`` / ``pool_mean_nhwc`` every eval no-grad
+  encoder forward runs through;
+* **precision policy** — ``scoring_dtype`` (see the attribute docs).
+  Parameters and activations are float32 and per-sample loss
+  reductions float64 on every backend; those widths are fixed where
+  they are read (:mod:`repro.nn.losses`).
 
 Two invariants every backend must keep (enforced by the parity tests in
 ``tests/nn/test_backend.py`` and ``tests/property/``):
@@ -37,10 +38,10 @@ Two invariants every backend must keep (enforced by the parity tests in
    the autograd graph (and every backward closure) must be bitwise
    reproducible across backends — training trajectories are part of the
    reproduction contract.  Backends therefore only specialize the
-   *gradient-free* paths (``*_infer``, the ``*_nhwc`` chain,
-   ``grad_free=True`` unfolds, scoring precision); the graph-building
-   ops in the base class are the reference semantics and subclasses
-   should not change their results.
+   *gradient-free* paths (``relu`` without gradients, ``*_infer``, the
+   ``*_nhwc`` chain, ``grad_free=True`` unfolds, scoring precision);
+   ``matmul`` and ``col2im`` in the base class are the reference
+   semantics and subclasses must not change their results.
 2. **Returned arrays are caller-owned.**  A backend may reuse internal
    scratch arenas between calls, but any array it *returns* must remain
    valid until the caller drops it — never a view of an arena a later
@@ -61,7 +62,7 @@ resolve their own.
 from __future__ import annotations
 
 import os
-from typing import Any, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -85,19 +86,15 @@ def _rectify(x: np.ndarray, out: np.ndarray) -> np.ndarray:
 class ArrayBackend:
     """Reference implementation and protocol of the execution layer.
 
-    The base class *is* the reference numpy semantics: every method is
-    implemented with plain ``numpy`` calls, bit-compatible with the
-    pre-backend code.  Subclasses override the subset they accelerate
-    (see :class:`repro.nn.backend.fused.FusedBackend`).
+    The base class *is* the reference numpy semantics.  It holds only
+    what a backend may specialize (see
+    :class:`repro.nn.backend.fused.FusedBackend`); every other array
+    operation of the nn stack calls numpy directly, because no backend
+    may change what autograd math computes (invariant 1).
     """
 
     #: Registry name of the backend (subclasses set it).
     name: str = "base"
-
-    #: Parameter / activation dtype of the nn stack.  float32 matches
-    #: the paper's on-device regime and every initializer in
-    #: :mod:`repro.nn.init`.
-    compute_dtype = np.float32
 
     #: Dtype of gradient-free *scoring* forwards and the projection
     #: normalization in :class:`repro.core.scoring.ContrastScorer`.
@@ -108,94 +105,16 @@ class ArrayBackend:
     #: orders of magnitude above float32 resolution at that scale.
     scoring_dtype = np.float64
 
-    #: Dtype of per-sample loss reductions (NT-Xent ``per_sample``,
-    #: cosine similarity).  float64 on every backend: the
-    #: log-sum-exp runs over 2N terms spanning the e^{±1/τ} dynamic
-    #: range, where float32 cancellation would bias the small
-    #: per-sample losses Selective-BP ranks by — and the similarity
-    #: matrix is tiny next to the encoder forwards, so the wide
-    #: accumulation is effectively free.
-    loss_reduction_dtype = np.float64
-
-    # -- creation -------------------------------------------------------
-    def asarray(self, value: Any, dtype: Optional[Any] = None) -> np.ndarray:
-        return np.asarray(value, dtype=dtype)
-
-    def empty(self, shape: Tuple[int, ...], dtype: Optional[Any] = None) -> np.ndarray:
-        return np.empty(shape, dtype=self.compute_dtype if dtype is None else dtype)
-
-    def zeros(self, shape: Tuple[int, ...], dtype: Optional[Any] = None) -> np.ndarray:
-        return np.zeros(shape, dtype=self.compute_dtype if dtype is None else dtype)
-
-    def ones(self, shape: Tuple[int, ...], dtype: Optional[Any] = None) -> np.ndarray:
-        return np.ones(shape, dtype=self.compute_dtype if dtype is None else dtype)
-
-    def zeros_like(self, x: np.ndarray) -> np.ndarray:
-        return np.zeros_like(x)
-
     # -- elementwise ----------------------------------------------------
-    def add(self, a, b, out: Optional[np.ndarray] = None) -> np.ndarray:
-        return np.add(a, b, out=out) if out is not None else a + b
-
-    def subtract(self, a, b) -> np.ndarray:
-        return a - b
-
-    def multiply(self, a, b) -> np.ndarray:
-        return a * b
-
-    def divide(self, a, b) -> np.ndarray:
-        return a / b
-
-    def negative(self, x: np.ndarray) -> np.ndarray:
-        return -x
-
-    def power(self, x: np.ndarray, exponent: float) -> np.ndarray:
-        return x**exponent
-
-    def exp(self, x: np.ndarray) -> np.ndarray:
-        return np.exp(x)
-
-    def log(self, x: np.ndarray) -> np.ndarray:
-        return np.log(x)
-
-    def sqrt(self, x: np.ndarray) -> np.ndarray:
-        return np.sqrt(x)
-
-    def tanh(self, x: np.ndarray) -> np.ndarray:
-        return np.tanh(x)
-
-    def sign(self, x: np.ndarray) -> np.ndarray:
-        return np.sign(x)
-
-    def absolute(self, x: np.ndarray) -> np.ndarray:
-        return np.abs(x)
-
-    def maximum(self, a, b, out: Optional[np.ndarray] = None) -> np.ndarray:
-        return np.maximum(a, b, out=out) if out is not None else np.maximum(a, b)
-
-    def where(self, cond, a, b) -> np.ndarray:
-        return np.where(cond, a, b)
-
-    def clip(self, x: np.ndarray, low: float, high: float) -> np.ndarray:
-        return np.clip(x, low, high)
-
     def relu(self, x: np.ndarray) -> np.ndarray:
         """Reference ReLU: bitwise ``where(x > 0, x, 0)`` (see :func:`_rectify`)."""
         return _rectify(x, np.empty_like(x))
 
-    # -- reductions -----------------------------------------------------
-    def sum(self, x: np.ndarray, axis=None, keepdims: bool = False) -> np.ndarray:
-        return x.sum(axis=axis, keepdims=keepdims)
-
-    def mean(self, x: np.ndarray, axis=None, keepdims: bool = False) -> np.ndarray:
-        return x.mean(axis=axis, keepdims=keepdims)
-
-    def max(self, x: np.ndarray, axis=None, keepdims: bool = False) -> np.ndarray:
-        return x.max(axis=axis, keepdims=keepdims)
-
     # -- linear algebra -------------------------------------------------
-    def matmul(self, a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        return np.matmul(a, b, out=out) if out is not None else a @ b
+    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """``a @ b``: the hook a BLAS-swapping backend overrides (DESIGN.md
+        §8), whose result must stay bitwise ``a @ b`` (invariant 1)."""
+        return a @ b
 
     # -- im2col gather / scatter ----------------------------------------
     def im2col(
@@ -236,28 +155,6 @@ class ArrayBackend:
         return col2im(cols, input_shape, kernel, stride, padding)
 
     # -- inference fast paths -------------------------------------------
-    def conv2d_infer(
-        self,
-        x: np.ndarray,
-        weight: np.ndarray,
-        bias: Optional[np.ndarray],
-        stride: int,
-        padding: int,
-    ) -> np.ndarray:
-        """Gradient-free 2-D convolution forward (NCHW in, NCHW out).
-
-        The reference path: workspace-backed unfold, one GEMM, NCHW
-        repack.  Bit-compatible with the autograd forward.
-        """
-        c_out = weight.shape[0]
-        kh, kw = weight.shape[2], weight.shape[3]
-        cols = self.im2col(x, (kh, kw), stride, padding, grad_free=True)
-        w_mat = weight.reshape(c_out, -1)
-        out = cols @ w_mat.T  # (N, oh, ow, C_out)
-        if bias is not None:
-            out = out + bias
-        return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
-
     def add_relu_infer(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Gradient-free ``relu(a + b)`` (the residual-join epilogue)."""
         out = a + b
@@ -270,10 +167,6 @@ class ArrayBackend:
     # bitwise equal to the module path: the same unfold, the same
     # stacked GEMM, the same elementwise ops in the same order; it only
     # drops the layout copies between layers.
-    def to_nhwc(self, x: np.ndarray) -> np.ndarray:
-        """Repack an NCHW batch as contiguous NHWC (chain entry)."""
-        return np.ascontiguousarray(x.transpose(0, 2, 3, 1))
-
     def conv_bn_nhwc(
         self,
         x: np.ndarray,
@@ -293,7 +186,7 @@ class ArrayBackend:
 
         The reference unfolds an NCHW view of ``x`` (:meth:`im2col`
         transposes it straight back, so the padded buffer and columns
-        are those of :meth:`conv2d_infer`) and issues the same stacked
+        are those of a no-grad ``F.conv2d``) and issues the same stacked
         GEMM, whose (N, oh, ow, C_out) result already is NHWC.  Bias,
         BN and ReLU then run in place on that fresh output, each
         element rounded as in ``BatchNorm2d``'s ``x * scale + shift``.

@@ -26,19 +26,19 @@ that every eval no-grad encoder forward runs through:
   Im2colWorkspace`, so a steady-state chain allocates one array per
   layer: the NHWC output it returns.  Returned arrays are never arena
   views — the caller-ownership invariant of the protocol holds.
-* **float32 end-to-end** — gradient-free scoring forwards stay in the
-  compute dtype instead of upcasting projections to float64
+* **float32 end-to-end** — gradient-free scoring forwards stay in
+  float32 instead of upcasting projections to float64
   (:attr:`scoring_dtype`); contrast scores have ~1e-3 gaps on a [0, 2]
   scale, far above float32 resolution, and the final score vector is
   still returned as float64 by the scorer for buffer compatibility.
-  Per-sample *loss* reductions keep float64 (see the base class
-  rationale on :attr:`~repro.nn.backend.base.ArrayBackend.
-  loss_reduction_dtype`).
+  Per-sample *loss* reductions keep float64 on every backend (see
+  :mod:`repro.nn.losses`).
 
 Fusion only ever applies to gradient-free forwards (the scoring /
-probe-evaluation hot path); autograd training math is inherited
-unchanged from the reference backend, so training trajectories are
-bitwise identical across backends.
+probe-evaluation hot path); autograd training math calls numpy or
+the reference backend's ``matmul``, ``col2im`` and workspace-free
+unfolds, so training trajectories are bitwise identical across
+backends.
 """
 
 from __future__ import annotations
@@ -133,7 +133,7 @@ class FusedBackend(NumpyBackend):
         n, h, w, _ = x.shape
         # float32 for float32 inputs; float64 inputs (reference tests,
         # finite differences) keep their width.
-        dtype = np.promote_types(x.dtype, self.compute_dtype)
+        dtype = np.promote_types(x.dtype, np.float32)
 
         # (C_out, C_in, kh, kw) -> (C_out, kh, kw, C_in), matching the
         # (kh, kw, C) order of the NHWC columns; BN folds in here.

@@ -1,13 +1,13 @@
 """Differentiable neural-network operations on :class:`~repro.nn.tensor.Tensor`.
 
 Everything here builds on the autograd closures of
-:mod:`repro.nn.tensor`.  Array compute routes through the active
-:class:`~repro.nn.backend.base.ArrayBackend`: convolution uses the
-backend's im2col gather/scatter ops, and the gradient-free forward
-paths dispatch to the backend's inference entry points
-(``conv2d_infer`` and, through :func:`add_relu`, ``add_relu_infer``).
-Eval no-grad encoder forwards skip these modules altogether: they run
-the backend's channels-last chain with the affine of
+:mod:`repro.nn.tensor` and computes with numpy directly, except where
+the active :class:`~repro.nn.backend.base.ArrayBackend` may specialize
+the work: convolution runs the backend's im2col gather/scatter and
+GEMM (a gradient-free call unfolds into the backend's workspace), and
+a gradient-free :func:`add_relu` calls ``add_relu_infer``.  Eval
+no-grad encoder forwards skip these modules altogether: they run the
+backend's channels-last chain with the affine of
 :func:`bn_eval_affine` (see :meth:`repro.nn.resnet.ResNetEncoder.forward`).
 """
 
@@ -71,12 +71,14 @@ def conv2d(
     weight: ``(C_out, C_in, kh, kw)`` filters.
     bias: optional ``(C_out,)``.
 
-    Gradient-free forwards (``no_grad`` scoring/eval, frozen inputs)
-    dispatch to the backend's ``conv2d_infer`` fast path, which may
-    serve its unfold from a scratch workspace and reuse output buffers
-    (the returned array is always caller-owned).  Autograd forwards
-    always own their columns (the backward closure reads them for the
-    weight gradient), so they unfold with ``grad_free=False``.
+    Every call runs one forward: unfold, GEMM, bias, NCHW repack.  A
+    gradient-free call (``no_grad`` scoring/eval, frozen inputs) keeps
+    no columns, so it unfolds with ``grad_free=True`` — the backend may
+    serve the columns from a scratch workspace — and returns before it
+    builds a backward closure; its output is a fresh, caller-owned
+    array all the same.  Autograd forwards own their columns (the
+    backward closure reads them for the weight gradient), so they
+    unfold with ``grad_free=False``.
     """
     if x.ndim != 4:
         raise ValueError(f"conv2d expects NCHW input, got shape {x.shape}")
@@ -94,23 +96,14 @@ def conv2d(
     parents = (x, weight) if bias is None else (x, weight, bias)
     needs_grad = is_grad_enabled() and any(p.requires_grad for p in parents)
     backend = get_backend()
-    if not needs_grad:
-        return Tensor(
-            backend.conv2d_infer(
-                x.data,
-                weight.data,
-                None if bias is None else bias.data,
-                stride,
-                padding,
-            )
-        )
-
-    cols = backend.im2col(x.data, (kh, kw), stride, padding, grad_free=False)
+    cols = backend.im2col(x.data, (kh, kw), stride, padding, grad_free=not needs_grad)
     w_mat = weight.data.reshape(c_out, -1)  # (C_out, C*kh*kw)
     out = backend.matmul(cols, w_mat.T)  # (N, oh, ow, C_out)
     if bias is not None:
         out = out + bias.data
     out = np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+    if not needs_grad:
+        return Tensor(out)
 
     def backward(g: np.ndarray):
         # g: (N, C_out, oh, ow) -> (N, oh, ow, C_out)
@@ -243,11 +236,10 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
 def logsumexp(x: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
     """Numerically stable ``log(sum(exp(x)))`` along ``axis``."""
     a = x
-    backend = get_backend()
-    m = backend.max(a.data, axis=axis, keepdims=True)
-    shifted = backend.exp(a.data - m)
-    total = backend.sum(shifted, axis=axis, keepdims=True)
-    data = backend.log(total) + m
+    m = a.data.max(axis=axis, keepdims=True)
+    shifted = np.exp(a.data - m)
+    total = shifted.sum(axis=axis, keepdims=True)
+    data = np.log(total) + m
     softmax_vals = shifted / total
     if not keepdims:
         data = np.squeeze(data, axis=axis)
@@ -262,12 +254,11 @@ def logsumexp(x: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Log of the softmax along ``axis`` (stable fused implementation)."""
     a = x
-    backend = get_backend()
-    m = backend.max(a.data, axis=axis, keepdims=True)
+    m = a.data.max(axis=axis, keepdims=True)
     shifted = a.data - m
-    exp = backend.exp(shifted)
-    total = backend.sum(exp, axis=axis, keepdims=True)
-    data = shifted - backend.log(total)
+    exp = np.exp(shifted)
+    total = exp.sum(axis=axis, keepdims=True)
+    data = shifted - np.log(total)
     softmax_vals = exp / total
 
     def backward(g: np.ndarray):
@@ -279,10 +270,9 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Softmax along ``axis`` (stable fused implementation)."""
     a = x
-    backend = get_backend()
-    m = backend.max(a.data, axis=axis, keepdims=True)
-    exp = backend.exp(a.data - m)
-    data = exp / backend.sum(exp, axis=axis, keepdims=True)
+    m = a.data.max(axis=axis, keepdims=True)
+    exp = np.exp(a.data - m)
+    data = exp / exp.sum(axis=axis, keepdims=True)
 
     def backward(g: np.ndarray):
         dot = (g * data).sum(axis=axis, keepdims=True)
@@ -298,9 +288,8 @@ def l2_normalize(x: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:
     outputs (Eq. 3) so the dot product ``z_i^T z_i+`` lies in [-1, 1].
     """
     a = x
-    backend = get_backend()
-    norm = backend.sqrt(backend.sum(a.data * a.data, axis=axis, keepdims=True))
-    norm = backend.maximum(norm, eps)
+    norm = np.sqrt((a.data * a.data).sum(axis=axis, keepdims=True))
+    norm = np.maximum(norm, eps)
     data = a.data / norm
 
     def backward(g: np.ndarray):
@@ -340,12 +329,11 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
 def cosine_similarity(a: np.ndarray, b: np.ndarray, axis: int = -1) -> np.ndarray:
     """Cosine similarity between paired rows of two numpy arrays.
 
-    Accumulated at the backend's loss-reduction precision (float64 on
-    the built-ins; see the ``loss_reduction_dtype`` policy docs).
+    Accumulated in float64, like the per-sample NT-Xent loss (see
+    :mod:`repro.nn.losses`).
     """
-    dtype = get_backend().loss_reduction_dtype
-    a = np.asarray(a, dtype=dtype)
-    b = np.asarray(b, dtype=dtype)
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
     na = np.linalg.norm(a, axis=axis)
     nb = np.linalg.norm(b, axis=axis)
     denom = np.maximum(na * nb, 1e-12)

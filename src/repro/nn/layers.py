@@ -14,7 +14,6 @@ import numpy as np
 
 from repro.nn import functional as F
 from repro.nn import init as init_mod
-from repro.nn.backend import base as backend_mod
 from repro.nn.tensor import Tensor
 
 __all__ = [
@@ -256,11 +255,10 @@ class Linear(Module):
 class Conv2d(Module):
     """2-D convolution layer (square kernel).
 
-    Forward delegates to :func:`repro.nn.functional.conv2d`, which
-    dispatches gradient-free passes to the active backend's
-    ``conv2d_infer`` fast path — workspace-backed unfolds, so repeated
-    forwards of the same shape stop reallocating their scratch.  See
-    :mod:`repro.nn.im2col` for the cache invariants and
+    Forward delegates to :func:`repro.nn.functional.conv2d`, whose
+    gradient-free passes unfold into the active backend's workspace, so
+    repeated forwards of the same shape stop reallocating their scratch.
+    See :mod:`repro.nn.im2col` for the cache invariants and
     :mod:`repro.nn.backend` for the backend surface.
     """
 
@@ -317,12 +315,11 @@ class BatchNorm2d(Module):
                 f"BatchNorm2d({self.num_features}) got input shape {x.shape}"
             )
         if self.training:
-            backend = backend_mod.get_backend()
-            mean = backend.mean(x.data, axis=(0, 2, 3))
+            mean = x.data.mean(axis=(0, 2, 3))
             # The batch, centered once, feeds both the variance (bitwise
             # ``x.var``, which centers on the same mean) and ``x_hat``.
             centered = x.data - mean.reshape(1, -1, 1, 1)
-            var = backend.mean(centered * centered, axis=(0, 2, 3))
+            var = (centered * centered).mean(axis=(0, 2, 3))
             n = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
             # Unbiased variance for the running estimate (PyTorch convention).
             unbiased = var * n / max(n - 1, 1)

@@ -3,16 +3,15 @@ cross-entropy for the stage-2 classifier / supervised baselines.
 
 Precision policy
 ----------------
-The differentiable losses compute at the dtype of their inputs (the
-backend's ``compute_dtype``, float32 throughout the nn stack).  The
-*gradient-free* per-sample reduction :meth:`NTXentLoss.per_sample`
-accumulates at the active backend's ``loss_reduction_dtype`` instead of
-a hard-coded float64: the log-sum-exp runs over 2N similarity terms
-spanning the e^{±1/τ} dynamic range, and Selective-BP ranks samples by
-the small differences between those per-sample losses, so the
-accumulation width is an explicit, documented backend decision rather
-than a silent upcast (both built-in backends choose float64 — see
-:class:`repro.nn.backend.base.ArrayBackend` for the rationale).
+The differentiable losses compute at the dtype of their inputs
+(float32 throughout the nn stack).  The *gradient-free* per-sample
+reduction :meth:`NTXentLoss.per_sample` (and
+:func:`repro.nn.functional.cosine_similarity`) accumulates in float64
+on every backend: the log-sum-exp runs over 2N similarity terms
+spanning the e^{±1/τ} dynamic range, where float32 cancellation would
+bias the small per-sample losses Selective-BP ranks by — and the
+similarity matrix is tiny next to the encoder forwards, so the wide
+accumulation is effectively free.
 """
 
 from __future__ import annotations
@@ -63,7 +62,7 @@ def nt_xent_loss(
 
     # Mask self-similarity with a large negative constant (non-differentiable
     # additive constant, so gradients are unaffected on the kept entries).
-    mask = get_backend().zeros((2 * n, 2 * n), dtype=z.data.dtype)
+    mask = np.zeros((2 * n, 2 * n), dtype=z.data.dtype)
     np.fill_diagonal(mask, -1e9)
     sim = sim + mask
 
@@ -89,21 +88,18 @@ class NTXentLoss:
         """Per-pair loss values ℓ(i, i+) (no gradient), used by Selective-BP.
 
         Returns the symmetric per-pair loss
-        ``(ℓ_{i,i+} + ℓ_{i+,i}) / 2`` as a length-N float64 vector.
-        Internally accumulates at the backend's ``loss_reduction_dtype``
-        (see the module docstring); the returned dtype stays float64 —
-        the buffer-score contract.
+        ``(ℓ_{i,i+} + ℓ_{i+,i}) / 2`` as a length-N float64 vector,
+        accumulated in float64 (see the module docstring) — the
+        buffer-score contract.
         """
-        backend = get_backend()
-        dtype = backend.loss_reduction_dtype
-        z1d = np.asarray(z1.data, dtype=dtype)
-        z2d = np.asarray(z2.data, dtype=dtype)
+        z1d = np.asarray(z1.data, dtype=np.float64)
+        z2d = np.asarray(z2.data, dtype=np.float64)
         n = z1d.shape[0]
         z = np.concatenate([z1d, z2d], axis=0)
-        sim = backend.matmul(z, z.T) / self.temperature
+        sim = get_backend().matmul(z, z.T) / self.temperature
         np.fill_diagonal(sim, -np.inf)
-        sim = sim - backend.max(sim, axis=1, keepdims=True)
-        log_denominator = backend.log(backend.sum(backend.exp(sim), axis=1))
+        sim = sim - sim.max(axis=1, keepdims=True)
+        log_denominator = np.log(np.exp(sim).sum(axis=1))
         pos_index = np.concatenate([np.arange(n, 2 * n), np.arange(0, n)])
         rows = np.arange(2 * n)
         log_numerator = sim[rows, pos_index]

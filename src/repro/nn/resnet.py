@@ -193,9 +193,8 @@ class ResNetEncoder(Module):
 
     def _infer_nhwc_chain(self, x: np.ndarray, backend: ArrayBackend) -> np.ndarray:
         """The channels-last encoder forward (raw arrays)."""
-        h = _conv_bn_nhwc(
-            backend, backend.to_nhwc(x), self.stem_conv, self.stem_bn, relu=True
-        )
+        x_nhwc = np.ascontiguousarray(x.transpose(0, 2, 3, 1))
+        h = _conv_bn_nhwc(backend, x_nhwc, self.stem_conv, self.stem_bn, relu=True)
         for stage in self.stages:
             for block in stage.layers:
                 h = block._infer_nhwc(h, backend)

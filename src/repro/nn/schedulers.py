@@ -38,10 +38,6 @@ class LRScheduler:
         self.step_count += 1
         return lr
 
-    @property
-    def current_lr(self) -> float:
-        return self.optimizer.lr
-
 
 class ConstantLR(LRScheduler):
     """No-op schedule (explicit is better than implicit)."""

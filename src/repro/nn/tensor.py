@@ -22,15 +22,15 @@ Design
   are reduced back to the operand's shape by :func:`unbroadcast`.
 * Gradients are plain numpy arrays (no higher-order differentiation);
   this matches how the paper's training loops use gradients.
-* Forward compute dispatches to the active
-  :class:`~repro.nn.backend.base.ArrayBackend` (storage is always a
-  numpy array; the backend decides execution strategy and precision).
-  Backward closures use numpy directly: gradient math must be bitwise
-  reproducible across backends (the cross-backend training-determinism
-  invariant), with :meth:`Tensor.__matmul__` as the one exception —
-  its backward GEMMs route through ``backend.matmul`` so a
-  BLAS-swapping backend accelerates training too.  Pure layout ops
-  (reshape, transpose, indexing, concat/stack) stay ndarray-native.
+* Forward and backward compute call numpy directly: autograd math
+  must be bitwise reproducible across backends (the cross-backend
+  training-determinism invariant), so no backend has anything to
+  change there.  Two ops consult the active
+  :class:`~repro.nn.backend.base.ArrayBackend`:
+  :meth:`Tensor.__matmul__`, whose forward and backward GEMMs route
+  through ``backend.matmul`` so a BLAS-swapping backend accelerates
+  training too, and a gradient-free :meth:`Tensor.relu`, which takes
+  the backend's single-pass rectification.
 
 The engine is deliberately small but complete enough for ResNets with
 batch normalization and the NT-Xent contrastive loss.  Convolution and
@@ -289,7 +289,7 @@ class Tensor:
     def __add__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
         other = Tensor._lift(other, self.data.dtype)
         a, b = self, other
-        data = get_backend().add(a.data, b.data)
+        data = a.data + b.data
 
         def backward(g: np.ndarray):
             return (unbroadcast(g, a.data.shape), unbroadcast(g, b.data.shape))
@@ -300,7 +300,7 @@ class Tensor:
 
     def __neg__(self) -> "Tensor":
         a = self
-        return self._make(get_backend().negative(a.data), (a,), lambda g: (-g,))
+        return self._make(-a.data, (a,), lambda g: (-g,))
 
     def __sub__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
         return self + (-Tensor._lift(other, self.data.dtype))
@@ -311,7 +311,7 @@ class Tensor:
     def __mul__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
         other = Tensor._lift(other, self.data.dtype)
         a, b = self, other
-        data = get_backend().multiply(a.data, b.data)
+        data = a.data * b.data
 
         def backward(g: np.ndarray):
             ga = unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None
@@ -325,7 +325,7 @@ class Tensor:
     def __truediv__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
         other = Tensor._lift(other, self.data.dtype)
         a, b = self, other
-        data = get_backend().divide(a.data, b.data)
+        data = a.data / b.data
 
         def backward(g: np.ndarray):
             ga = unbroadcast(g / b.data, a.data.shape) if a.requires_grad else None
@@ -345,7 +345,7 @@ class Tensor:
         if isinstance(exponent, Tensor):
             raise TypeError("tensor exponents are not supported; use exp/log")
         a = self
-        data = get_backend().power(a.data, exponent)
+        data = a.data**exponent
 
         def backward(g: np.ndarray):
             return (g * exponent * a.data ** (exponent - 1),)
@@ -385,26 +385,26 @@ class Tensor:
     # ------------------------------------------------------------------
     def exp(self) -> "Tensor":
         a = self
-        data = get_backend().exp(a.data)
+        data = np.exp(a.data)
         return self._make(data, (a,), lambda g: (g * data,))
 
     def log(self) -> "Tensor":
         a = self
-        return self._make(get_backend().log(a.data), (a,), lambda g: (g / a.data,))
+        return self._make(np.log(a.data), (a,), lambda g: (g / a.data,))
 
     def sqrt(self) -> "Tensor":
         a = self
-        data = get_backend().sqrt(a.data)
+        data = np.sqrt(a.data)
         return self._make(data, (a,), lambda g: (g * 0.5 / data,))
 
     def tanh(self) -> "Tensor":
         a = self
-        data = get_backend().tanh(a.data)
+        data = np.tanh(a.data)
         return self._make(data, (a,), lambda g: (g * (1.0 - data * data),))
 
     def sigmoid(self) -> "Tensor":
         a = self
-        data = 1.0 / (1.0 + get_backend().exp(-a.data))
+        data = 1.0 / (1.0 + np.exp(-a.data))
         return self._make(data, (a,), lambda g: (g * data * (1.0 - data),))
 
     def relu(self) -> "Tensor":
@@ -419,15 +419,14 @@ class Tensor:
 
     def abs(self) -> "Tensor":
         a = self
-        backend = get_backend()
-        sign = backend.sign(a.data)
-        return self._make(backend.absolute(a.data), (a,), lambda g: (g * sign,))
+        sign = np.sign(a.data)
+        return self._make(np.abs(a.data), (a,), lambda g: (g * sign,))
 
     def maximum(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
         other = Tensor._lift(other, self.data.dtype)
         a, b = self, other
         take_a = a.data >= b.data
-        data = get_backend().where(take_a, a.data, b.data)
+        data = np.where(take_a, a.data, b.data)
 
         def backward(g: np.ndarray):
             ga = unbroadcast(g * take_a, a.data.shape) if a.requires_grad else None
@@ -438,7 +437,7 @@ class Tensor:
 
     def clip(self, low: float, high: float) -> "Tensor":
         a = self
-        data = get_backend().clip(a.data, low, high)
+        data = np.clip(a.data, low, high)
         mask = (a.data >= low) & (a.data <= high)
         return self._make(data, (a,), lambda g: (g * mask,))
 
@@ -449,7 +448,7 @@ class Tensor:
         self, axis: Union[int, Tuple[int, ...], None] = None, keepdims: bool = False
     ) -> "Tensor":
         a = self
-        data = get_backend().sum(a.data, axis=axis, keepdims=keepdims)
+        data = a.data.sum(axis=axis, keepdims=keepdims)
 
         def backward(g: np.ndarray):
             return (_expand_reduced(g, a.data.shape, axis, keepdims),)
@@ -461,7 +460,7 @@ class Tensor:
     ) -> "Tensor":
         a = self
         count = _reduced_count(a.data.shape, axis)
-        data = get_backend().mean(a.data, axis=axis, keepdims=keepdims)
+        data = a.data.mean(axis=axis, keepdims=keepdims)
 
         def backward(g: np.ndarray):
             return (_expand_reduced(g, a.data.shape, axis, keepdims) / count,)
@@ -472,7 +471,7 @@ class Tensor:
         self, axis: Union[int, None] = None, keepdims: bool = False
     ) -> "Tensor":
         a = self
-        data = get_backend().max(a.data, axis=axis, keepdims=keepdims)
+        data = a.data.max(axis=axis, keepdims=keepdims)
         # Ties split gradient equally, matching numpy-style subgradient.
         expanded = (
             data if keepdims or axis is None else np.expand_dims(data, axis)

@@ -263,17 +263,32 @@ class TestConv2dWorkspaceGating:
         assert ws.stats()["misses"] == before  # workspace untouched
         assert w.grad is not None
 
-    def test_nograd_forward_matches_grad_forward(self, rng):
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("with_bias", [False, True])
+    def test_nograd_forward_matches_grad_forward(self, rng, with_bias, stride):
+        """The no-grad call runs the autograd forward's unfold, GEMM, bias
+        and repack from the workspace, and returns a caller-owned array."""
         from repro.nn import functional as F
+        from repro.nn.backend import use_backend
+        from repro.nn.im2col import default_workspace
         from repro.nn.tensor import Tensor, no_grad
 
         x = Tensor(rng.normal(size=(2, 2, 6, 6)).astype(np.float32), requires_grad=True)
         w = Tensor(rng.normal(size=(4, 2, 3, 3)).astype(np.float32), requires_grad=True)
-        with_grad = F.conv2d(x, w, stride=1, padding=1).data
-        with no_grad():
-            F.conv2d(x, w, stride=1, padding=1)  # warm the workspace
-            without = F.conv2d(x, w, stride=1, padding=1).data
-        np.testing.assert_array_equal(with_grad, without)
+        b = Tensor(rng.normal(size=4).astype(np.float32), requires_grad=True) if with_bias else None
+        other = Tensor(rng.normal(size=(2, 2, 6, 6)).astype(np.float32))
+        ws = default_workspace()
+        with use_backend("numpy"):  # the backend whose workspace is the default
+            with_grad = F.conv2d(x, w, b, stride=stride, padding=1).data
+            with no_grad():
+                F.conv2d(x, w, b, stride=stride, padding=1)  # warm the workspace
+                hits = ws.stats()["hits"]
+                without = F.conv2d(x, w, b, stride=stride, padding=1).data
+                assert ws.stats()["hits"] > hits  # columns served by the workspace
+                snapshot = without.copy()
+                F.conv2d(other, w, b, stride=stride, padding=1)  # reuses the arenas
+        assert without.tobytes() == with_grad.tobytes()
+        assert without.tobytes() == snapshot.tobytes()  # caller-owned
 
     def test_interleaved_grad_and_nograd_backward_correct(self, rng):
         """A no_grad forward between forward and backward must not corrupt

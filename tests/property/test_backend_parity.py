@@ -48,7 +48,7 @@ def _chain(backend, x: np.ndarray, conv: Conv2d, bn, relu: bool) -> np.ndarray:
     """One conv(→BN)(→ReLU) link of ``backend``'s chain, back in NCHW."""
     scale, shift = (None, None) if bn is None else F.bn_eval_affine(bn)
     out = backend.conv_bn_nhwc(
-        backend.to_nhwc(x),
+        np.ascontiguousarray(x.transpose(0, 2, 3, 1)),
         conv.weight.data,
         None if conv.bias is None else conv.bias.data,
         conv.stride,
