@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -216,25 +216,6 @@ class OnDeviceContrastiveLearner:
         loss.backward()
         self.optimizer.step()
         return float(loss.item())
-
-    # ------------------------------------------------------------------
-    def fit(
-        self,
-        segments: Iterable[StreamSegment],
-        callback: Optional[Callable[["OnDeviceContrastiveLearner", StepStats], None]] = None,
-    ) -> List[StepStats]:
-        """Consume a stream of segments; returns the per-step stats.
-
-        ``callback(learner, stats)`` runs after every iteration — used
-        by experiment harnesses to record learning curves.
-        """
-        collected: List[StepStats] = []
-        for segment in segments:
-            stats = self.process_segment(segment)
-            collected.append(stats)
-            if callback is not None:
-                callback(self, stats)
-        return collected
 
     # ------------------------------------------------------------------
     # Checkpointing

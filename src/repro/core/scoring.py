@@ -22,9 +22,10 @@ Performance
 -----------
 Scoring is the framework's hot path (the paper's Table I overhead
 column measures exactly this), so :meth:`ContrastScorer.score` is fully
-batched: ``x`` and ``x+`` are stacked into one scoring pass (chunked at
-``max_batch`` rows to bound peak memory) and the similarity is a single
-vectorized reduction — no per-sample Python loops.
+batched: ``x`` and ``x+`` are stacked into one scoring pass and the
+similarity is a single vectorized reduction — no per-sample Python
+loops.  The encoder bounds the pass's working set itself (it runs eval
+batches in blocks of at most :data:`repro.nn.resnet.EVAL_BLOCK` images).
 :func:`score_batches` extends the same trick across several batches
 (the replacement policy uses it to score surviving buffer entries and
 incoming stream data in one fused pass), and
@@ -53,7 +54,7 @@ from repro.nn.backend.base import get_backend
 from repro.nn.layers import Module
 from repro.nn.tensor import Tensor, no_grad
 
-__all__ = ["ContrastScorer", "content_hash", "score_batches"]
+__all__ = ["ContrastScorer", "content_hash", "encoder_features", "score_batches"]
 
 
 def content_hash(images: np.ndarray) -> List[str]:
@@ -78,6 +79,30 @@ def content_hash(images: np.ndarray) -> List[str]:
     return digests
 
 
+def encoder_features(encoder: Module, images: np.ndarray) -> np.ndarray:
+    """Encoder representations h = f(x) of an NCHW batch (no gradient,
+    eval mode).
+
+    Serves the feature-space baselines (K-Center), the linear probe,
+    the kNN readout and the supervised baseline.  The encoder bounds its own eval working set: a
+    :class:`~repro.nn.resnet.ResNetEncoder` runs the batch in blocks of
+    at most :data:`repro.nn.resnet.EVAL_BLOCK` images, and a plugin
+    encoder must bound its own.  An empty batch never reaches the
+    encoder and returns an empty ``(0, feature_dim)`` array.
+    """
+    if images.ndim != 4:
+        raise ValueError(f"expected NCHW batch, got shape {images.shape}")
+    if images.shape[0] == 0:
+        return np.zeros((0, getattr(encoder, "feature_dim", 1)))
+    training = encoder.training
+    encoder.eval()
+    try:
+        with no_grad():
+            return np.asarray(encoder(Tensor(images)).data)
+    finally:
+        encoder.train(training)
+
+
 class ContrastScorer:
     """Compute contrast scores S(x) for batches of images.
 
@@ -93,11 +118,6 @@ class ContrastScorer:
         The deterministic weak augmentation producing ``x+``.  Defaults
         to horizontal flip, the paper's choice.  Must be deterministic —
         pass a pure function of the image batch only.
-    max_batch:
-        Most images handed to the encoder in one call.  It no longer
-        bounds peak memory: the encoder runs every eval batch in blocks
-        of at most :data:`repro.nn.resnet.EVAL_BLOCK` images, so its
-        unfold scratch never outgrows one block whatever the pool.
     """
 
     def __init__(
@@ -105,14 +125,10 @@ class ContrastScorer:
         encoder: Module,
         projector: Module,
         view_fn: Callable[[np.ndarray], np.ndarray] = horizontal_flip,
-        max_batch: int = 512,
     ) -> None:
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self.encoder = encoder
         self.projector = projector
         self.view_fn = view_fn
-        self.max_batch = max_batch
 
     # ------------------------------------------------------------------
     def project(self, images: np.ndarray) -> np.ndarray:
@@ -124,21 +140,19 @@ class ContrastScorer:
         if images.ndim != 4:
             raise ValueError(f"expected NCHW batch, got shape {images.shape}")
         dtype = get_backend().scoring_dtype
-        outputs = []
+        if images.shape[0] == 0:
+            return np.zeros((0, 1), dtype=dtype)
         enc_training = self.encoder.training
         proj_training = self.projector.training
         self.encoder.eval()
         self.projector.eval()
         try:
             with no_grad():
-                for start in range(0, images.shape[0], self.max_batch):
-                    chunk = images[start : start + self.max_batch]
-                    z = self.projector(self.encoder(Tensor(chunk))).data
-                    outputs.append(np.asarray(z, dtype=dtype))
+                z = self.projector(self.encoder(Tensor(images))).data
         finally:
             self.encoder.train(enc_training)
             self.projector.train(proj_training)
-        z = np.concatenate(outputs, axis=0) if outputs else np.zeros((0, 1), dtype=dtype)
+        z = np.asarray(z, dtype=dtype)
         norms = np.linalg.norm(z, axis=1, keepdims=True)
         return z / np.maximum(norms, 1e-12).astype(dtype, copy=False)
 
@@ -150,10 +164,9 @@ class ContrastScorer:
         batch-mates) and the similarity ``z^T z+`` is one stacked matmul
         over the projection matrix, so the cost is a batched GEMM
         pipeline instead of per-sample or per-view Python loops.  The
-        stacked batch chunks at ``max_batch`` rows inside
-        :meth:`project`, and the encoder runs each chunk in blocks of at
-        most :data:`repro.nn.resnet.EVAL_BLOCK` images (bounded peak
-        memory, the same bytes), never per-sample.
+        encoder runs the stacked batch in blocks of at most
+        :data:`repro.nn.resnet.EVAL_BLOCK` images (bounded peak memory,
+        the same bytes), never per-sample.
         """
         n = images.shape[0]
         if n == 0:
@@ -186,28 +199,8 @@ class ContrastScorer:
         return np.clip(scores, 0.0, 2.0)
 
     def features(self, images: np.ndarray) -> np.ndarray:
-        """Encoder representations h = f(x) (no gradient, eval mode).
-
-        Used by feature-space baselines (K-Center) and the stage-2
-        classifier.
-        """
-        if images.ndim != 4:
-            raise ValueError(f"expected NCHW batch, got shape {images.shape}")
-        outputs = []
-        enc_training = self.encoder.training
-        self.encoder.eval()
-        try:
-            with no_grad():
-                for start in range(0, images.shape[0], self.max_batch):
-                    chunk = images[start : start + self.max_batch]
-                    outputs.append(np.asarray(self.encoder(Tensor(chunk)).data))
-        finally:
-            self.encoder.train(enc_training)
-        return (
-            np.concatenate(outputs, axis=0)
-            if outputs
-            else np.zeros((0, getattr(self.encoder, "feature_dim", 1)))
-        )
+        """Encoder representations h = f(x) (see :func:`encoder_features`)."""
+        return encoder_features(self.encoder, images)
 
 
 def score_batches(scorer, batches: Sequence[np.ndarray]) -> List[np.ndarray]:

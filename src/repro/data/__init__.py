@@ -1,7 +1,8 @@
 """Data substrate: synthetic datasets, the stream-scenario zoo
 (:mod:`repro.data.scenarios` — temporal, drift, cyclic-drift, bursty,
-imbalanced, corrupted), augmentations, and label splits — the stand-in
-for the paper's CIFAR/SVHN/ImageNet streaming inputs.
+imbalanced, corrupted), augmentations, and the stratified label-fraction
+subset — the stand-in for the paper's CIFAR/SVHN/ImageNet streaming
+inputs.
 """
 
 from repro.data.augment import (
@@ -29,7 +30,7 @@ from repro.data.scenarios import (
     create_scenario,
     disjoint_phases,
 )
-from repro.data.splits import labeled_subset, train_test_split
+from repro.data.splits import labeled_subset
 from repro.data.stream import StreamSegment, TemporalStream, measure_stc
 from repro.data.synthetic import SyntheticConfig, SyntheticImageDataset
 
@@ -62,5 +63,4 @@ __all__ = [
     "crop_resize_batch",
     "grid_sample_bilinear",
     "labeled_subset",
-    "train_test_split",
 ]

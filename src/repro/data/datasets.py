@@ -87,18 +87,17 @@ DATASET_REGISTRY: Dict[str, SyntheticConfig] = {
 }
 
 
-def _synthetic_factory(cfg: SyntheticConfig):
+def _synthetic_factory(name: str):
     """A registry factory instantiating one synthetic stand-in recipe."""
 
     def build(image_size: Optional[int] = None) -> SyntheticImageDataset:
-        resolved = cfg if image_size is None else cfg.with_image_size(image_size)
-        return SyntheticImageDataset(resolved)
+        return SyntheticImageDataset(get_dataset_config(name, image_size))
 
     return build
 
 
 for _name, _cfg in DATASET_REGISTRY.items():
-    register_dataset(_name, num_classes=_cfg.num_classes)(_synthetic_factory(_cfg))
+    register_dataset(_name, num_classes=_cfg.num_classes)(_synthetic_factory(_name))
 del _name, _cfg
 
 

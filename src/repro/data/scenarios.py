@@ -69,6 +69,8 @@ checkpoint/resume bitwise.
 
 from __future__ import annotations
 
+import math
+import numbers
 import zlib
 from typing import Any, Iterator, List, Optional, Protocol, Tuple, runtime_checkable
 
@@ -944,6 +946,7 @@ def temporal_scenario(
     forbid_repeat: bool = True,
 ) -> TemporalStream:
     """The paper's base process: exact same-class runs of length STC."""
+    forbid_repeat = _flag_option("forbid_repeat", forbid_repeat)
     return TemporalStream(dataset, stc, rng, forbid_repeat=forbid_repeat)
 
 
@@ -958,6 +961,7 @@ def drift_scenario(
     num_phases: int = 2,
 ) -> DriftStream:
     """Growing phases that cumulatively unlock classes (ablation F)."""
+    num_phases = _count_option("num_phases", num_phases, 1)
     phases = growing_phases(dataset.num_classes, num_phases)
     phase_length = max(1, total_samples // num_phases)
     return DriftStream(dataset, stc, rng, phases=phases, phase_length=phase_length)
@@ -975,8 +979,8 @@ def cyclic_drift_scenario(
     cycles: int = 2,
 ) -> CyclicDriftStream:
     """Disjoint environments visited round-robin, ``cycles`` times each."""
-    if cycles < 1:
-        raise ValueError(f"cycles must be >= 1, got {cycles}")
+    num_environments = _count_option("num_environments", num_environments, 1)
+    cycles = _count_option("cycles", cycles, 1)
     phases = disjoint_phases(dataset.num_classes, num_environments)
     phase_length = max(1, total_samples // (num_environments * cycles))
     return CyclicDriftStream(
@@ -1007,6 +1011,10 @@ def bursty_scenario(
     :class:`BurstyWrapper` re-timing layer over that base
     (``forbid_repeat`` applies only to the leaf form).
     """
+    if burst_stc is not None:
+        burst_stc = _count_option("burst_stc", burst_stc, 1)
+    burst_prob = _real_option("burst_prob", burst_prob)
+    forbid_repeat = _flag_option("forbid_repeat", forbid_repeat)
     if base_source is not None:
         return BurstyWrapper(
             base_source,
@@ -1036,6 +1044,8 @@ def imbalanced_scenario(
     forbid_repeat: bool = True,
 ) -> ImbalancedStream:
     """Geometric class-frequency decay with head/tail ratio 1/imbalance."""
+    imbalance = _real_option("imbalance", imbalance)
+    forbid_repeat = _flag_option("forbid_repeat", forbid_repeat)
     return ImbalancedStream(
         dataset, stc, rng, imbalance=imbalance, forbid_repeat=forbid_repeat
     )
@@ -1053,6 +1063,28 @@ def _count_option(name: str, value: Any, low: int) -> int:
     if value < low:
         raise ValueError(f"{name} must be >= {low}, got {value}")
     return int(value)
+
+
+def _real_option(name: str, value: Any) -> Any:
+    """A real-valued option, unchanged once it is a finite number.
+
+    The stream class checks its documented range.  A bool or a string
+    is not a number, and an infinite one (``1e400`` parses as one)
+    passes an open-ended range such as ``noise_std >= 0``; each raises
+    a ``ValueError`` naming the option.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def _flag_option(name: str, value: Any) -> bool:
+    """A boolean option; ``1`` or ``abc`` is not a flag."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    return value
 
 
 @register_scenario(
@@ -1084,6 +1116,8 @@ def corrupted_scenario(
     corruption_phase_length = _count_option(
         "corruption_phase_length", corruption_phase_length, 1
     )
+    noise_std = _real_option("noise_std", noise_std)
+    blur = _flag_option("blur", blur)
     return CorruptedStream(
         base_source,
         rng=derive_wrapper_rng(rng, wrapper_layer, "corrupted"),
@@ -1120,6 +1154,7 @@ def label_shift_scenario(
     if shift_phase_length is None:
         shift_phase_length = max(1, total_samples // (num_phases * 2))
     shift_phase_length = _count_option("shift_phase_length", shift_phase_length, 1)
+    shift = _real_option("shift", shift)
     return LabelShiftStream(
         base_source,
         rng=derive_wrapper_rng(rng, wrapper_layer, "label-shift"),

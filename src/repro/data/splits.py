@@ -7,11 +7,9 @@ labeling.  :func:`labeled_subset` performs the stratified selection.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
-__all__ = ["labeled_subset", "train_test_split"]
+__all__ = ["labeled_subset"]
 
 
 def labeled_subset(
@@ -39,23 +37,3 @@ def labeled_subset(
     out = np.concatenate(picked)
     rng.shuffle(out)
     return out
-
-
-def train_test_split(
-    images: np.ndarray,
-    labels: np.ndarray,
-    test_fraction: float,
-    rng: np.random.Generator,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Shuffle and split into train/test: ``(x_tr, y_tr, x_te, y_te)``."""
-    labels = np.asarray(labels)
-    if images.shape[0] != labels.shape[0]:
-        raise ValueError(
-            f"images/labels length mismatch: {images.shape[0]} vs {labels.shape[0]}"
-        )
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    order = rng.permutation(labels.size)
-    n_test = max(1, int(round(test_fraction * labels.size)))
-    test_idx, train_idx = order[:n_test], order[n_test:]
-    return images[train_idx], labels[train_idx], images[test_idx], labels[test_idx]

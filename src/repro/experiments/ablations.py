@@ -24,8 +24,8 @@ from repro.data.augment import SimCLRAugment, horizontal_flip
 from repro.experiments.config import StreamExperimentConfig, default_config
 from repro.experiments.parallel import SweepSpec, run_sweep
 from repro.experiments.runner import run_stream_experiment
-from repro.registry import canonical_policy_names, create_policy
-from repro.session import build_components
+from repro.registry import canonical_policy_names
+from repro.session import Session, build_components
 from repro.utils.tables import format_table
 
 __all__ = [
@@ -62,42 +62,20 @@ def run_gradient_ablation(
     probes: int = 4,
     batch: int = 48,
 ) -> GradientAblationResult:
-    """Measure the §III-C relation on live projections along a run."""
+    """Measure the §III-C relation on live projections along a run.
+
+    A contrast-scoring :class:`~repro.session.Session` on ``config``
+    trains; the relation is measured before the first step and then
+    every ``iterations // probes`` steps, for ``probes`` phases (fewer
+    if the configured stream ends first).
+    """
     config = config if config is not None else default_config()
     comp = build_components(config)
     result = GradientAblationResult()
     rng = comp.rngs.get("gradient-ablation")
-    augment = SimCLRAugment(
-        min_crop_scale=config.augment_min_crop,
-        jitter_strength=config.augment_jitter,
-    )
-
-    # Interleave short training phases with measurements.
-    from repro.data.stream import TemporalStream
-    from repro.core.framework import OnDeviceContrastiveLearner
-
-    policy = create_policy(
-        "contrast-scoring",
-        scorer=comp.scorer,
-        capacity=config.buffer_size,
-        rng=comp.rngs.get("policy"),
-    )
-    learner = OnDeviceContrastiveLearner(
-        comp.encoder,
-        comp.projector,
-        policy,
-        config.buffer_size,
-        comp.rngs.get("augment"),
-        temperature=config.temperature,
-        lr=config.lr,
-        weight_decay=config.weight_decay,
-        augment=augment,
-    )
-    stream = TemporalStream(comp.dataset, config.stc, comp.rngs.get("stream"))
-
     iters_per_phase = max(1, config.iterations // probes)
 
-    def measure() -> None:
+    def measure(iteration: int) -> None:
         labels = rng.integers(0, comp.dataset.num_classes, size=batch)
         images = comp.dataset.sample(labels, rng)
         z1 = comp.scorer.project(images)
@@ -105,16 +83,23 @@ def run_gradient_ablation(
         relation = score_gradient_relation(z1, z2, config.temperature)
         order = np.argsort(relation.scores)
         k = max(1, batch // 4)
-        result.checkpoints.append(learner.iteration)
+        result.checkpoints.append(iteration)
         result.correlations.append(relation.spearman_correlation())
         result.low_score_grad.append(float(relation.grad_norms[order[:k]].mean()))
         result.high_score_grad.append(float(relation.grad_norms[order[-k:]].mean()))
 
-    measure()
-    for phase in range(probes):
-        for segment in stream.segments(config.buffer_size, iters_per_phase * config.buffer_size):
-            learner.process_segment(segment)
-        measure()
+    def on_step(learner, stats) -> None:
+        if learner.iteration % iters_per_phase == 0:
+            measure(learner.iteration)
+
+    measure(0)
+    (
+        Session(config, "contrast-scoring")
+        .with_components(comp)
+        .with_eval_points(1)
+        .on_step(on_step)
+        .run(stop_after=probes * iters_per_phase)
+    )
     return result
 
 

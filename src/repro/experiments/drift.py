@@ -3,6 +3,9 @@
 Streams a class-incremental drift (phases unlock new classes) and
 compares how well each policy's encoder serves the *newly introduced*
 classes — the paper's "adapt to new environments" story quantified.
+Each policy runs as a :class:`~repro.session.Session` over the
+``drift(num_phases=...)`` scenario, so the run honours the config as
+every other experiment does (``config.augment``, for one).
 
 Metric: after the full stream, a 100%-label probe is trained and
 per-class accuracy is split into "old" classes (present from phase 1)
@@ -16,12 +19,10 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.core.framework import OnDeviceContrastiveLearner
-from repro.data.augment import SimCLRAugment
-from repro.data.drift import DriftStream, growing_phases
+from repro.data.drift import growing_phases
 from repro.experiments.config import StreamExperimentConfig, default_config
-from repro.registry import canonical_policy_names, create_policy
-from repro.session import build_components
+from repro.registry import canonical_policy_names
+from repro.session import Session
 from repro.metrics.accuracy import per_class_accuracy
 from repro.train.classifier import LinearProbe
 from repro.utils.tables import format_table
@@ -48,50 +49,15 @@ def run_drift_experiment(
 ) -> DriftResult:
     """Run the class-incremental drift comparison."""
     config = config if config is not None else default_config()
-    policies = canonical_policy_names(policies)
-
-    # establish the phase structure once (shared by all policies)
-    reference = build_components(config)
-    phases = growing_phases(reference.dataset.num_classes, num_phases)
-    phase_length = config.total_samples // num_phases
-    new_classes = sorted(set(phases[-1]) - set(phases[-2] if num_phases > 1 else []))
-
-    result = DriftResult(
-        config=config,
-        num_phases=num_phases,
-        new_classes=new_classes,
-    )
-    for policy_name in policies:
-        comp = build_components(config)
-        policy = create_policy(
-            policy_name,
-            scorer=comp.scorer,
-            capacity=config.buffer_size,
-            rng=comp.rngs.get("policy"),
-            temperature=config.temperature,
-        )
-        learner = OnDeviceContrastiveLearner(
-            comp.encoder,
-            comp.projector,
-            policy,
-            config.buffer_size,
-            comp.rngs.get("augment"),
-            temperature=config.temperature,
-            lr=config.lr,
-            weight_decay=config.weight_decay,
-            augment=SimCLRAugment(
-                min_crop_scale=config.augment_min_crop,
-                jitter_strength=config.augment_jitter,
-            ),
-        )
-        stream = DriftStream(
-            comp.dataset,
-            config.stc,
-            comp.rngs.get("stream"),
-            phases=phases,
-            phase_length=phase_length,
-        )
-        learner.fit(stream.segments(config.buffer_size, config.total_samples))
+    drift_config = config.with_(scenario=f"drift(num_phases={num_phases})")
+    result = DriftResult(config=config, num_phases=num_phases, new_classes=[])
+    for policy_name in canonical_policy_names(policies):
+        session = Session(drift_config, policy_name).with_eval_points(1)
+        session.run()
+        comp = session.components
+        phases = growing_phases(comp.dataset.num_classes, num_phases)
+        new_classes = sorted(set(phases[-1]) - set(phases[-2] if num_phases > 1 else []))
+        result.new_classes = new_classes
 
         # probe on the full class population
         rngs = comp.rngs

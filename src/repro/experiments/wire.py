@@ -90,7 +90,6 @@ __all__ = [
     "decode_state_payload",
     "shm_available",
     "outstanding_shm_segments",
-    "reset_wire_caches",
     "WIRE_FORMAT_ENV",
 ]
 
@@ -219,11 +218,6 @@ def default_wire_format() -> str:
     nothing is selected: ``delta`` (which rides ``shm`` where the
     platform supports it and ``json-b64`` otherwise)."""
     return "delta"
-
-
-def reset_wire_caches() -> None:
-    """Drop this process's receiver singletons (test isolation helper)."""
-    _INSTANCES.clear()
 
 
 def lossless_wire_format_names() -> List[str]:

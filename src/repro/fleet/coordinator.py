@@ -484,11 +484,6 @@ class FleetRunResult:
     wire_format: Optional[str] = None
     timings: List[Dict[str, Any]] = field(default_factory=list)
 
-    @property
-    def mean_device_knn_accuracy(self) -> float:
-        """Mean final-round per-device (local model) kNN accuracy."""
-        return self.rounds[-1].mean_device_accuracy
-
     def fingerprint(self) -> Dict[str, Any]:
         """Deterministic payload: everything except wall-clock timing.
 

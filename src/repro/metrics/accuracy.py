@@ -6,7 +6,7 @@ from typing import Dict
 
 import numpy as np
 
-__all__ = ["top1_accuracy", "per_class_accuracy", "confusion_matrix"]
+__all__ = ["top1_accuracy", "per_class_accuracy"]
 
 
 def top1_accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
@@ -34,16 +34,3 @@ def per_class_accuracy(
         if mask.any():
             out[cls] = float((predictions[mask] == cls).mean())
     return out
-
-
-def confusion_matrix(
-    predictions: np.ndarray, labels: np.ndarray, num_classes: int
-) -> np.ndarray:
-    """(true, predicted) count matrix."""
-    predictions = np.asarray(predictions)
-    labels = np.asarray(labels)
-    if predictions.shape != labels.shape:
-        raise ValueError("shape mismatch between predictions and labels")
-    matrix = np.zeros((num_classes, num_classes), dtype=np.int64)
-    np.add.at(matrix, (labels, predictions), 1)
-    return matrix

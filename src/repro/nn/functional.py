@@ -27,18 +27,10 @@ __all__ = [
     "conv_bn_relu",
     "add_relu",
     "bn_eval_affine",
-    "max_pool2d",
-    "avg_pool2d",
     "global_avg_pool2d",
     "linear",
-    "softmax",
     "log_softmax",
-    "logsumexp",
     "l2_normalize",
-    "dropout",
-    "one_hot",
-    "cosine_similarity",
-    "pad_channels",
 ]
 
 
@@ -166,60 +158,6 @@ def add_relu(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(get_backend().add_relu_infer(a.data, b.data))
 
 
-def max_pool2d(x: Tensor, kernel: int = 2, stride: Optional[int] = None) -> Tensor:
-    """Non-overlapping max pooling (``stride`` defaults to ``kernel``).
-
-    Only ``stride == kernel`` is supported, which is the configuration
-    ResNets use; overlapping pooling would complicate the gradient fold
-    for no benefit here.
-    """
-    stride = kernel if stride is None else stride
-    if stride != kernel:
-        raise NotImplementedError("max_pool2d supports stride == kernel only")
-    n, c, h, w = x.shape
-    if h % kernel or w % kernel:
-        raise ValueError(
-            f"input spatial dims {(h, w)} not divisible by pool kernel {kernel}"
-        )
-    oh, ow = h // kernel, w // kernel
-    windows = x.data.reshape(n, c, oh, kernel, ow, kernel)
-    out = windows.max(axis=(3, 5))
-    # Argmax mask (ties share gradient like Tensor.max).
-    expanded = out[:, :, :, None, :, None]
-    mask = (windows == expanded).astype(x.data.dtype)
-    mask_sum = mask.sum(axis=(3, 5), keepdims=True)
-
-    def backward(g: np.ndarray):
-        g_exp = g[:, :, :, None, :, None] * mask / mask_sum
-        return (g_exp.reshape(n, c, h, w),)
-
-    return _make_op(out, (x,), backward)
-
-
-def avg_pool2d(x: Tensor, kernel: int = 2, stride: Optional[int] = None) -> Tensor:
-    """Non-overlapping average pooling (``stride`` defaults to ``kernel``)."""
-    stride = kernel if stride is None else stride
-    if stride != kernel:
-        raise NotImplementedError("avg_pool2d supports stride == kernel only")
-    n, c, h, w = x.shape
-    if h % kernel or w % kernel:
-        raise ValueError(
-            f"input spatial dims {(h, w)} not divisible by pool kernel {kernel}"
-        )
-    oh, ow = h // kernel, w // kernel
-    windows = x.data.reshape(n, c, oh, kernel, ow, kernel)
-    out = windows.mean(axis=(3, 5))
-    scale = 1.0 / (kernel * kernel)
-
-    def backward(g: np.ndarray):
-        g_exp = np.broadcast_to(
-            g[:, :, :, None, :, None] * scale, (n, c, oh, kernel, ow, kernel)
-        )
-        return (g_exp.reshape(n, c, h, w),)
-
-    return _make_op(out, (x,), backward)
-
-
 def global_avg_pool2d(x: Tensor) -> Tensor:
     """Average over all spatial positions: (N, C, H, W) -> (N, C)."""
     return x.mean(axis=(2, 3))
@@ -231,24 +169,6 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     if bias is not None:
         out = out + bias
     return out
-
-
-def logsumexp(x: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
-    """Numerically stable ``log(sum(exp(x)))`` along ``axis``."""
-    a = x
-    m = a.data.max(axis=axis, keepdims=True)
-    shifted = np.exp(a.data - m)
-    total = shifted.sum(axis=axis, keepdims=True)
-    data = np.log(total) + m
-    softmax_vals = shifted / total
-    if not keepdims:
-        data = np.squeeze(data, axis=axis)
-
-    def backward(g: np.ndarray):
-        g_exp = g if keepdims else np.expand_dims(g, axis)
-        return (g_exp * softmax_vals,)
-
-    return _make_op(data, (a,), backward)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -267,20 +187,6 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _make_op(data, (a,), backward)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Softmax along ``axis`` (stable fused implementation)."""
-    a = x
-    m = a.data.max(axis=axis, keepdims=True)
-    exp = np.exp(a.data - m)
-    data = exp / exp.sum(axis=axis, keepdims=True)
-
-    def backward(g: np.ndarray):
-        dot = (g * data).sum(axis=axis, keepdims=True)
-        return (data * (g - dot),)
-
-    return _make_op(data, (a,), backward)
-
-
 def l2_normalize(x: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:
     """Project rows of ``x`` onto the unit sphere: ``x / ||x||_2``.
 
@@ -295,64 +201,5 @@ def l2_normalize(x: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:
     def backward(g: np.ndarray):
         dot = (g * data).sum(axis=axis, keepdims=True)
         return ((g - data * dot) / norm,)
-
-    return _make_op(data, (a,), backward)
-
-
-def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True) -> Tensor:
-    """Inverted dropout with keep-probability ``1-p``."""
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    if not training or p == 0.0:
-        return x
-    keep = 1.0 - p
-    mask = (rng.random(x.shape) < keep).astype(x.data.dtype) / keep
-    a = x
-    return _make_op(a.data * mask, (a,), lambda g: (g * mask,))
-
-
-def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """Integer labels (N,) -> one-hot float32 matrix (N, num_classes)."""
-    labels = np.asarray(labels)
-    if labels.ndim != 1:
-        raise ValueError(f"labels must be 1-D, got shape {labels.shape}")
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-        raise ValueError(
-            f"labels out of range [0, {num_classes}): "
-            f"min={labels.min()}, max={labels.max()}"
-        )
-    out = np.zeros((labels.shape[0], num_classes), dtype=np.float32)
-    out[np.arange(labels.shape[0]), labels] = 1.0
-    return out
-
-
-def cosine_similarity(a: np.ndarray, b: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Cosine similarity between paired rows of two numpy arrays.
-
-    Accumulated in float64, like the per-sample NT-Xent loss (see
-    :mod:`repro.nn.losses`).
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    na = np.linalg.norm(a, axis=axis)
-    nb = np.linalg.norm(b, axis=axis)
-    denom = np.maximum(na * nb, 1e-12)
-    return (a * b).sum(axis=axis) / denom
-
-
-def pad_channels(x: Tensor, extra: int) -> Tensor:
-    """Zero-pad ``extra`` channels onto an NCHW tensor (for shortcut paths)."""
-    if extra < 0:
-        raise ValueError(f"extra channels must be non-negative, got {extra}")
-    if extra == 0:
-        return x
-    a = x
-    n, c, h, w = a.shape
-    data = np.concatenate(
-        [a.data, np.zeros((n, extra, h, w), dtype=a.data.dtype)], axis=1
-    )
-
-    def backward(g: np.ndarray):
-        return (g[:, :c],)
 
     return _make_op(data, (a,), backward)

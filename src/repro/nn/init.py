@@ -10,7 +10,7 @@ from typing import Tuple
 
 import numpy as np
 
-__all__ = ["kaiming_normal", "kaiming_uniform", "xavier_uniform", "zeros", "ones"]
+__all__ = ["kaiming_normal", "kaiming_uniform", "zeros", "ones"]
 
 
 def _fan_in_out(shape: Tuple[int, ...]) -> Tuple[int, int]:
@@ -40,13 +40,6 @@ def kaiming_uniform(
     """He-uniform initialization."""
     fan_in, _ = _fan_in_out(shape)
     bound = gain * np.sqrt(3.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
-
-
-def xavier_uniform(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """Glorot-uniform initialization (appropriate for linear heads)."""
-    fan_in, fan_out = _fan_in_out(shape)
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape).astype(np.float32)
 
 

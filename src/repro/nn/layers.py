@@ -24,11 +24,6 @@ __all__ = [
     "Linear",
     "Conv2d",
     "BatchNorm2d",
-    "ReLU",
-    "Flatten",
-    "MaxPool2d",
-    "AvgPool2d",
-    "GlobalAvgPool2d",
     "Identity",
 ]
 
@@ -397,46 +392,3 @@ class BatchNorm2d(Module):
             return (gx, ggamma, gbeta)
 
         return _make_op(out.astype(x.data.dtype, copy=False), (x, gamma, beta), backward)
-
-
-class ReLU(Module):
-    """ReLU activation as a module."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.relu()
-
-
-class Flatten(Module):
-    """Flatten all non-batch dimensions."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.flatten()
-
-
-class MaxPool2d(Module):
-    """Non-overlapping max pooling."""
-
-    def __init__(self, kernel: int = 2) -> None:
-        super().__init__()
-        self.kernel = kernel
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.max_pool2d(x, self.kernel)
-
-
-class AvgPool2d(Module):
-    """Non-overlapping average pooling."""
-
-    def __init__(self, kernel: int = 2) -> None:
-        super().__init__()
-        self.kernel = kernel
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.avg_pool2d(x, self.kernel)
-
-
-class GlobalAvgPool2d(Module):
-    """Global average pooling to (N, C)."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.global_avg_pool2d(x)

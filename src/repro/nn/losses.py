@@ -5,8 +5,7 @@ Precision policy
 ----------------
 The differentiable losses compute at the dtype of their inputs
 (float32 throughout the nn stack).  The *gradient-free* per-sample
-reduction :meth:`NTXentLoss.per_sample` (and
-:func:`repro.nn.functional.cosine_similarity`) accumulates in float64
+reduction :meth:`NTXentLoss.per_sample` accumulates in float64
 on every backend: the log-sum-exp runs over 2N similarity terms
 spanning the e^{±1/τ} dynamic range, where float32 cancellation would
 bias the small per-sample losses Selective-BP ranks by — and the
@@ -24,7 +23,7 @@ from repro.nn import functional as F
 from repro.nn.backend.base import get_backend
 from repro.nn.tensor import Tensor
 
-__all__ = ["nt_xent_loss", "NTXentLoss", "cross_entropy", "CrossEntropyLoss"]
+__all__ = ["nt_xent_loss", "NTXentLoss", "cross_entropy"]
 
 
 def nt_xent_loss(
@@ -119,10 +118,3 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     log_probs = F.log_softmax(logits, axis=1)
     picked = log_probs[np.arange(labels.shape[0]), labels]
     return -(picked.mean())
-
-
-class CrossEntropyLoss:
-    """Callable mean cross-entropy."""
-
-    def __call__(self, logits: Tensor, labels: np.ndarray) -> Tensor:
-        return cross_entropy(logits, labels)

@@ -1,5 +1,5 @@
-"""Optimizers: SGD with momentum and Adam, both with decoupled usage of
-weight decay matching the paper's setup (Adam + weight decay 1e-4).
+"""The optimizer: Adam with L2 weight decay, the paper's setup (Adam +
+weight decay 1e-4), and the paper's sqrt learning-rate scaling rule.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ import numpy as np
 
 from repro.nn.layers import Parameter
 
-__all__ = ["Optimizer", "SGD", "Adam", "sqrt_batch_lr_scale"]
+__all__ = ["Optimizer", "Adam", "sqrt_batch_lr_scale"]
 
 
 class Optimizer:
@@ -31,40 +31,6 @@ class Optimizer:
 
     def step(self) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with classical momentum."""
-
-    def __init__(
-        self,
-        params: Sequence[Parameter],
-        lr: float,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(params, lr)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity: Dict[int, np.ndarray] = {}
-
-    def step(self) -> None:
-        for p in self.params:
-            if p.grad is None:
-                continue
-            grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            if self.momentum:
-                v = self._velocity.get(id(p))
-                if v is None:
-                    v = np.zeros_like(p.data)
-                v = self.momentum * v + grad
-                self._velocity[id(p)] = v
-                grad = v
-            p.data = p.data - self.lr * grad
 
 
 class Adam(Optimizer):

@@ -200,10 +200,6 @@ class ResNetEncoder(Module):
                 h = block._infer_nhwc(h, backend)
         return backend.pool_mean_nhwc(h)
 
-    def min_input_size(self) -> int:
-        """Smallest square input the stage strides can downsample."""
-        return 2 ** (len(self.widths) - 1)
-
 
 @register_encoder("resnet", label="ResNet (config widths)")
 def resnet_from_config(

@@ -162,17 +162,9 @@ class Tensor:
     def dtype(self) -> np.dtype:
         return self.data.dtype
 
-    def numpy(self) -> np.ndarray:
-        """The underlying array (not a copy); treat as read-only."""
-        return self.data
-
     def item(self) -> float:
         """The scalar payload of a 1-element tensor."""
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else _raise_item()
-
-    def detach(self) -> "Tensor":
-        """A view of the same data cut out of the autograd graph."""
-        return Tensor(self.data, requires_grad=False)
 
     def copy(self) -> "Tensor":
         """A deep copy cut out of the autograd graph."""
@@ -397,16 +389,6 @@ class Tensor:
         data = np.sqrt(a.data)
         return self._make(data, (a,), lambda g: (g * 0.5 / data,))
 
-    def tanh(self) -> "Tensor":
-        a = self
-        data = np.tanh(a.data)
-        return self._make(data, (a,), lambda g: (g * (1.0 - data * data),))
-
-    def sigmoid(self) -> "Tensor":
-        a = self
-        data = 1.0 / (1.0 + np.exp(-a.data))
-        return self._make(data, (a,), lambda g: (g * data * (1.0 - data),))
-
     def relu(self) -> "Tensor":
         a = self
         if not (_GRAD_ENABLED and a.requires_grad):
@@ -495,11 +477,6 @@ class Tensor:
         data = a.data.reshape(shape)
         return self._make(data, (a,), lambda g: (g.reshape(a.data.shape),))
 
-    def flatten(self, start_axis: int = 1) -> "Tensor":
-        """Flatten all axes from ``start_axis`` onward (batch-preserving)."""
-        lead = self.data.shape[:start_axis]
-        return self.reshape(*lead, -1)
-
     def transpose(self, *axes: int) -> "Tensor":
         a = self
         if not axes:
@@ -564,24 +541,6 @@ class Tensor:
                 sl[axis] = slice(offsets[i], offsets[i + 1])
                 grads.append(g[tuple(sl)])
             return tuple(grads)
-
-        requires = _GRAD_ENABLED and any(t.requires_grad for t in tensors)
-        out = Tensor(data, requires_grad=requires, _parents=tuple(tensors))
-        if requires:
-            out._backward = backward
-        return out
-
-    @staticmethod
-    def stack(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":
-        """Stack tensors along a new axis with gradient routing."""
-        tensors = list(tensors)
-        if not tensors:
-            raise ValueError("stack of an empty sequence")
-        data = np.stack([t.data for t in tensors], axis=axis)
-
-        def backward(g: np.ndarray):
-            pieces = np.split(g, len(tensors), axis=axis)
-            return tuple(np.squeeze(p, axis=axis) for p in pieces)
 
         requires = _GRAD_ENABLED and any(t.requires_grad for t in tensors)
         out = Tensor(data, requires_grad=requires, _parents=tuple(tensors))

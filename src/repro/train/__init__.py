@@ -4,7 +4,7 @@ baseline (stage-1 streaming lives in :mod:`repro.core.framework`).
 
 from repro.train.classifier import LinearProbe, ProbeResult, evaluate_encoder
 from repro.train.knn import KnnProbe, knn_predict
-from repro.train.supervised import SupervisedBaseline, SupervisedResult
+from repro.train.supervised import SupervisedBaseline
 
 __all__ = [
     "LinearProbe",
@@ -13,5 +13,4 @@ __all__ = [
     "KnnProbe",
     "knn_predict",
     "SupervisedBaseline",
-    "SupervisedResult",
 ]

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.scoring import ContrastScorer
+from repro.core.scoring import encoder_features
 from repro.data.splits import labeled_subset
 from repro.metrics.accuracy import top1_accuracy
 from repro.nn.layers import Linear, Module
@@ -75,10 +75,9 @@ class LinearProbe:
         self.head = Linear(feature_dim, num_classes, rng=rng)
 
     # ------------------------------------------------------------------
-    def extract_features(self, images: np.ndarray, max_batch: int = 512) -> np.ndarray:
+    def extract_features(self, images: np.ndarray) -> np.ndarray:
         """Frozen-encoder features for ``images`` (eval mode, no grads)."""
-        scorer = ContrastScorer(self.encoder, self.head, max_batch=max_batch)
-        return scorer.features(images)
+        return encoder_features(self.encoder, images)
 
     def fit(self, features: np.ndarray, labels: np.ndarray) -> float:
         """Train the linear head on precomputed features; returns final

@@ -13,6 +13,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core.scoring import encoder_features
 from repro.metrics.accuracy import top1_accuracy
 from repro.nn.layers import Module
 
@@ -68,21 +69,14 @@ def knn_predict(
 
 
 class KnnProbe:
-    """Training-free encoder evaluation via kNN on features."""
+    """Training-free encoder evaluation via kNN on the frozen encoder's
+    features (:func:`repro.core.scoring.encoder_features`)."""
 
-    def __init__(self, encoder: Module, k: int = 5, max_batch: int = 512) -> None:
+    def __init__(self, encoder: Module, k: int = 5) -> None:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         self.encoder = encoder
         self.k = k
-        self.max_batch = max_batch
-
-    def _features(self, images: np.ndarray) -> np.ndarray:
-        from repro.core.scoring import ContrastScorer
-        from repro.nn.layers import Identity
-
-        scorer = ContrastScorer(self.encoder, Identity(), max_batch=self.max_batch)
-        return scorer.features(images)
 
     def score(
         self,
@@ -93,8 +87,8 @@ class KnnProbe:
         num_classes: Optional[int] = None,
     ) -> float:
         """Top-1 kNN accuracy of the frozen encoder."""
-        bank = self._features(train_images)
-        queries = self._features(test_images)
+        bank = encoder_features(self.encoder, train_images)
+        queries = encoder_features(self.encoder, test_images)
         predictions = knn_predict(
             bank, train_labels, queries, k=self.k, num_classes=num_classes
         )

@@ -8,27 +8,16 @@ The paper's §IV-B compares against this to motivate the framework: with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from repro.core.scoring import encoder_features
 from repro.metrics.accuracy import top1_accuracy
 from repro.nn.layers import Linear, Module
 from repro.nn.losses import cross_entropy
 from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor, no_grad
 
-__all__ = ["SupervisedBaseline", "SupervisedResult"]
-
-
-@dataclass
-class SupervisedResult:
-    """Outcome of direct supervised training."""
-
-    accuracy: float
-    train_accuracy: float
-    num_labeled: int
-    epochs: int
+__all__ = ["SupervisedBaseline"]
 
 
 class SupervisedBaseline:
@@ -83,17 +72,11 @@ class SupervisedBaseline:
                 self.optimizer.step()
         return self.score(images, labels)
 
-    def predict(self, images: np.ndarray, max_batch: int = 512) -> np.ndarray:
+    def predict(self, images: np.ndarray) -> np.ndarray:
         """Predicted class ids (eval mode)."""
-        self.encoder.eval()
-        outputs = []
+        features = encoder_features(self.encoder, images)
         with no_grad():
-            for start in range(0, images.shape[0], max_batch):
-                chunk = Tensor(images[start : start + max_batch])
-                logits = self.head(self.encoder(chunk)).data
-                outputs.append(logits.argmax(axis=1))
-        self.encoder.train()
-        return np.concatenate(outputs)
+            return self.head(Tensor(features)).data.argmax(axis=1)
 
     def score(self, images: np.ndarray, labels: np.ndarray) -> float:
         """Top-1 accuracy."""

@@ -1,14 +1,10 @@
-"""Shared utilities: seeded RNG management, configs, logging, tables."""
+"""Shared utilities: seeded RNG management and table rendering."""
 
-from repro.utils.rng import RngRegistry, new_rng, spawn_rngs
-from repro.utils.tables import format_table, format_markdown_table
-from repro.utils.logging import get_logger
+from repro.utils.rng import RngRegistry, new_rng
+from repro.utils.tables import format_table
 
 __all__ = [
     "RngRegistry",
     "new_rng",
-    "spawn_rngs",
     "format_table",
-    "format_markdown_table",
-    "get_logger",
 ]

@@ -13,11 +13,11 @@ must not perturb the weights).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable
 
 import numpy as np
 
-__all__ = ["new_rng", "spawn_rngs", "RngRegistry"]
+__all__ = ["new_rng", "RngRegistry"]
 
 
 def new_rng(seed: int | None = None) -> np.random.Generator:
@@ -27,18 +27,6 @@ def new_rng(seed: int | None = None) -> np.random.Generator:
     never in tests or benchmarks).
     """
     return np.random.default_rng(seed)
-
-
-def spawn_rngs(seed: int, count: int) -> List[np.random.Generator]:
-    """Derive ``count`` statistically independent generators from ``seed``.
-
-    Uses ``SeedSequence.spawn`` so the children are independent streams
-    rather than offsets of one stream.
-    """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    seq = np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in seq.spawn(count)]
 
 
 class RngRegistry:

@@ -1,4 +1,4 @@
-"""Plain-text and markdown table rendering for benchmark reports.
+"""Plain-text table rendering for benchmark reports.
 
 The benchmark harnesses print the same rows the paper's tables/figures
 report; these helpers keep that output aligned and copy-pasteable into
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Sequence
 
-__all__ = ["format_table", "format_markdown_table"]
+__all__ = ["format_table"]
 
 
 def _stringify(rows: Iterable[Sequence[object]]) -> List[List[str]]:
@@ -46,18 +46,4 @@ def format_table(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str
     lines = [head, sep]
     for row in str_rows:
         lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-    return "\n".join(lines)
-
-
-def format_markdown_table(
-    header: Sequence[str], rows: Iterable[Sequence[object]]
-) -> str:
-    """Render a GitHub-flavoured markdown table."""
-    str_rows = _stringify(rows)
-    widths = _column_widths(list(header), str_rows)
-    head = "| " + " | ".join(h.ljust(w) for h, w in zip(header, widths)) + " |"
-    sep = "|" + "|".join("-" * (w + 2) for w in widths) + "|"
-    lines = [head, sep]
-    for row in str_rows:
-        lines.append("| " + " | ".join(c.ljust(w) for c, w in zip(row, widths)) + " |")
     return "\n".join(lines)

@@ -97,6 +97,16 @@ class TestProcessSegment:
         assert len(learner.history) == 5
         assert learner.history[-1].seen_inputs == 20
 
+    def test_timing_accessors(self, dataset, rng):
+        learner = make_learner("cs", rng)
+        assert learner.mean_select_seconds() == 0.0
+        assert learner.mean_train_seconds() == 0.0
+        stream = TemporalStream(dataset, stc=2, rng=rng)
+        for seg in stream.segments(4, 12):
+            learner.process_segment(seg)
+        assert learner.mean_select_seconds() > 0.0
+        assert learner.mean_train_seconds() > 0.0
+
 
 class TestNonFiniteSegments:
     """A NaN or infinite pixel is rejected before any policy or the
@@ -174,34 +184,6 @@ class TestLabelTracking:
                             best_dist = d
                             best = cls
             assert best == label
-
-
-class TestFit:
-    def test_fit_with_callback(self, dataset, rng):
-        learner = make_learner("random", rng)
-        stream = TemporalStream(dataset, stc=2, rng=rng)
-        seen = []
-        learner.fit(
-            stream.segments(4, 20),
-            callback=lambda ln, st: seen.append(st.iteration),
-        )
-        assert seen == [0, 1, 2, 3, 4]
-
-    def test_fit_returns_stats(self, dataset, rng):
-        learner = make_learner("random", rng)
-        stream = TemporalStream(dataset, stc=2, rng=rng)
-        stats = learner.fit(stream.segments(4, 12))
-        assert len(stats) == 3
-
-    def test_timing_accessors(self, dataset, rng):
-        learner = make_learner("cs", rng)
-        assert learner.mean_select_seconds() == 0.0
-        assert learner.mean_train_seconds() == 0.0
-        stream = TemporalStream(dataset, stc=2, rng=rng)
-        for seg in stream.segments(4, 12):
-            learner.process_segment(seg)
-        assert learner.mean_select_seconds() > 0.0
-        assert learner.mean_train_seconds() > 0.0
 
 
 class TestStateDict:

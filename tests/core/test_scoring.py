@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core.scoring import ContrastScorer
+from repro.core.scoring import ContrastScorer, encoder_features
 from repro.data.augment import horizontal_flip
+from repro.nn.backend import use_backend
 from repro.nn.projection import ProjectionHead
-from repro.nn.resnet import resnet_micro
-from repro.nn.tensor import Tensor
+from repro.nn.resnet import EVAL_BLOCK, resnet_micro
+from repro.nn.tensor import Tensor, no_grad
 
 
 @pytest.fixture
@@ -60,19 +61,6 @@ class TestScoreProperties:
         with pytest.raises(ValueError):
             scorer.score(rng.uniform(size=(3, 8, 8)).astype(np.float32))
 
-    def test_respects_max_batch(self, rng, images):
-        encoder = resnet_micro(rng=np.random.default_rng(7))
-        projector = ProjectionHead(encoder.feature_dim, out_dim=8, rng=rng)
-        small = ContrastScorer(encoder, projector, max_batch=3)
-        large = ContrastScorer(encoder, projector, max_batch=100)
-        np.testing.assert_allclose(small.score(images), large.score(images), atol=1e-6)
-
-    def test_invalid_max_batch_raises(self, rng):
-        encoder = resnet_micro(rng=rng)
-        projector = ProjectionHead(encoder.feature_dim, out_dim=8, rng=rng)
-        with pytest.raises(ValueError):
-            ContrastScorer(encoder, projector, max_batch=0)
-
 
 class TestModelStateHandling:
     def test_restores_training_mode(self, scorer, images):
@@ -119,6 +107,69 @@ class TestProjectAndFeatures:
         zf = scorer.project(horizontal_flip(images))
         manual = 1.0 - (z * zf).sum(axis=1)
         np.testing.assert_allclose(scorer.score(images), manual, atol=1e-7)
+
+
+class TestEncoderFeatures:
+    """``encoder_features`` is the one eval feature path: the scorer's
+    ``features``, the kNN readout and the linear probe all call it."""
+
+    def test_is_the_scorer_features(self, scorer, images):
+        assert encoder_features(scorer.encoder, images).tobytes() == (
+            scorer.features(images).tobytes()
+        )
+
+    def test_empty_batch_never_reaches_the_encoder(self, scorer):
+        def refuse(x):
+            raise AssertionError("the encoder ran on an empty batch")
+
+        scorer.encoder.forward = refuse
+        h = encoder_features(scorer.encoder, np.zeros((0, 3, 8, 8), np.float32))
+        assert h.shape == (0, scorer.encoder.feature_dim)
+
+    @pytest.mark.parametrize("shape", [(8, 8), (3, 8, 8), (1, 1, 3, 8, 8)])
+    def test_rejects_non_nchw(self, scorer, shape):
+        with pytest.raises(ValueError, match="expected NCHW batch"):
+            encoder_features(scorer.encoder, np.zeros(shape, np.float32))
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_restores_the_mode(self, scorer, images, training):
+        scorer.encoder.train(training)
+        encoder_features(scorer.encoder, images)
+        assert scorer.encoder.training is training
+
+    def test_runs_in_eval_mode(self, scorer, images):
+        """Train-mode BN would normalize by the batch: one image's
+        features would depend on the others."""
+        scorer.encoder.train()
+        h = encoder_features(scorer.encoder, images)
+        with no_grad():
+            reference = scorer.encoder.eval()(Tensor(images)).data
+        assert h.tobytes() == reference.tobytes()
+
+    def test_leaves_grads_and_running_stats_alone(self, scorer, images):
+        bn = scorer.encoder.stem_bn
+        before = bn.get_buffer("running_mean").copy()
+        encoder_features(scorer.encoder, images)
+        np.testing.assert_array_equal(bn.get_buffer("running_mean"), before)
+        assert all(p.grad is None for p in scorer.encoder.parameters())
+
+    @pytest.mark.parametrize("backend", ["numpy", "fused"])
+    @pytest.mark.parametrize("n", [1, EVAL_BLOCK - 1, EVAL_BLOCK + 1, 2 * EVAL_BLOCK + 1])
+    def test_rows_do_not_depend_on_the_batch(self, scorer, backend, n):
+        """What the dropped ``max_batch`` chunking promised: a batch's
+        features equal those of its pieces.  The numpy chain runs one
+        image at a time, so there every byte matches."""
+        x = np.random.default_rng(n).uniform(size=(n, 3, 8, 8)).astype(np.float32)
+        with use_backend(backend):
+            whole = encoder_features(scorer.encoder, x)
+            pieces = np.concatenate(
+                [encoder_features(scorer.encoder, x[i : i + 7]) for i in range(0, n, 7)]
+            )
+        assert whole.shape == (n, scorer.encoder.feature_dim)
+        if backend == "numpy":
+            assert whole.tobytes() == pieces.tobytes()
+        else:
+            np.testing.assert_allclose(whole, pieces, rtol=1e-5, atol=1e-6)
 
 
 class TestScoreTracksLearning:

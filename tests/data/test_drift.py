@@ -133,5 +133,5 @@ class TestDriftStream:
         stream = DriftStream(
             dataset, stc=4, rng=rng, phases=growing_phases(8, 2), phase_length=16
         )
-        stats = learner.fit(stream.segments(4, 32))
+        stats = [learner.process_segment(s) for s in stream.segments(4, 32)]
         assert len(stats) == 8

@@ -2,11 +2,14 @@
 StreamSource protocol, per-scenario generative behavior, label
 isolation, eager validation, and state round trips."""
 
+import inspect
 import json
+import re
 
 import numpy as np
 import pytest
 
+from repro.data.composition import parse_scenario
 from repro.data.drift import DriftStream
 from repro.data.scenarios import (
     BurstyStream,
@@ -359,6 +362,114 @@ class TestWrapperOptionBounds:
         source = make(
             "adversarial(temporal,lookahead=4,adversarial_phase_length=8)", dataset
         )
+        assert source.next_segment(8).labels.shape == (8,)
+
+
+#: The keywords ``create_scenario`` offers every factory; the rest of a
+#: factory's parameters are its options.
+OFFERED = {"dataset", "stc", "rng", "total_samples", "base_source", "wrapper_layer"}
+
+_COUNT = ["abc", "true", "2.5", "1e400", "-1e400"]
+_REAL = ["abc", "none", "true", "false", "1e400", "-1e400"]
+_FLAG = ["abc", "none", "1", "0", "2.5"]
+
+#: ``"scenario.option": (accepted value, rejected values)`` for every
+#: option of every built-in scenario.  Counts are integers at or above a
+#: floor (``none`` picks a derived default where the option allows it),
+#: reals are finite numbers in a documented range, flags are booleans.
+#: Each accepted value sits on the edge of its range and differs from
+#: the default.
+OPTIONS = {
+    "temporal.forbid_repeat": ("false", _FLAG),
+    "drift.num_phases": ("1", _COUNT + ["none", "0"]),
+    "cyclic-drift.num_environments": ("1", _COUNT + ["none", "0"]),
+    "cyclic-drift.cycles": ("1", _COUNT + ["none", "0"]),
+    "bursty.burst_stc": ("1", _COUNT + ["0"]),
+    "bursty.burst_prob": ("1", _REAL + ["1.5", "-0.5"]),
+    "bursty.forbid_repeat": ("false", _FLAG),
+    "imbalanced.imbalance": ("1", _REAL + ["0", "1.5"]),
+    "imbalanced.forbid_repeat": ("false", _FLAG),
+    "corrupted.corruption_levels": ("2", _COUNT + ["none", "1"]),
+    "corrupted.corruption_phase_length": ("1", _COUNT + ["0"]),
+    "corrupted.noise_std": ("0", _REAL + ["-0.1"]),
+    "corrupted.blur": ("false", _FLAG),
+    "label-shift.num_phases": ("1", _COUNT + ["none", "0"]),
+    "label-shift.shift": ("1", _REAL + ["0", "1.5"]),
+    "label-shift.shift_phase_length": ("1", _COUNT + ["0"]),
+    "adversarial.lookahead": ("2", _COUNT + ["none", "1"]),
+    "adversarial.adversarial_phase_length": ("1", _COUNT + ["0"]),
+}
+
+
+class TestOptionKinds:
+    """A composition option of the wrong kind is a ValueError naming the
+    option: counts are integers, reals are finite numbers, flags are
+    booleans."""
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("bursty(burst_prob=abc)", "bursty: burst_prob must be a number, got 'abc'"),
+            ("bursty(burst_stc=1e400)", "bursty: burst_stc must be an integer, got inf"),
+            ("bursty(burst_stc=2.5)", "bursty: burst_stc must be an integer, got 2.5"),
+            (
+                "bursty(imbalanced,burst_prob=none)",
+                "bursty(imbalanced): burst_prob must be a number, got None",
+            ),
+            ("drift(num_phases=none)", "drift: num_phases must be an integer, got None"),
+            ("drift(num_phases=2.5)", "drift: num_phases must be an integer, got 2.5"),
+            ("cyclic-drift(cycles=1.5)", "cyclic-drift: cycles must be an integer, got 1.5"),
+            (
+                "cyclic-drift(num_environments=true)",
+                "cyclic-drift: num_environments must be an integer, got True",
+            ),
+            ("imbalanced(imbalance=true)", "imbalanced: imbalance must be a number, got True"),
+            ("corrupted(noise_std=1e400)", "corrupted: noise_std must be finite, got inf"),
+            (
+                "label-shift(temporal,shift=abc)",
+                "label-shift(temporal): shift must be a number, got 'abc'",
+            ),
+            (
+                "temporal(forbid_repeat=abc)",
+                "temporal: forbid_repeat must be true or false, got 'abc'",
+            ),
+            (
+                "imbalanced(forbid_repeat=1)",
+                "imbalanced: forbid_repeat must be true or false, got 1",
+            ),
+            ("corrupted(blur=3)", "corrupted: blur must be true or false, got 3"),
+        ],
+    )
+    def test_wrong_kind_is_a_named_error(self, dataset, name, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make(name, dataset)
+
+    def test_table_lists_every_builtin_option(self):
+        """OPTIONS classifies every option a built-in factory declares,
+        so a new option cannot skip its kind check unnoticed."""
+        declared = set()
+        for name in scenario_names():
+            factory = SCENARIOS.get(name).factory
+            if factory.__module__ != "repro.data.scenarios":
+                continue
+            params = inspect.signature(factory).parameters
+            declared |= {f"{name}.{option}" for option in params if option not in OFFERED}
+        assert declared == set(OPTIONS)
+
+    @pytest.mark.parametrize("option", sorted(OPTIONS))
+    def test_every_bad_value_names_the_option(self, dataset, option):
+        scenario, key = option.split(".")
+        for value in OPTIONS[option][1]:
+            with pytest.raises(ValueError, match=re.escape(f"{scenario}: {key} must be ")):
+                make(f"{scenario}({key}={value})", dataset)
+
+    @pytest.mark.parametrize("option", sorted(OPTIONS))
+    def test_a_value_of_its_kind_builds(self, dataset, option):
+        scenario, key = option.split(".")
+        value = OPTIONS[option][0]
+        default = inspect.signature(SCENARIOS.get(scenario).factory).parameters[key].default
+        assert parse_scenario(f"{scenario}({key}={value})").option_dict[key] != default
+        source = make(f"{scenario}({key}={value})", dataset)
         assert source.next_segment(8).labels.shape == (8,)
 
 

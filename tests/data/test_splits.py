@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data.splits import labeled_subset, train_test_split
+from repro.data.splits import labeled_subset
 
 
 @pytest.fixture
@@ -56,31 +56,6 @@ class TestLabeledSubset:
         picked = labels[idx]
         assert (picked == 0).sum() == 9
         assert (picked == 1).sum() == 1
-
-
-class TestTrainTestSplit:
-    def test_sizes(self, rng):
-        images = np.zeros((100, 1, 2, 2))
-        labels = np.arange(100) % 4
-        x_tr, y_tr, x_te, y_te = train_test_split(images, labels, 0.25, rng)
-        assert len(x_te) == 25
-        assert len(x_tr) == 75
-        assert len(y_tr) == 75 and len(y_te) == 25
-
-    def test_disjoint_and_complete(self, rng):
-        images = np.arange(20).reshape(20, 1, 1, 1).astype(float)
-        labels = np.arange(20) % 2
-        x_tr, _, x_te, _ = train_test_split(images, labels, 0.3, rng)
-        values = np.concatenate([x_tr.reshape(-1), x_te.reshape(-1)])
-        assert sorted(values.tolist()) == list(range(20))
-
-    def test_mismatched_lengths_raise(self, rng):
-        with pytest.raises(ValueError):
-            train_test_split(np.zeros((5, 1, 1, 1)), np.zeros(4), 0.2, rng)
-
-    def test_invalid_fraction_raises(self, rng):
-        with pytest.raises(ValueError):
-            train_test_split(np.zeros((5, 1, 1, 1)), np.zeros(5), 1.0, rng)
 
 
 class TestDatasetRegistry:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.device.flops import count_forward_flops, training_step_flops
-from repro.nn.layers import BatchNorm2d, Conv2d, Linear, ReLU, Sequential
+from repro.nn.layers import BatchNorm2d, Conv2d, Identity, Linear, Sequential
 from repro.nn.projection import ProjectionHead
 from repro.nn.resnet import BasicBlock, ResNetEncoder, resnet_micro
 
@@ -46,8 +46,8 @@ class TestPrimitiveCounts:
     def test_batchnorm_flops(self):
         assert count_forward_flops(BatchNorm2d(4), 8) == 4 * 8 * 8
 
-    def test_relu_free(self):
-        assert count_forward_flops(ReLU(), 8) == 0.0
+    def test_identity_free(self):
+        assert count_forward_flops(Identity(), 8) == 0.0
 
     def test_batch_scaling_linear(self, rng):
         layer = Conv2d(2, 4, 3, padding=1, rng=rng)
@@ -91,7 +91,7 @@ class TestCompositeCounts:
         assert count_forward_flops(wide, 8) > count_forward_flops(narrow, 8)
 
     def test_sequential_sums_members(self, rng):
-        seq = Sequential(BatchNorm2d(4), ReLU())
+        seq = Sequential(BatchNorm2d(4), Identity())
         assert count_forward_flops(seq, 8) == count_forward_flops(BatchNorm2d(4), 8)
 
 

@@ -13,7 +13,11 @@ from repro.experiments import (
     run_scoring_view_ablation,
     run_stc_sweep,
 )
+from repro.data.augment import SimCLRAugment
+from repro.data.stream import TemporalStream
 from repro.experiments.config import StreamExperimentConfig
+from repro.experiments.drift import run_drift_experiment
+from repro.registry import AUGMENTS, SCENARIOS, register_augment, register_scenario
 
 
 @pytest.fixture
@@ -32,6 +36,66 @@ def tiny_config():
         probe_epochs=5,
         seed=0,
     )
+
+
+@pytest.fixture
+def counting_augment():
+    """A plugin augment, registered as ``counting-test``, that records
+    the batch size of every training step it serves."""
+    calls = []
+
+    class CountingAugment(SimCLRAugment):
+        def __call__(self, images, rng):
+            calls.append(images.shape[0])
+            return super().__call__(images, rng)
+
+    register_augment("counting-test")(CountingAugment)
+    try:
+        yield calls
+    finally:
+        AUGMENTS.unregister("counting-test")
+
+
+@pytest.fixture
+def counting_scenario():
+    """A plugin scenario, registered as ``counting-test``: the temporal
+    stream, recording the size of every segment it serves."""
+    served = []
+
+    class CountingStream(TemporalStream):
+        def next_segment(self, segment_size):
+            segment = super().next_segment(segment_size)
+            served.append(len(segment))
+            return segment
+
+    @register_scenario("counting-test")
+    def counting(dataset, stc, rng):
+        return CountingStream(dataset, stc, rng)
+
+    try:
+        yield served
+    finally:
+        SCENARIOS.unregister("counting-test")
+
+
+class TestAblationsFollowTheConfig:
+    """The drift and gradient ablations run through Session, so
+    ``config.augment`` picks the augment their training steps use."""
+
+    @pytest.mark.parametrize("ablation", ["drift", "gradient"])
+    def test_training_uses_the_config_augment(self, tiny_config, counting_augment, ablation):
+        config = tiny_config.with_(augment="counting-test")
+        if ablation == "drift":
+            run_drift_experiment(config, policies=("fifo",), num_phases=2)
+        else:
+            run_gradient_ablation(config, probes=2, batch=16)
+        assert counting_augment == [config.buffer_size] * config.iterations
+
+    def test_gradient_ablation_streams_the_config_scenario(self, tiny_config, counting_scenario):
+        config = tiny_config.with_(scenario="counting-test")
+        result = run_gradient_ablation(config, probes=2, batch=16)
+        steps = result.checkpoints[-1]
+        assert counting_scenario == [config.buffer_size] * steps
 
 
 class TestGradientAblation:

@@ -242,6 +242,10 @@ SESSION_META_DEFECTS = {
     "diversity-kind": (_set("diversity", ["x"]), "['diversity'][0] is \"x\", not a number"),
     "final-loss-kind": (_set("final_loss", None), "['final_loss'] is null, not a number"),
     "lazy-kind": (_set("lazy", 3), "['lazy'] is 3, not an object or null"),
+    "scenario-option-kind": (
+        _set("config", "scenario", "bursty(burst_stc=1e400)"),
+        "bursty: burst_stc must be an integer, got inf",
+    ),
     "stream-empty": (_set("stream", {}), "['stream'] is not the state of a"),
     "stream-position": (
         _set("stream", "position", "x"),

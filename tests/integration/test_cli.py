@@ -196,6 +196,13 @@ class TestScenarioFlag:
         assert "cyclic-drift" in captured.err
         assert "== stream" not in captured.out
 
+    def test_scenario_option_of_the_wrong_kind_is_a_usage_error(self, capsys, monkeypatch):
+        _tiny(monkeypatch)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["stream", "--scenario", "bursty(burst_prob=abc)"])
+        assert exit_info.value.code == 2
+        assert "burst_prob must be a number, got 'abc'" in capsys.readouterr().err
+
     def test_scenario_rejected_for_fixed_stream_experiment(self, capsys):
         with pytest.raises(SystemExit):
             main(["table1", "--scenario", "bursty"])

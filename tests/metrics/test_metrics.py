@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.metrics.accuracy import confusion_matrix, per_class_accuracy, top1_accuracy
+from repro.metrics.accuracy import per_class_accuracy, top1_accuracy
 from repro.metrics.curves import LearningCurve, speedup_at_accuracy
 
 
@@ -29,16 +29,6 @@ class TestAccuracy:
         assert out[0] == 1.0
         assert out[1] == pytest.approx(2 / 3)
         assert np.isnan(out[2])
-
-    def test_confusion_matrix(self):
-        preds = np.array([0, 1, 1, 2])
-        labels = np.array([0, 1, 2, 2])
-        cm = confusion_matrix(preds, labels, 3)
-        assert cm[0, 0] == 1
-        assert cm[1, 1] == 1
-        assert cm[2, 1] == 1
-        assert cm[2, 2] == 1
-        assert cm.sum() == 4
 
 
 class TestLearningCurve:

@@ -65,32 +65,6 @@ class TestConv2d:
 
 
 class TestPooling:
-    def test_max_pool_values(self):
-        x = Tensor(np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4))
-        out = F.max_pool2d(x, 2)
-        np.testing.assert_array_equal(out.data[0, 0], [[5, 7], [13, 15]])
-
-    def test_avg_pool_values(self):
-        x = Tensor(np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4))
-        out = F.avg_pool2d(x, 2)
-        np.testing.assert_allclose(out.data[0, 0], [[2.5, 4.5], [10.5, 12.5]])
-
-    def test_max_pool_indivisible_raises(self, rng):
-        with pytest.raises(ValueError):
-            F.max_pool2d(Tensor(rng.normal(size=(1, 1, 5, 5))), 2)
-
-    def test_overlapping_stride_unsupported(self, rng):
-        with pytest.raises(NotImplementedError):
-            F.max_pool2d(Tensor(rng.normal(size=(1, 1, 4, 4))), 2, stride=1)
-
-    def test_max_pool_grad(self, rng):
-        x = leaf(rng, 2, 3, 4, 4)
-        assert_grad_close(lambda: (F.max_pool2d(x, 2) ** 2).sum(), [x])
-
-    def test_avg_pool_grad(self, rng):
-        x = leaf(rng, 2, 3, 4, 4)
-        assert_grad_close(lambda: (F.avg_pool2d(x, 2) ** 2).sum(), [x])
-
     def test_global_avg_pool(self, rng):
         x = Tensor(rng.normal(size=(2, 5, 3, 3)).astype(np.float32))
         out = F.global_avg_pool2d(x)
@@ -99,49 +73,20 @@ class TestPooling:
 
 
 class TestSoftmaxFamily:
-    def test_softmax_sums_to_one(self, rng):
-        x = Tensor(rng.normal(size=(4, 7)))
-        s = F.softmax(x, axis=1)
-        np.testing.assert_allclose(s.data.sum(axis=1), np.ones(4), rtol=1e-5)
-
-    def test_softmax_stability_large_values(self):
-        x = Tensor(np.array([[1000.0, 1000.0]]))
-        s = F.softmax(x, axis=1)
-        np.testing.assert_allclose(s.data, [[0.5, 0.5]], rtol=1e-5)
-
     def test_log_softmax_matches_log_of_softmax(self, rng):
-        x = Tensor(rng.normal(size=(3, 5)))
+        x = rng.normal(size=(3, 5))
+        exp = np.exp(x)
         np.testing.assert_allclose(
-            F.log_softmax(x, axis=1).data,
-            np.log(F.softmax(x, axis=1).data),
+            F.log_softmax(Tensor(x), axis=1).data,
+            np.log(exp / exp.sum(axis=1, keepdims=True)),
             rtol=1e-5,
             atol=1e-6,
         )
-
-    def test_logsumexp_matches_scipy(self, rng):
-        from scipy.special import logsumexp as scipy_lse
-
-        x = rng.normal(size=(4, 6))
-        out = F.logsumexp(Tensor(x), axis=1)
-        np.testing.assert_allclose(out.data, scipy_lse(x, axis=1).astype(np.float32), rtol=1e-5)
-
-    def test_logsumexp_keepdims(self, rng):
-        x = Tensor(rng.normal(size=(4, 6)))
-        assert F.logsumexp(x, axis=1, keepdims=True).shape == (4, 1)
-
-    def test_softmax_grad(self, rng):
-        x = leaf(rng, 3, 5)
-        w = Tensor(rng.normal(size=(3, 5)).astype(np.float64))
-        assert_grad_close(lambda: (F.softmax(x, axis=1) * w).sum(), [x])
 
     def test_log_softmax_grad(self, rng):
         x = leaf(rng, 3, 5)
         w = Tensor(rng.normal(size=(3, 5)).astype(np.float64))
         assert_grad_close(lambda: (F.log_softmax(x, axis=1) * w).sum(), [x])
-
-    def test_logsumexp_grad(self, rng):
-        x = leaf(rng, 4, 3)
-        assert_grad_close(lambda: F.logsumexp(x, axis=1).sum(), [x])
 
 
 class TestL2Normalize:
@@ -169,81 +114,3 @@ class TestL2Normalize:
         (F.l2_normalize(x, axis=1) * Tensor(w)).sum().backward()
         dot = float((x.grad * x.data).sum())
         assert dot == pytest.approx(0.0, abs=1e-10)
-
-
-class TestDropout:
-    def test_eval_mode_identity(self, rng):
-        x = Tensor(rng.normal(size=(4, 4)))
-        out = F.dropout(x, 0.5, rng, training=False)
-        assert out is x
-
-    def test_p_zero_identity(self, rng):
-        x = Tensor(rng.normal(size=(4, 4)))
-        assert F.dropout(x, 0.0, rng) is x
-
-    def test_invalid_p_raises(self, rng):
-        with pytest.raises(ValueError):
-            F.dropout(Tensor(np.ones(3)), 1.0, rng)
-
-    def test_expected_scale_preserved(self, rng):
-        x = Tensor(np.ones((200, 200)))
-        out = F.dropout(x, 0.3, rng)
-        assert out.data.mean() == pytest.approx(1.0, abs=0.02)
-
-    def test_grad_masks_match_forward(self, rng):
-        x = Tensor(np.ones((10, 10), dtype=np.float64), requires_grad=True)
-        out = F.dropout(x, 0.5, np.random.default_rng(0))
-        out.sum().backward()
-        np.testing.assert_allclose(x.grad, out.data)
-
-
-class TestOneHot:
-    def test_basic(self):
-        out = F.one_hot(np.array([0, 2, 1]), 3)
-        np.testing.assert_array_equal(
-            out, [[1, 0, 0], [0, 0, 1], [0, 1, 0]]
-        )
-
-    def test_out_of_range_raises(self):
-        with pytest.raises(ValueError):
-            F.one_hot(np.array([3]), 3)
-
-    def test_non_1d_raises(self):
-        with pytest.raises(ValueError):
-            F.one_hot(np.zeros((2, 2), dtype=int), 3)
-
-
-class TestCosineSimilarity:
-    def test_identical_rows(self, rng):
-        a = rng.normal(size=(4, 8))
-        np.testing.assert_allclose(F.cosine_similarity(a, a), np.ones(4), rtol=1e-9)
-
-    def test_opposite_rows(self, rng):
-        a = rng.normal(size=(4, 8))
-        np.testing.assert_allclose(F.cosine_similarity(a, -a), -np.ones(4), rtol=1e-9)
-
-    def test_orthogonal(self):
-        a = np.array([[1.0, 0.0]])
-        b = np.array([[0.0, 1.0]])
-        assert F.cosine_similarity(a, b)[0] == pytest.approx(0.0)
-
-
-class TestPadChannels:
-    def test_shape_and_content(self, rng):
-        x = Tensor(rng.normal(size=(2, 3, 4, 4)).astype(np.float32))
-        out = F.pad_channels(x, 2)
-        assert out.shape == (2, 5, 4, 4)
-        np.testing.assert_array_equal(out.data[:, :3], x.data)
-        assert not out.data[:, 3:].any()
-
-    def test_zero_extra_identity(self, rng):
-        x = Tensor(rng.normal(size=(1, 2, 2, 2)))
-        assert F.pad_channels(x, 0) is x
-
-    def test_negative_raises(self, rng):
-        with pytest.raises(ValueError):
-            F.pad_channels(Tensor(rng.normal(size=(1, 2, 2, 2))), -1)
-
-    def test_grad(self, rng):
-        x = leaf(rng, 1, 2, 3, 3)
-        assert_grad_close(lambda: (F.pad_channels(x, 3) ** 2).sum(), [x])

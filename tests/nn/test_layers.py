@@ -6,14 +6,11 @@ import pytest
 from repro.nn.layers import (
     BatchNorm2d,
     Conv2d,
-    Flatten,
-    GlobalAvgPool2d,
     Identity,
     Linear,
     Module,
     ModuleList,
     Parameter,
-    ReLU,
     Sequential,
 )
 from repro.nn.tensor import Tensor
@@ -270,15 +267,15 @@ class TestBatchNorm2d:
 
 class TestContainers:
     def test_sequential_applies_in_order(self, rng):
-        seq = Sequential(Linear(4, 8, rng=rng), ReLU(), Linear(8, 2, rng=rng))
+        seq = Sequential(Linear(4, 8, rng=rng), Identity(), Linear(8, 2, rng=rng))
         x = Tensor(rng.normal(size=(3, 4)).astype(np.float32))
         manual = seq[2](seq[1](seq[0](x)))
         np.testing.assert_array_equal(seq(x).data, manual.data)
 
     def test_sequential_len_getitem(self, rng):
-        seq = Sequential(Linear(2, 2, rng=rng), ReLU())
+        seq = Sequential(Linear(2, 2, rng=rng), Identity())
         assert len(seq) == 2
-        assert isinstance(seq[1], ReLU)
+        assert isinstance(seq[1], Identity)
 
     def test_sequential_parameters_traversed(self, rng):
         seq = Sequential(Linear(2, 3, rng=rng), Linear(3, 2, rng=rng))
@@ -286,19 +283,12 @@ class TestContainers:
 
     def test_modulelist_append_iter(self, rng):
         ml = ModuleList()
-        ml.append(Identity())
-        ml.append(ReLU())
+        first, second = Identity(), Identity()
+        ml.append(first)
+        ml.append(second)
         assert len(ml) == 2
-        assert isinstance(list(ml)[1], ReLU)
+        assert list(ml)[0] is first and list(ml)[1] is second
 
     def test_identity(self, rng):
         x = Tensor(rng.normal(size=(2, 2)))
         assert Identity()(x) is x
-
-    def test_flatten(self, rng):
-        x = Tensor(rng.normal(size=(2, 3, 4)))
-        assert Flatten()(x).shape == (2, 12)
-
-    def test_global_avg_pool_module(self, rng):
-        x = Tensor(rng.normal(size=(2, 5, 4, 4)))
-        assert GlobalAvgPool2d()(x).shape == (2, 5)

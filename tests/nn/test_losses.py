@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import functional as F
-from repro.nn.losses import CrossEntropyLoss, NTXentLoss, cross_entropy, nt_xent_loss
+from repro.nn.losses import NTXentLoss, cross_entropy, nt_xent_loss
 from repro.nn.tensor import Tensor
 
 from tests.helpers import assert_grad_close
@@ -175,10 +175,3 @@ class TestCrossEntropy:
         logits = Tensor(rng.normal(size=(4, 3)).astype(np.float64), requires_grad=True)
         labels = np.array([0, 2, 1, 1])
         assert_grad_close(lambda: cross_entropy(logits, labels), [logits])
-
-    def test_callable_wrapper(self, rng):
-        logits = Tensor(rng.normal(size=(3, 4)).astype(np.float32))
-        labels = np.array([1, 0, 3])
-        assert CrossEntropyLoss()(logits, labels).item() == pytest.approx(
-            cross_entropy(logits, labels).item()
-        )

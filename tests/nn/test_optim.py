@@ -1,10 +1,10 @@
-"""Tests for SGD / Adam optimizers and the lr scaling rule."""
+"""Tests for the Adam optimizer and the lr scaling rule."""
 
 import numpy as np
 import pytest
 
 from repro.nn.layers import Parameter
-from repro.nn.optim import SGD, Adam, sqrt_batch_lr_scale
+from repro.nn.optim import Adam, sqrt_batch_lr_scale
 from repro.nn.tensor import Tensor
 
 
@@ -17,15 +17,15 @@ def quadratic_loss(p: Parameter) -> Tensor:
 class TestOptimizerBase:
     def test_empty_params_raises(self):
         with pytest.raises(ValueError):
-            SGD([], lr=0.1)
+            Adam([], lr=0.1)
 
     def test_nonpositive_lr_raises(self):
         with pytest.raises(ValueError):
-            SGD([Parameter(np.zeros(2))], lr=0.0)
+            Adam([Parameter(np.zeros(2))], lr=0.0)
 
     def test_zero_grad(self):
         p = Parameter(np.ones(3))
-        opt = SGD([p], lr=0.1)
+        opt = Adam([p], lr=0.1)
         quadratic_loss(p).backward()
         assert p.grad is not None
         opt.zero_grad()
@@ -33,51 +33,10 @@ class TestOptimizerBase:
 
     def test_step_skips_params_without_grad(self):
         p = Parameter(np.ones(2))
-        opt = SGD([p], lr=0.1)
+        opt = Adam([p], lr=0.1)
         before = p.data.copy()
         opt.step()
         np.testing.assert_array_equal(p.data, before)
-
-
-class TestSGD:
-    def test_single_step_matches_formula(self):
-        p = Parameter(np.array([1.0, 5.0]))
-        opt = SGD([p], lr=0.1)
-        quadratic_loss(p).backward()  # grad = p - 3
-        opt.step()
-        np.testing.assert_allclose(p.data, [1.2, 4.8], rtol=1e-6)
-
-    def test_converges_on_quadratic(self):
-        p = Parameter(np.array([10.0]))
-        opt = SGD([p], lr=0.3)
-        for _ in range(100):
-            opt.zero_grad()
-            quadratic_loss(p).backward()
-            opt.step()
-        assert p.data[0] == pytest.approx(3.0, abs=1e-4)
-
-    def test_momentum_accelerates(self):
-        def run(momentum):
-            p = Parameter(np.array([10.0]))
-            opt = SGD([p], lr=0.05, momentum=momentum)
-            for _ in range(30):
-                opt.zero_grad()
-                quadratic_loss(p).backward()
-                opt.step()
-            return abs(p.data[0] - 3.0)
-
-        assert run(0.9) < run(0.0)
-
-    def test_weight_decay_shrinks_weights(self):
-        p = Parameter(np.array([1.0]))
-        opt = SGD([p], lr=0.1, weight_decay=0.5)
-        p.grad = np.zeros(1, dtype=np.float32)
-        opt.step()
-        assert p.data[0] == pytest.approx(1.0 - 0.1 * 0.5)
-
-    def test_invalid_momentum_raises(self):
-        with pytest.raises(ValueError):
-            SGD([Parameter(np.zeros(1))], lr=0.1, momentum=1.0)
 
 
 class TestAdam:

@@ -52,10 +52,6 @@ class TestResNetEncoder:
         with pytest.raises(ValueError):
             ResNetEncoder(3, widths=(), rng=rng)
 
-    def test_min_input_size(self, rng):
-        assert resnet_mini(rng=rng).min_input_size() == 4
-        assert resnet_micro(rng=rng).min_input_size() == 2
-
     def test_deterministic_construction(self):
         a = resnet_mini(rng=np.random.default_rng(1))
         b = resnet_mini(rng=np.random.default_rng(1))

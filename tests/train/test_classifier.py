@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.scoring import encoder_features
 from repro.data.synthetic import SyntheticConfig, SyntheticImageDataset
 from repro.nn.resnet import resnet_micro
 from repro.train.classifier import LinearProbe, evaluate_encoder
@@ -44,6 +45,11 @@ class TestLinearProbe:
         x, _ = dataset.make_split(4, rng)
         feats = probe.extract_features(x)
         assert feats.shape == (12, encoder.feature_dim)
+
+    def test_extract_features_are_the_encoder_features(self, encoder, dataset, rng):
+        probe = LinearProbe(encoder, 3, rng)
+        x, _ = dataset.make_split(15, rng)
+        assert probe.extract_features(x).tobytes() == encoder_features(encoder, x).tobytes()
 
     def test_fit_on_separable_features(self, encoder, rng):
         """The head must learn a linearly separable toy problem."""

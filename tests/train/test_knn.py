@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.core.scoring import encoder_features
 from repro.data.synthetic import SyntheticConfig, SyntheticImageDataset
+from repro.metrics.accuracy import top1_accuracy
 from repro.nn.resnet import resnet_micro
 from repro.train.knn import KnnProbe, knn_predict
 
@@ -84,3 +86,21 @@ class TestKnnProbe:
     def test_invalid_k(self, rng):
         with pytest.raises(ValueError):
             KnnProbe(resnet_micro(rng=rng), k=0)
+
+    def test_score_is_knn_on_the_encoder_features(self, rng):
+        """The readout embeds both pools with the frozen encoder (one
+        eval feature path) and leaves its training mode alone."""
+        dataset = SyntheticImageDataset(SyntheticConfig("knn", 3, 8))
+        encoder = resnet_micro(rng=np.random.default_rng(4)).train()
+        train_x, train_y = dataset.make_split(15, rng)
+        test_x, test_y = dataset.make_split(6, rng)
+        acc = KnnProbe(encoder, k=3).score(train_x, train_y, test_x, test_y, num_classes=3)
+        assert encoder.training
+        predictions = knn_predict(
+            encoder_features(encoder, train_x),
+            train_y,
+            encoder_features(encoder, test_x),
+            k=3,
+            num_classes=3,
+        )
+        assert acc == top1_accuracy(predictions, test_y)

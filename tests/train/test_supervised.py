@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.data.synthetic import SyntheticConfig, SyntheticImageDataset
-from repro.nn.resnet import resnet_micro
+from repro.nn.backend import use_backend
+from repro.nn.resnet import EVAL_BLOCK, resnet_micro
 from repro.train.supervised import SupervisedBaseline
 
 
@@ -64,6 +65,21 @@ class TestSupervisedBaseline:
         preds = baseline.predict(x)
         assert preds.shape == y.shape
         assert 0.0 <= baseline.score(x, y) <= 1.0
+
+    def test_predict_does_not_depend_on_the_batch(self, dataset, rng):
+        """One forward over the whole batch predicts what its pieces do
+        (the encoder blocks an eval batch itself)."""
+        baseline = SupervisedBaseline(resnet_micro(rng=np.random.default_rng(1)), 3, rng)
+        x, _ = dataset.make_split(EVAL_BLOCK, rng)  # three blocks: 3 classes
+        with use_backend("numpy"):
+            whole = baseline.predict(x)
+            pieces = np.concatenate([baseline.predict(x[i : i + 10]) for i in range(0, len(x), 10)])
+        assert whole.shape == (len(x),)
+        np.testing.assert_array_equal(whole, pieces)
+
+    def test_predict_empty_batch(self, rng):
+        baseline = SupervisedBaseline(resnet_micro(rng=rng), 3, rng)
+        assert baseline.predict(np.zeros((0, 3, 8, 8), np.float32)).shape == (0,)
 
     def test_generalizes_to_test_data(self, dataset, rng):
         encoder = resnet_micro(rng=np.random.default_rng(1))

@@ -1,29 +1,15 @@
-"""Tests for RNG management, tables, and logging helpers."""
-
-import logging
+"""Tests for RNG management and table rendering."""
 
 import numpy as np
 import pytest
 
-from repro.utils.logging import get_logger
-from repro.utils.rng import RngRegistry, new_rng, spawn_rngs
-from repro.utils.tables import format_markdown_table, format_table
+from repro.utils.rng import RngRegistry, new_rng
+from repro.utils.tables import format_table
 
 
 class TestRng:
     def test_new_rng_seeded_reproducible(self):
         assert new_rng(5).integers(0, 100) == new_rng(5).integers(0, 100)
-
-    def test_spawn_count(self):
-        assert len(spawn_rngs(0, 4)) == 4
-
-    def test_spawn_negative_raises(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -1)
-
-    def test_spawn_children_independent(self):
-        a, b = spawn_rngs(0, 2)
-        assert not np.array_equal(a.integers(0, 1000, 10), b.integers(0, 1000, 10))
 
     def test_registry_same_name_same_generator(self):
         rngs = RngRegistry(0)
@@ -75,27 +61,6 @@ class TestTables:
         assert lines[2].strip() == ""
         assert lines[3].strip() == "x"
 
-    def test_markdown_shape(self):
-        md = format_markdown_table(["a", "b"], [[1, 2]])
-        lines = md.splitlines()
-        assert lines[0].startswith("| a")
-        assert set(lines[1]) <= {"|", "-"}
-        assert lines[2].startswith("| 1")
-
     def test_doctest_example(self):
         out = format_table(["a", "b"], [[1, 2.5]])
         assert out == "a | b\n--+----\n1 | 2.5"
-
-
-class TestLogging:
-    def test_namespace_prefix(self):
-        assert get_logger("train").name == "repro.train"
-
-    def test_root_logger(self):
-        assert get_logger().name == "repro"
-
-    def test_already_prefixed(self):
-        assert get_logger("repro.data").name == "repro.data"
-
-    def test_is_logging_logger(self):
-        assert isinstance(get_logger("x"), logging.Logger)

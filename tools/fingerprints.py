@@ -25,7 +25,11 @@ the other side and MOVED).  The lines:
   straight through, and the same run split by a checkpoint file and
   resumed.  The two digests are equal when resume is bitwise; the tool
   exits 1 when they differ (with ``--against``: on either side).  A
-  moved digest does not change the exit status.
+  moved digest does not change the exit status;
+* ``ablation.drift`` and ``ablation.gradient`` — the results of
+  ``run_drift_experiment`` (two policies, two phases) and
+  ``run_gradient_ablation`` (three probes) on the tiny config of
+  ``tests/integration/test_drift_experiment.py``.
 
 ``repro`` is imported from the ``src/`` directory next to this file and
 the workload definitions from ``perfbench/``, through names that older
@@ -154,6 +158,27 @@ def session_lines():
     yield "session.resumed", common.fingerprint_digest(result_fingerprint(resumed))
 
 
+def ablation_lines():
+    from repro.experiments.ablations import run_gradient_ablation
+    from repro.experiments.config import StreamExperimentConfig
+    from repro.experiments.drift import run_drift_experiment
+
+    config = StreamExperimentConfig(
+        dataset="cifar10", image_size=8, stc=8, total_samples=128, buffer_size=8,
+        encoder_widths=(8, 16), projection_dim=8, probe_train_per_class=4,
+        probe_test_per_class=2, probe_epochs=5, seed=0,
+    )
+    drift = run_drift_experiment(config, policies=("contrast-scoring", "fifo"), num_phases=2)
+    yield "ablation.drift", common.fingerprint_digest(
+        [drift.new_classes, drift.overall, drift.old_class_acc, drift.new_class_acc]
+    )
+    gradient = run_gradient_ablation(config, probes=3, batch=16)
+    yield "ablation.gradient", common.fingerprint_digest(
+        [gradient.checkpoints, gradient.correlations, gradient.low_score_grad,
+         gradient.high_score_grad]
+    )
+
+
 def parse_lines(lines: Sequence[str]) -> Dict[str, str]:
     """``{name: digest}`` of the tool's output lines."""
     return dict(line.split() for line in lines if line.strip())
@@ -221,7 +246,7 @@ def main() -> int:
     digests = {"stream": stream_line(), "fleet": fleet_line()}
     for name, digest in digests.items():
         print(name, digest, flush=True)
-    for lines in (scorer_lines(), scenario_lines(), session_lines()):
+    for lines in (scorer_lines(), scenario_lines(), session_lines(), ablation_lines()):
         for name, digest in lines:
             digests[name] = digest
             print(name, digest, flush=True)
