@@ -45,7 +45,8 @@ matching across backends to float32 tolerance.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, List, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterator, List, Sequence
 
 import numpy as np
 
@@ -88,19 +89,30 @@ def encoder_features(encoder: Module, images: np.ndarray) -> np.ndarray:
     :class:`~repro.nn.resnet.ResNetEncoder` runs the batch in blocks of
     at most :data:`repro.nn.resnet.EVAL_BLOCK` images, and a plugin
     encoder must bound its own.  An empty batch never reaches the
-    encoder and returns an empty ``(0, feature_dim)`` array.
+    encoder and returns an empty ``(0, feature_dim)`` array.  An encoder
+    already in eval mode is not switched (no module-tree walk).
     """
     if images.ndim != 4:
         raise ValueError(f"expected NCHW batch, got shape {images.shape}")
     if images.shape[0] == 0:
         return np.zeros((0, getattr(encoder, "feature_dim", 1)))
-    training = encoder.training
-    encoder.eval()
+    with _eval_mode(encoder), no_grad():
+        return np.asarray(encoder(Tensor(images)).data)
+
+
+@contextmanager
+def _eval_mode(*modules: Module) -> Iterator[None]:
+    """Run the block with ``modules`` in eval mode, switching (and
+    afterwards restoring) only those that are training: a module kept in
+    eval mode, like the serve server's, costs no module-tree walk."""
+    switched = [module for module in modules if module.training]
+    for module in switched:
+        module.eval()
     try:
-        with no_grad():
-            return np.asarray(encoder(Tensor(images)).data)
+        yield
     finally:
-        encoder.train(training)
+        for module in switched:
+            module.train()
 
 
 class ContrastScorer:
@@ -135,23 +147,17 @@ class ContrastScorer:
         """Normalized projections z = g(f(x))/||g(f(x))|| (no gradient).
 
         Computed at the active backend's ``scoring_dtype`` (float64 on
-        the numpy reference, float32 end-to-end on the fused backend).
+        the numpy reference, float32 end-to-end on the fused backend), in
+        eval mode: a training module is switched for the forward and
+        back, a module in eval mode is left as it is.
         """
         if images.ndim != 4:
             raise ValueError(f"expected NCHW batch, got shape {images.shape}")
         dtype = get_backend().scoring_dtype
         if images.shape[0] == 0:
             return np.zeros((0, 1), dtype=dtype)
-        enc_training = self.encoder.training
-        proj_training = self.projector.training
-        self.encoder.eval()
-        self.projector.eval()
-        try:
-            with no_grad():
-                z = self.projector(self.encoder(Tensor(images))).data
-        finally:
-            self.encoder.train(enc_training)
-            self.projector.train(proj_training)
+        with _eval_mode(self.encoder, self.projector), no_grad():
+            z = self.projector(self.encoder(Tensor(images))).data
         z = np.asarray(z, dtype=dtype)
         norms = np.linalg.norm(z, axis=1, keepdims=True)
         return z / np.maximum(norms, 1e-12).astype(dtype, copy=False)

@@ -331,6 +331,13 @@ def _path_error(
     return kind(f"{path}: {message}")
 
 
+#: The keywords ``_build_expr`` passes every factory itself; a
+#: composition option of the same name is rejected, not forwarded twice.
+_RUN_KEYWORDS = frozenset(
+    ("dataset", "stc", "rng", "total_samples", "base_source", "wrapper_layer")
+)
+
+
 def _build_expr(
     expr: ScenarioExpr,
     *,
@@ -348,6 +355,14 @@ def _build_expr(
     for depth in range(len(nodes) - 1, -1, -1):
         node = nodes[depth]
         options = node.option_dict
+        run_set = sorted(set(options) & _RUN_KEYWORDS)
+        if run_set:  # options make the expression a composition
+            raise _path_error(
+                ValueError,
+                expr,
+                depth,
+                f"option(s) set by the run, not by the scenario: {', '.join(run_set)}",
+            )
         if depth == 0:
             clash = sorted(set(options) & set(extra))
             if clash:

@@ -194,7 +194,7 @@ def _gemm_epilogue(
     dtype = out.dtype
     rows = out.reshape(-1, w_mat.shape[0])
     np.matmul(
-        cols.reshape(rows.shape[0], -1).astype(dtype, copy=False),
+        cols.reshape(rows.shape[0], w_mat.shape[1]).astype(dtype, copy=False),
         np.ascontiguousarray(w_mat, dtype=dtype).T,
         out=rows,
     )

@@ -20,17 +20,22 @@ Operations (``{"op": ...}`` per line):
 Errors come back as ``{"ok": false, "error": "..."}`` on the same
 line; malformed framing (invalid JSON, or a line that is not a JSON
 object) closes the connection, and so does a line over the 64 MiB
-limit, after one error line that names the limit.  Concurrent requests
-on one connection are served in submission order per line read, but
-each ``score`` is awaited independently, so several connections (or
-pipelined lines) micro-batch together exactly like in-process callers.
+limit, after one error line that names the limit.  Responses come back
+in line order.  Each connection has one reader, which admits its lines
+in order without a task per line (pipelined lines, and several
+connections, micro-batch together exactly like in-process callers), and
+one responder, which writes every ready answer in one write.  A
+connection holds at most ``queue_depth`` unanswered lines; past that the
+reader stops reading, and a client that does not read its answers meets
+TCP back-pressure.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-from typing import Any, Dict, List, Optional, Sequence
+from collections import deque
+from typing import Any, Deque, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -65,7 +70,33 @@ def _score_request(
     return message
 
 
-async def _handle_line(server: ScoringServer, message: Dict[str, Any]) -> Dict[str, Any]:
+def _retrieve(future: "asyncio.Future[Decision]") -> None:
+    """Mark a failed request's exception as seen (its line goes unwritten)."""
+    if not future.cancelled():
+        future.exception()
+
+
+def _waiting(answer: Any) -> bool:
+    """Whether ``answer`` is an admitted request its batch has not yet
+    resolved."""
+    return isinstance(answer, asyncio.Future) and not answer.done()
+
+
+def _answer_line(answer: Any) -> bytes:
+    """One response line: an answer dict, or an admitted request's future."""
+    if isinstance(answer, asyncio.Future):
+        error = answer.exception()
+        answer = (
+            {"ok": False, "error": str(error)}
+            if error is not None
+            else {"ok": True, "decision": answer.result().to_dict()}
+        )
+    return json.dumps(answer).encode("utf-8") + b"\n"
+
+
+async def _admit_line(server: ScoringServer, message: Dict[str, Any]) -> Any:
+    """The answer to one request line, or the future of the request it
+    admitted to the batcher."""
     op = message.get("op")
     if op == "ping":
         return {"ok": True, "pong": True}
@@ -74,14 +105,133 @@ async def _handle_line(server: ScoringServer, message: Dict[str, Any]) -> Dict[s
     if op == "score":
         from repro.experiments.wire import decode_array
 
-        decision = await server.submit(
+        outcome = await server.enqueue(
             decode_array(message["sample"]),
             device_id=message.get("device_id", "tcp"),
             model_version=message.get("model_version"),
             deadline_ms=message.get("deadline_ms"),
         )
-        return {"ok": True, "decision": decision.to_dict()}
+        if isinstance(outcome, Decision):  # answered at the door
+            return {"ok": True, "decision": outcome.to_dict()}
+        return outcome
     return {"ok": False, "error": f"unknown op {op!r} (score/stats/ping)"}
+
+
+class _Connection:
+    """One client connection: a reader that admits its lines in order
+    through :meth:`ScoringServer.enqueue`, with no task per line, and a
+    responder that writes their answers in the same order.
+
+    The responder waits only on the oldest unanswered line; once that
+    resolves, every answer ready behind it goes out in one ``write`` and
+    one ``drain()``.  The reader waits while ``server.queue_depth`` lines
+    are unanswered, so a client that never reads meets TCP
+    back-pressure, not a growing backlog.
+    """
+
+    def __init__(
+        self,
+        server: ScoringServer,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        limit: int,
+    ) -> None:
+        self.server = server
+        self.reader = reader
+        self.writer = writer
+        self.limit = limit
+        # Unanswered lines, oldest first: answer dicts and the futures
+        # of admitted requests.
+        self.unanswered: Deque[Any] = deque()
+        self.reading = True
+        self.writing = True
+        self._more: Optional[asyncio.Future] = None  # wakes the responder
+        self._room: Optional[asyncio.Future] = None  # wakes the reader
+
+    @staticmethod
+    def _wake(waiter: Optional[asyncio.Future]) -> None:
+        if waiter is not None and not waiter.done():
+            waiter.set_result(None)
+
+    async def serve(self) -> None:
+        responder = asyncio.get_running_loop().create_task(self._respond())
+        try:
+            await self._read()
+        finally:
+            self.reading = False
+            self._wake(self._more)
+            try:
+                await responder
+            finally:
+                # Answers the peer will never get: mark their failures
+                # seen, so no "exception was never retrieved" is logged.
+                for answer in self.unanswered:
+                    if isinstance(answer, asyncio.Future):
+                        answer.add_done_callback(_retrieve)
+                # close() runs even if the responder raised, so the
+                # connection is never wedged open; no wait_closed() —
+                # the loop tears the transport down and awaiting here
+                # races loop shutdown and only adds noise.
+                self.writer.close()
+
+    def _push(self, answer: Any) -> None:
+        self.unanswered.append(answer)
+        self._wake(self._more)
+
+    async def _read(self) -> None:
+        loop = asyncio.get_running_loop()
+        while True:
+            while self.writing and len(self.unanswered) >= self.server.queue_depth:
+                self._room = loop.create_future()
+                await self._room
+            if not self.writing:
+                return  # the peer stopped taking answers
+            try:
+                line = await self.reader.readline()
+            except ValueError:  # the reader's line limit: answer, then close
+                self._push({"ok": False, "error": f"request line exceeds {self.limit} bytes"})
+                return
+            except ConnectionError:
+                return  # the peer reset the connection
+            if not line:
+                return
+            try:
+                message = json.loads(line)
+            except (json.JSONDecodeError, UnicodeDecodeError):
+                return  # malformed framing: drop the connection
+            if not isinstance(message, dict):
+                return  # valid JSON, but not a request object: same deal
+            try:
+                answer = await _admit_line(self.server, message)
+            except Exception as exc:  # noqa: BLE001 - answer on the wire, keep serving
+                answer = {"ok": False, "error": str(exc)}
+            self._push(answer)
+
+    async def _respond(self) -> None:
+        loop = asyncio.get_running_loop()
+        unanswered = self.unanswered
+        try:
+            while unanswered or self.reading:
+                if not unanswered:
+                    self._more = loop.create_future()
+                    await self._more
+                    continue
+                if _waiting(unanswered[0]):
+                    try:
+                        await unanswered[0]
+                    except Exception:  # noqa: BLE001 - written as an error line
+                        pass
+                lines = []
+                while unanswered and not _waiting(unanswered[0]):
+                    lines.append(_answer_line(unanswered.popleft()))
+                self._wake(self._room)
+                self.writer.write(b"".join(lines))
+                await self.writer.drain()
+        except (ConnectionError, OSError):  # pragma: no cover - peer gone
+            pass
+        finally:
+            self.writing = False
+            self._wake(self._room)
 
 
 async def serve_tcp(
@@ -96,64 +246,10 @@ async def serve_tcp(
     """
     limit = _MAX_LINE
 
-    async def safe_handle(message: Dict[str, Any]) -> Dict[str, Any]:
-        try:
-            return await _handle_line(server, message)
-        except Exception as exc:  # noqa: BLE001 - answer on the wire, keep serving
-            return {"ok": False, "error": str(exc)}
-
     async def handle(
         reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        # Each line is dispatched as its own task so pipelined score
-        # requests reach the batcher together; responses are written
-        # back in line order.
-        pending: "asyncio.Queue[Optional[asyncio.Future]]" = asyncio.Queue()
-
-        async def respond() -> None:
-            while True:
-                task = await pending.get()
-                if task is None:
-                    break
-                response = await task
-                try:
-                    writer.write(json.dumps(response).encode("utf-8") + b"\n")
-                    await writer.drain()
-                except (ConnectionError, OSError):  # pragma: no cover - peer gone
-                    break
-
-        loop = asyncio.get_running_loop()
-        responder = loop.create_task(respond())
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except ValueError:  # the reader's line limit: answer, then close
-                    rejected = loop.create_future()
-                    rejected.set_result(
-                        {"ok": False, "error": f"request line exceeds {limit} bytes"}
-                    )
-                    pending.put_nowait(rejected)
-                    break
-                if not line:
-                    break
-                try:
-                    message = json.loads(line)
-                except (json.JSONDecodeError, UnicodeDecodeError):
-                    break  # malformed framing: drop the connection
-                if not isinstance(message, dict):
-                    break  # valid JSON, but not a request object: same deal
-                pending.put_nowait(loop.create_task(safe_handle(message)))
-        finally:
-            pending.put_nowait(None)
-            try:
-                await responder
-            finally:
-                # close() runs even if the responder raised, so the
-                # connection is never wedged open; no wait_closed() —
-                # the loop tears the transport down and awaiting here
-                # races loop shutdown and only adds noise.
-                writer.close()
+        await _Connection(server, reader, writer, limit).serve()
 
     return await asyncio.start_server(handle, host, port, limit=limit)
 

@@ -37,10 +37,13 @@ property, and the cache extends it across repeats by construction.
 
 The scoring forward runs *in* the event loop (it is the whole point of
 the process; overlapping compute with intake only adds jitter on one
-CPU).  The server owns its scorer's encoder/projector modules — version
-activation overwrites their arrays in place, so hand the server
-dedicated components (``build_components``) rather than modules a live
-training Session is still updating.
+CPU), and the loop works once per batch, not once per request: intake
+queues a request without a task of its own, and the batcher's straggler
+window is one timer and one waiter per batch.  The server owns its
+scorer's encoder/projector modules — version activation overwrites
+their arrays in place and construction puts them in eval mode for good,
+so hand the server dedicated components (``build_components``) rather
+than modules a live training Session is still updating.
 """
 
 from __future__ import annotations
@@ -48,12 +51,13 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.core.framework import load_model_slice
 from repro.core.scoring import ContrastScorer, content_hash
+from repro.nn.layers import Module
 from repro.obs import metrics as process_metrics
 from repro.obs import metrics_enabled
 from repro.obs.metrics import MetricsRegistry
@@ -219,6 +223,16 @@ class ScoringServer:
         self._batcher: Optional[asyncio.Task] = None
         self._closed = False
         self._loaded_version: Optional[int] = None
+        # The batcher's straggler window (see _run).
+        self._waiter: Optional[asyncio.Future] = None
+        self._fill_at = 0
+        # The server owns these modules, so they stay in eval mode: a
+        # served forward then switches no mode (ContrastScorer.project
+        # only switches a module that is training).  Duck-typed scorers
+        # are left alone.
+        for module in (getattr(scorer, "encoder", None), getattr(scorer, "projector", None)):
+            if isinstance(module, Module):
+                module.eval()
         # Telemetry: the per-instance registry is the single source the
         # old ad-hoc counters collapsed into — stats() is a thin view
         # over it.  When process metrics are enabled (REPRO_METRICS /
@@ -255,6 +269,7 @@ class ScoringServer:
         if self._batcher is None:
             return
         self._closed = True
+        self._wake_batcher()  # a straggler window ends now
         await self._queue.put(_SENTINEL)
         await self._batcher
         self._batcher = None
@@ -283,11 +298,28 @@ class ScoringServer:
         before the batch executes, the request re-resolves (pin >
         current) at execution instead of failing.
         """
-        request = self._admit(sample, device_id, model_version, deadline_ms)
-        fallback = await self._enqueue(request)
-        if fallback is not None:
-            return fallback
-        return await request.future
+        outcome = await self.enqueue(sample, device_id, model_version, deadline_ms)
+        if isinstance(outcome, Decision):
+            return outcome
+        return await outcome
+
+    async def enqueue(
+        self,
+        sample: np.ndarray,
+        device_id: str = "anon",
+        model_version: Optional[int] = None,
+        deadline_ms: Optional[float] = None,
+    ) -> Union[Decision, asyncio.Future[Decision]]:
+        """Admit and queue one CHW sample without awaiting its batch.
+
+        The intake step of :meth:`submit` and of the TCP reader, which
+        admits every line of a connection in order through it.  Returns
+        the admission policy's :class:`Decision` when a full queue is
+        answered at the door, else the future the batcher resolves.
+        Under the ``block`` policy a full queue suspends the caller
+        until there is room.
+        """
+        return await self._enqueue(self._admit(sample, device_id, model_version, deadline_ms))
 
     async def submit_many(
         self,
@@ -310,10 +342,7 @@ class ScoringServer:
         requests = [
             self._admit(sample, device_id, model_version, deadline_ms) for sample in samples
         ]
-        outcomes: List[Any] = []
-        for request in requests:
-            fallback = await self._enqueue(request)
-            outcomes.append(fallback if fallback is not None else request.future)
+        outcomes = [await self._enqueue(request) for request in requests]
         # Bare futures gather without task wrapping; policy fallbacks
         # resolved at admission are already Decisions.
         await asyncio.gather(
@@ -363,17 +392,28 @@ class ScoringServer:
             future=asyncio.get_running_loop().create_future(),
         )
 
-    async def _enqueue(self, request: ScoreRequest) -> Optional[Decision]:
-        """Queue ``request``, or return the admission policy's answer."""
-        if self._queue.full():
+    async def _enqueue(
+        self, request: ScoreRequest
+    ) -> Union[Decision, asyncio.Future[Decision]]:
+        """Queue ``request`` and return its future, or return the
+        admission policy's answer."""
+        queue = self._queue
+        if queue.full():
             fallback = self.policy.on_full(request, self)
             if fallback is not None:
                 self._note_decision(fallback)
                 return fallback
-            await self._queue.put(request)
+            await queue.put(request)
         else:
-            self._queue.put_nowait(request)
-        return None
+            queue.put_nowait(request)
+        if self._waiter is not None and queue.qsize() >= self._fill_at:
+            self._wake_batcher()
+        return request.future
+
+    def _wake_batcher(self) -> None:
+        """End the batcher's straggler window, if it is in one."""
+        if self._waiter is not None and not self._waiter.done():
+            self._waiter.set_result(None)
 
     # -- the batcher ----------------------------------------------------
     async def _run(self) -> None:
@@ -388,27 +428,26 @@ class ScoringServer:
             batch: List[ScoreRequest] = [item]
             # Opportunistic drain: everything already queued joins the
             # batch immediately (the deterministic bulk-replay path).
-            while len(batch) < self.max_batch and not queue.empty():
-                nxt = queue.get_nowait()
-                if nxt is _SENTINEL:
-                    stopping = True
-                    break
-                batch.append(nxt)
-            # Straggler window: wait up to max_wait_ms for late arrivals.
-            if not stopping and len(batch) < self.max_batch and self.max_wait_ms > 0:
-                deadline = loop.time() + self.max_wait_ms / 1000.0
-                while len(batch) < self.max_batch:
-                    timeout = deadline - loop.time()
-                    if timeout <= 0:
-                        break
-                    try:
-                        nxt = await asyncio.wait_for(queue.get(), timeout)
-                    except asyncio.TimeoutError:
-                        break
-                    if nxt is _SENTINEL:
-                        stopping = True
-                        break
-                    batch.append(nxt)
+            stopping = self._take(queue, batch)
+            # Straggler window: wait up to max_wait_ms for late arrivals,
+            # on one timer and one waiter.  _enqueue resolves the waiter
+            # once the queue holds enough to fill the batch (or is full),
+            # the timer at the deadline, stop() at once.
+            if (
+                not stopping
+                and not self._closed
+                and len(batch) < self.max_batch
+                and self.max_wait_ms > 0
+            ):
+                self._fill_at = min(self.max_batch - len(batch), self.queue_depth)
+                self._waiter = loop.create_future()
+                timer = loop.call_later(self.max_wait_ms / 1000.0, self._wake_batcher)
+                try:
+                    await self._waiter
+                finally:
+                    timer.cancel()
+                    self._waiter = None
+                stopping = self._take(queue, batch)
             try:
                 self._execute(batch)
             except Exception as exc:  # noqa: BLE001 - the batcher must outlive any batch
@@ -419,6 +458,17 @@ class ScoringServer:
             straggler = queue.get_nowait()
             if straggler is not _SENTINEL:
                 self._fail([straggler], RuntimeError("server stopped"))
+
+    def _take(self, queue: asyncio.Queue, batch: List[ScoreRequest]) -> bool:
+        """Move queued requests into ``batch`` until it holds
+        ``max_batch`` or the queue is empty; True if the stop sentinel
+        came up."""
+        while len(batch) < self.max_batch and not queue.empty():
+            item = queue.get_nowait()
+            if item is _SENTINEL:
+                return True
+            batch.append(item)
+        return False
 
     def _execute(self, batch: List[ScoreRequest]) -> None:
         """Resolve one micro-batch: expire, group by version, fuse, answer."""

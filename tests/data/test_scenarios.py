@@ -444,6 +444,37 @@ class TestOptionKinds:
         with pytest.raises(ValueError, match=re.escape(message)):
             make(name, dataset)
 
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("temporal(stc=3)", "temporal: option(s) set by the run, not by the scenario: stc"),
+            (
+                "drift(total_samples=5)",
+                "drift: option(s) set by the run, not by the scenario: total_samples",
+            ),
+            (
+                "corrupted(temporal,base_source=1)",
+                "corrupted(temporal): option(s) set by the run, not by the scenario: "
+                "base_source",
+            ),
+            (
+                "bursty(wrapper_layer=abc)",
+                "bursty: option(s) set by the run, not by the scenario: wrapper_layer",
+            ),
+            (
+                "corrupted(bursty(rng=1,dataset=x))",
+                "corrupted(bursty): option(s) set by the run, not by the scenario: "
+                "dataset, rng",
+            ),
+        ],
+    )
+    def test_an_option_the_run_sets_is_a_named_error(self, dataset, name, message):
+        """Every factory is offered these keywords by the run; an inline
+        option of the same name once died as a bare ``TypeError``
+        ("got multiple values for keyword argument")."""
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make(name, dataset)
+
     def test_table_lists_every_builtin_option(self):
         """OPTIONS classifies every option a built-in factory declares,
         so a new option cannot skip its kind check unnoticed."""

@@ -203,6 +203,13 @@ class TestScenarioFlag:
         assert exit_info.value.code == 2
         assert "burst_prob must be a number, got 'abc'" in capsys.readouterr().err
 
+    def test_scenario_option_the_run_sets_is_a_usage_error(self, capsys, monkeypatch):
+        _tiny(monkeypatch)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["stream", "--scenario", "temporal(stc=3)"])
+        assert exit_info.value.code == 2
+        assert "set by the run, not by the scenario: stc" in capsys.readouterr().err
+
     def test_scenario_rejected_for_fixed_stream_experiment(self, capsys):
         with pytest.raises(SystemExit):
             main(["table1", "--scenario", "bursty"])

@@ -117,3 +117,28 @@ def test_training_forward_without_grad_normalizes_the_whole_batch():
     for key, value in grad_free.state_dict().items():
         assert value.tobytes() == autograd.state_dict()[key].tobytes(), key
     assert not np.array_equal(out, split)
+
+
+@pytest.mark.parametrize("backend", ["numpy", "fused"])
+@pytest.mark.parametrize("size, unfold", [(10, (4, 4)), (9, (3, 3))])
+def test_empty_batch_returns_empty_features(backend, size, unfold, monkeypatch):
+    """An eval no-grad forward of 0 images is a ``(0, feature_dim)``
+    array on both backends, on the fused chain's tiled stem (even map,
+    4x4 tile unfold) and its untiled one (odd map, 3x3 unfold)."""
+    import repro.nn.backend.fused as fused_mod
+
+    kernels = []
+    unfold_nhwc = fused_mod.im2col_nhwc
+
+    def spy(x, kernel, stride, padding, workspace=None):
+        kernels.append(kernel)
+        return unfold_nhwc(x, kernel, stride, padding, workspace=workspace)
+
+    monkeypatch.setattr(fused_mod, "im2col_nhwc", spy)
+    enc, _ = MODELS["fleet-10px"]
+    with use_backend(backend), no_grad():
+        out = enc(Tensor(np.zeros((0, 3, size, size), dtype=np.float32))).data
+    assert out.shape == (0, enc.feature_dim)
+    assert out.dtype == np.float32
+    if backend == "fused":
+        assert kernels[0] == unfold

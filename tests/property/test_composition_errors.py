@@ -31,7 +31,9 @@ DATASET = SyntheticImageDataset(SyntheticConfig("composition-errors", num_classe
 SETTINGS = dict(max_examples=150, deadline=None)
 
 #: What ``create_scenario`` offers every factory; the rest of a
-#: factory's parameters are the options a composition may set.
+#: factory's parameters are the options a composition may set.  Option
+#: keys are drawn from both: an offered keyword written as an option is
+#: a named error too.
 OFFERED = {"dataset", "stc", "rng", "total_samples", "base_source", "wrapper_layer"}
 NAMES = sorted(SCENARIOS.names())
 OPTIONS = sorted(
@@ -39,8 +41,8 @@ OPTIONS = sorted(
         parameter
         for name in NAMES
         for parameter in inspect.signature(SCENARIOS.get(name).factory).parameters
-        if parameter not in OFFERED
     }
+    | OFFERED
 )
 #: Bare values of every kind the grammar parses: strings, none, flags,
 #: integers, reals, and reals that overflow to infinity.

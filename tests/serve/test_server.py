@@ -3,6 +3,9 @@
 import asyncio
 import base64
 import json
+import socket
+import struct
+import time
 
 import numpy as np
 import pytest
@@ -748,6 +751,232 @@ class TestClientsAndTcp:
                     await tcp.wait_closed()
 
         asyncio.run(run())
+
+
+async def _serve_connection(server):
+    """A TCP listener for ``server`` and one raw connection to it."""
+    tcp = await serve_tcp(server)
+    port = tcp.sockets[0].getsockname()[1]
+    reader, writer = await asyncio.open_connection("127.0.0.1", port, limit=1 << 24)
+    return tcp, reader, writer
+
+
+async def _close(tcp, writer):
+    writer.close()
+    tcp.close()
+    await tcp.wait_closed()
+
+
+def _line(message):
+    return json.dumps(message).encode("utf-8") + b"\n"
+
+
+class TestRequestPath:
+    """The event loop works once per batch: the TCP reader admits lines
+    without a task each, the responder writes them back in line order,
+    the straggler window is one timer and one waiter per batch, and a
+    served forward switches no module mode.  Windows are generous so a
+    loaded host cannot flake them."""
+
+    def test_pipelined_burst_is_bounded_and_answered_in_order(self, published, monkeypatch):
+        # 2,000 score lines written at once, none read: the server holds
+        # a few tasks (one per line before), and at most queue_depth
+        # lines admitted and unanswered; reading then yields every
+        # answer in line order.
+        count, queue_depth = 2000, 32
+        samples = make_samples(16)
+        lines = b"".join(
+            _line(_score_request(samples[i % 16], f"line-{i}", None, None))
+            for i in range(count)
+        )
+        admitted = answered = peak = 0
+        to_dict = Decision.to_dict
+
+        def counting_to_dict(decision):
+            nonlocal answered
+            answered += 1
+            return to_dict(decision)
+
+        monkeypatch.setattr(Decision, "to_dict", counting_to_dict)
+
+        async def run():
+            nonlocal admitted, peak
+            async with make_server(published, queue_depth=queue_depth) as server:
+                enqueue = server.enqueue
+
+                async def counting_enqueue(*args, **kwargs):
+                    nonlocal admitted, peak
+                    admitted += 1
+                    peak = max(peak, admitted - answered)
+                    return await enqueue(*args, **kwargs)
+
+                server.enqueue = counting_enqueue
+                tcp, reader, writer = await _serve_connection(server)
+                try:
+                    writer.write(lines)
+                    await asyncio.sleep(0.1)
+                    tasks = len(asyncio.all_tasks())
+
+                    async def read_all():
+                        return [json.loads(await reader.readline()) for _ in range(count)]
+
+                    replies = await asyncio.wait_for(read_all(), 120)
+                finally:
+                    await _close(tcp, writer)
+            return tasks, replies
+
+        tasks, replies = asyncio.run(run())
+        # this test's task, the batcher, the connection's handler and
+        # its responder
+        assert tasks <= 6
+        assert admitted == count
+        assert peak <= queue_depth
+        assert all(reply["ok"] for reply in replies)
+        assert [r["decision"]["device_id"] for r in replies] == [
+            f"line-{i}" for i in range(count)
+        ]
+
+    def test_a_peer_reset_mid_burst_is_not_an_unhandled_error(self, published):
+        # A client that resets its connection with lines unread and
+        # answers unwritten: the handler ends quietly, and the server
+        # keeps serving other connections.
+        samples = make_samples(4)
+        lines = b"".join(
+            _line(_score_request(samples[i % 4], "dev", None, None)) for i in range(2000)
+        )
+
+        async def run():
+            loop = asyncio.get_running_loop()
+            unhandled = []
+            loop.set_exception_handler(lambda _loop, context: unhandled.append(context))
+            async with make_server(published, queue_depth=8) as server:
+                tcp, reader, writer = await _serve_connection(server)
+                try:
+                    writer.write(lines)
+                    await asyncio.sleep(0.2)
+                    writer.get_extra_info("socket").setsockopt(
+                        socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+                    )
+                    writer.transport.abort()  # RST, not FIN
+                    await asyncio.sleep(0.2)
+                    client = await TcpClient.connect("127.0.0.1", tcp.sockets[0].getsockname()[1])
+                    try:
+                        pong = await asyncio.wait_for(client.ping(), 10)
+                    finally:
+                        await client.close()
+                finally:
+                    await _close(tcp, writer)
+            await asyncio.sleep(0)
+            return pong, unhandled
+
+        pong, unhandled = asyncio.run(run())
+        assert pong
+        assert unhandled == []
+
+    def test_a_full_batch_does_not_wait_for_the_window(self, published):
+        samples = make_samples(4)
+
+        async def run():
+            async with make_server(published, max_batch=4, max_wait_ms=10_000) as server:
+                first = asyncio.ensure_future(server.submit(samples[0]))
+                await asyncio.sleep(0.05)  # the batcher waits in its window
+                rest = asyncio.gather(*(server.submit(s) for s in samples[1:]))
+                return await asyncio.wait_for(asyncio.gather(first, rest), 2)
+
+        first, rest = asyncio.run(run())
+        assert [d.batch_size for d in [first] + rest] == [4, 4, 4, 4]
+        assert all(d.status == "ok" for d in [first] + rest)
+
+    def test_a_short_batch_executes_at_the_deadline(self, published):
+        samples = make_samples(2)
+
+        async def run():
+            async with make_server(published, max_wait_ms=200) as server:
+                started = time.monotonic()
+                decisions = await asyncio.gather(*(server.submit(s) for s in samples))
+                return decisions, time.monotonic() - started
+
+        decisions, elapsed = asyncio.run(run())
+        assert [d.batch_size for d in decisions] == [2, 2]
+        assert elapsed >= 0.2
+
+    def test_stop_ends_a_straggler_window(self, published):
+        sample = make_samples(1)[0]
+
+        async def run():
+            server = make_server(published, max_wait_ms=10_000)
+            await server.start()
+            pending = asyncio.ensure_future(server.submit(sample))
+            await asyncio.sleep(0.05)  # the batcher waits in its window
+            started = time.monotonic()
+            await asyncio.wait_for(server.stop(), 2)
+            return await pending, time.monotonic() - started
+
+        decision, elapsed = asyncio.run(run())
+        assert decision.status == "ok" and decision.batch_size == 1
+        assert elapsed < 2
+
+    def test_a_served_forward_switches_no_module_mode(self, published, monkeypatch):
+        from repro.nn.layers import Module
+
+        config, models, _ = published
+        comp = build_components(config)
+        assert comp.encoder.training and comp.projector.training
+        server = ScoringServer(comp.scorer, models, max_batch=4, cache=None)
+        assert not comp.encoder.training and not comp.projector.training
+        switches = []
+        train = Module.train
+
+        def counting_train(module, mode=True):
+            switches.append((type(module).__name__, mode))
+            return train(module, mode)
+
+        monkeypatch.setattr(Module, "train", counting_train)
+
+        async def run():
+            async with server:
+                return await server.submit_many(make_samples(6))
+
+        decisions = asyncio.run(run())
+        assert [d.status for d in decisions] == ["ok"] * 6
+        assert switches == []
+
+    def test_mixed_ops_are_answered_in_line_order(self, published):
+        good = make_samples(2)
+        bad = poisoned(good[0], nan=2)
+        messages = [
+            {"op": "ping"},
+            _score_request(good[0], "first", None, None),
+            {"op": "stats"},
+            _score_request(bad, "nan", None, None),
+            {"op": "score", "sample": MALFORMED_ARRAY_SPECS["truncated"]},
+            {"op": "explode"},
+            _score_request(good[1], "last", None, None),
+            {"op": "ping"},
+        ]
+
+        async def run():
+            async with make_server(published) as server:
+                tcp, reader, writer = await _serve_connection(server)
+                try:
+                    writer.write(b"".join(_line(m) for m in messages))
+                    await writer.drain()
+                    return [
+                        json.loads(await asyncio.wait_for(reader.readline(), 10))
+                        for _ in messages
+                    ]
+                finally:
+                    await _close(tcp, writer)
+
+        ping, first, stats, nan, malformed, unknown, last, pong = asyncio.run(run())
+        assert ping == pong == {"ok": True, "pong": True}
+        assert first["decision"]["device_id"] == "first"
+        assert last["decision"]["device_id"] == "last"
+        assert first["decision"]["status"] == last["decision"]["status"] == "ok"
+        assert stats["ok"] and stats["stats"]["policy"] == "block"
+        assert nan == {"ok": False, "error": "sample holds 2 NaN and 0 infinite (+-inf) values"}
+        assert not malformed["ok"] and malformed["error"].startswith("array")
+        assert unknown == {"ok": False, "error": "unknown op 'explode' (score/stats/ping)"}
 
 
 class TestStats:

@@ -29,7 +29,10 @@ the other side and MOVED).  The lines:
 * ``ablation.drift`` and ``ablation.gradient`` — the results of
   ``run_drift_experiment`` (two policies, two phases) and
   ``run_gradient_ablation`` (three probes) on the tiny config of
-  ``tests/integration/test_drift_experiment.py``.
+  ``tests/integration/test_drift_experiment.py``;
+* ``serve`` — ``run_serve`` over TCP on a tiny config: every decision's
+  fingerprint (cold pass with a mid-stream publish, warm, cache-served
+  repeat, replay) and whether the TCP echo matched the repeat pass.
 
 ``repro`` is imported from the ``src/`` directory next to this file and
 the workload definitions from ``perfbench/``, through names that older
@@ -179,6 +182,19 @@ def ablation_lines():
     )
 
 
+def serve_lines():
+    from repro.experiments.config import StreamExperimentConfig
+    from repro.experiments.serve import run_serve
+
+    config = StreamExperimentConfig(
+        dataset="cifar10", image_size=8, stc=8, total_samples=64, buffer_size=8,
+        encoder_widths=(8, 16), projection_dim=8, probe_train_per_class=4,
+        probe_test_per_class=2, probe_epochs=1, seed=0,
+    )
+    result = run_serve(config, transport="tcp")
+    yield "serve", common.fingerprint_digest([result.fingerprint(), result.tcp_identical])
+
+
 def parse_lines(lines: Sequence[str]) -> Dict[str, str]:
     """``{name: digest}`` of the tool's output lines."""
     return dict(line.split() for line in lines if line.strip())
@@ -246,7 +262,9 @@ def main() -> int:
     digests = {"stream": stream_line(), "fleet": fleet_line()}
     for name, digest in digests.items():
         print(name, digest, flush=True)
-    for lines in (scorer_lines(), scenario_lines(), session_lines(), ablation_lines()):
+    for lines in (
+        scorer_lines(), scenario_lines(), session_lines(), ablation_lines(), serve_lines()
+    ):
         for name, digest in lines:
             digests[name] = digest
             print(name, digest, flush=True)
