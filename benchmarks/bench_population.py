@@ -12,7 +12,8 @@ The acceptance bar is wall-clock: the whole run must finish inside
 ``--max-seconds`` (CI uses 300).  The JSON report additionally records
 the per-round cast sizes, dropout/straggler counts, and sampled-device
 throughput so the nightly artifact shows *where* time went when the
-bar is ever missed.  ``--trace-out`` further enables the telemetry
+bar is ever missed, and the coordinator process's peak RSS next to the
+number of devices ever sampled, so memory per device is tracked too.  ``--trace-out`` further enables the telemetry
 layer (:mod:`repro.obs`) and writes the run's span trace — worker
 spans shipped home and filed under per-process lanes — as JSON-lines;
 the nightly job uploads it next to the JSON report.
@@ -35,6 +36,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import sys
 import time
 from typing import Dict
@@ -75,6 +77,13 @@ def population_config(devices: int, participants: int, rounds: int, seed: int):
         ),
         aggregator="fedavg-async",
     )
+
+
+def peak_rss_kib() -> float:
+    """This (the coordinator's) process's peak resident set size in KiB:
+    ``ru_maxrss``, which macOS reports in bytes and Linux in KiB."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / 1024 if sys.platform == "darwin" else float(peak)
 
 
 def main(argv=None) -> int:
@@ -136,6 +145,8 @@ def main(argv=None) -> int:
     trained = sum(len(stats.devices) for stats in result.rounds)
     dropped = sum(len(stats.dropped or ()) for stats in result.rounds)
     late = sum(len(stats.late or ()) for stats in result.rounds)
+    sampled = len({i for stats in result.rounds for i in stats.participants or ()})
+    peak_rss_mb = peak_rss_kib() / 1024
     report: Dict[str, object] = {
         "devices": args.devices,
         "participants": args.participants,
@@ -152,6 +163,8 @@ def main(argv=None) -> int:
         "dropped_device_rounds": dropped,
         "late_device_rounds": late,
         "sampled_devices_per_s": trained / wall_s,
+        "devices_sampled": sampled,
+        "peak_rss_mb": peak_rss_mb,
         "final_global_knn_accuracy": result.final_global_knn_accuracy,
         "per_round": [
             {
@@ -181,7 +194,8 @@ def main(argv=None) -> int:
     print(
         f"  {trained} device-rounds trained ({dropped} dropped, {late} "
         f"late) in {wall_s:.1f}s -> {trained / wall_s:.1f} sampled "
-        f"devices/s; wrote {args.output}"
+        f"devices/s; coordinator peak RSS {peak_rss_mb:.1f} MB over "
+        f"{sampled} devices sampled; wrote {args.output}"
     )
     if wall_s > args.max_seconds:
         print(

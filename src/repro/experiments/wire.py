@@ -26,8 +26,9 @@ codecs:
     (fleet broadcasts): only arrays whose blake2b content hash changed
     since the previous send on that channel are shipped (through an
     inner ``shm`` or ``json-b64`` codec); the receiver merges them over
-    its cached base and verifies every reused array against the
-    sender's hash, so a stale cache can never silently corrupt a round.
+    its cached base and verifies every array it delivers, shipped or
+    reused, against the sender's hash, so neither a stale cache nor a
+    damaged payload can silently corrupt a round.
 ``delta-q8``
     ``delta`` with changed float arrays int8-quantized (per-array
     scale + integer zero point).  **Lossy**: per-element error is at
@@ -68,7 +69,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.registry import WIRE_FORMATS, register_wire_format
+from repro.registry import WIRE_FORMATS, UnknownComponentError, register_wire_format
 
 __all__ = [
     "WIRE_FORMATS",
@@ -100,6 +101,9 @@ WIRE_FORMAT_ENV = "REPRO_WIRE_FORMAT"
 #: Array offsets inside a shared-memory segment are rounded up to this
 #: (cache-line) alignment so decoded views are never split-line.
 _SHM_ALIGN = 64
+
+#: The most bytes a numpy array can span (its index type's maximum).
+_MAX_BYTES = np.iinfo(np.intp).max
 
 
 class WireProtocolError(RuntimeError):
@@ -195,8 +199,19 @@ def get_wire_format(name: str) -> WireFormat:
 
 
 def decode_state_payload(payload: Dict[str, Any]) -> Dict[str, np.ndarray]:
-    """Decode any wire payload via its self-describing ``wire`` key."""
-    return get_wire_format(payload["wire"]).decode(payload)
+    """Decode any wire payload via its self-describing ``wire`` key.
+
+    A payload that is not an object, lacks ``wire`` or names no
+    registered format is a :class:`WireProtocolError`, like every
+    defect the named format's ``decode`` meets."""
+    name = _field(payload, "wire", str, "wire payload")
+    try:
+        codec = get_wire_format(name)
+    except UnknownComponentError as exc:
+        raise WireProtocolError(
+            f"wire payload names an unknown format: {exc}"
+        ) from None
+    return codec.decode(payload)
 
 
 def resolve_wire_format(name: Optional[str] = None) -> Optional[str]:
@@ -258,6 +273,61 @@ def array_hash(value: Any) -> str:
     return digest.hexdigest()
 
 
+def _field(payload: Any, key: str, kinds: Any, what: str) -> Any:
+    """``payload[key]``, checked: a payload that is not an object, a
+    missing key, or a value not of ``kinds`` is a
+    :class:`WireProtocolError` naming ``what`` and the key."""
+    if not isinstance(payload, dict):
+        raise WireProtocolError(
+            f"{what} must be an object, got {type(payload).__name__}"
+        )
+    if key not in payload:
+        raise WireProtocolError(f"{what} is missing {key!r}")
+    value = payload[key]
+    if not isinstance(value, kinds):
+        raise WireProtocolError(
+            f"{what} {key!r} has the wrong kind: {type(value).__name__}"
+        )
+    return value
+
+
+def _array_dtype(name: Any, what: str = "array") -> np.dtype:
+    """The dtype a payload names; a :class:`WireProtocolError` naming
+    ``what`` unless it is a numpy dtype with fixed-size raw bytes."""
+    dtype = None
+    if isinstance(name, str):
+        try:
+            dtype = np.dtype(name)
+        except (TypeError, ValueError):
+            pass
+    if dtype is None or dtype.hasobject or dtype.itemsize == 0:
+        raise WireProtocolError(
+            f"{what} dtype {name!r} is not a numpy dtype with fixed-size raw "
+            "bytes (unknown, object or unsized)"
+        )
+    return dtype
+
+
+def _array_layout(spec: Dict[str, Any]) -> Tuple[np.dtype, Tuple[int, ...]]:
+    """The dtype and shape an array spec (or shm manifest entry)
+    declares; a :class:`WireProtocolError` for a bad dtype
+    (:func:`_array_dtype`) or a shape that is not a list of
+    non-negative integers."""
+    dtype = _array_dtype(spec.get("dtype"))
+    shape = spec.get("shape")
+    if not isinstance(shape, (list, tuple)) or not all(
+        type(dim) is int and dim >= 0 for dim in shape
+    ):
+        raise WireProtocolError(
+            f"array shape must list non-negative integers, got {shape!r}"
+        )
+    # numpy refuses a shape whose nonzero dimensions overflow its index
+    # type even when another dimension is 0.
+    if math.prod(dim for dim in shape if dim) * dtype.itemsize > _MAX_BYTES:
+        raise WireProtocolError(f"array shape {list(shape)} is too large for numpy")
+    return dtype, tuple(shape)
+
+
 # ----------------------------------------------------------------------
 # The per-array JSON codec, and json-b64 (the bit-exact reference
 # format) built on it.
@@ -296,24 +366,7 @@ def decode_array(spec: Any) -> np.ndarray:
     missing = [key for key in ("dtype", "shape", "data") if key not in spec]
     if missing:
         raise WireProtocolError(f"array spec is missing {', '.join(missing)}")
-    name, shape = spec["dtype"], spec["shape"]
-    dtype = None
-    if isinstance(name, str):
-        try:
-            dtype = np.dtype(name)
-        except (TypeError, ValueError):
-            pass
-    if dtype is None or dtype.hasobject or dtype.itemsize == 0:
-        raise WireProtocolError(
-            f"array dtype {name!r} is not a numpy dtype with fixed-size raw "
-            "bytes (unknown, object or unsized)"
-        )
-    if not isinstance(shape, (list, tuple)) or not all(
-        type(dim) is int and dim >= 0 for dim in shape
-    ):
-        raise WireProtocolError(
-            f"array shape must list non-negative integers, got {shape!r}"
-        )
+    dtype, shape = _array_layout(spec)
     try:
         raw = base64.b64decode(spec["data"])
     except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
@@ -346,7 +399,8 @@ class JsonB64Format(WireFormat):
     def decode(
         self, payload: Dict[str, Any], *, channel: Optional[str] = None
     ) -> Dict[str, np.ndarray]:
-        return {key: decode_array(spec) for key, spec in payload["arrays"].items()}
+        table = _field(payload, "arrays", dict, "json-b64 payload")
+        return {key: decode_array(spec) for key, spec in table.items()}
 
     def payload_nbytes(self, payload: Dict[str, Any]) -> int:
         # base64 expands 3 raw bytes into 4 characters (padded).
@@ -463,17 +517,42 @@ class ShmFormat(WireFormat):
         metrics().counter("wire.shm_bytes").inc(size)
         return {"wire": self.name, "segment": name, "size": size, "arrays": manifest}
 
+    @staticmethod
+    def _manifest(payload: Any) -> Dict[str, tuple]:
+        """Each array's ``(dtype, shape, offset)``, checked: an offset
+        is a non-negative integer, or null for an array of no bytes
+        (and always null without a segment)."""
+        segment = _field(payload, "segment", (str, type(None)), "shm payload")
+        table = _field(payload, "arrays", dict, "shm payload")
+        layout = {}
+        for key, spec in table.items():
+            what = f"shm manifest entry {key!r}"
+            offset = _field(spec, "offset", (int, type(None)), what)
+            dtype, shape = _array_layout(spec)
+            nbytes = dtype.itemsize * math.prod(shape)
+            if offset is None and nbytes:
+                raise WireProtocolError(f"{what} has no offset for its {nbytes} bytes")
+            if offset is not None and (
+                type(offset) is not int or offset < 0 or segment is None
+            ):
+                raise WireProtocolError(
+                    f"{what} has offset {offset!r}: not a byte offset into "
+                    f"segment {segment!r}"
+                )
+            layout[key] = (dtype, shape, offset)
+        return layout
+
     def decode(
         self, payload: Dict[str, Any], *, channel: Optional[str] = None
     ) -> Dict[str, np.ndarray]:
         from multiprocessing import shared_memory
 
+        layout = self._manifest(payload)
         out: Dict[str, np.ndarray] = {}
         name = payload["segment"]
-        manifest = payload["arrays"]
         if name is None:  # all-empty payload: no segment was created
-            for key, spec in manifest.items():
-                out[key] = np.zeros(tuple(spec["shape"]), dtype=np.dtype(spec["dtype"]))
+            for key, (dtype, shape, _) in layout.items():
+                out[key] = np.zeros(shape, dtype=dtype)
             return out
         try:
             segment = shared_memory.SharedMemory(name=name)
@@ -482,16 +561,24 @@ class ShmFormat(WireFormat):
                 f"shared-memory segment {name!r} is gone (decoded twice, or "
                 "released before decode?)"
             ) from exc
+        except OSError as exc:  # not a usable segment name
+            raise WireProtocolError(
+                f"cannot attach shared-memory segment {name!r}: {exc}"
+            ) from exc
         try:
-            for key, spec in manifest.items():
-                dtype = np.dtype(spec["dtype"])
-                shape = tuple(spec["shape"])
-                if spec["offset"] is None:
+            for key, (dtype, shape, offset) in layout.items():
+                if offset is None:
                     out[key] = np.zeros(shape, dtype=dtype)
                     continue
-                count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+                count = math.prod(shape)
+                end = offset + dtype.itemsize * count
+                if end > segment.size:
+                    raise WireProtocolError(
+                        f"shm manifest entry {key!r} runs past its segment: "
+                        f"bytes {offset}..{end} of {segment.size}"
+                    )
                 src = np.frombuffer(
-                    segment.buf, dtype=dtype, count=count, offset=spec["offset"]
+                    segment.buf, dtype=dtype, count=count, offset=offset
                 )
                 out[key] = src.reshape(shape).copy()
                 del src  # drop the buffer export before close()
@@ -544,9 +631,9 @@ class DeltaFormat(WireFormat):
     the arrays whose :func:`array_hash` changed since the last send,
     through the inner codec (``shm`` where available, else
     ``json-b64``).  The receiver merges changed arrays over its cached
-    base and re-verifies every *reused* array against the sender's
-    hash, so worker respawns or cache drift fail loudly
-    (:class:`WireProtocolError`) instead of corrupting a round.
+    base and verifies every array it delivers against the sender's
+    hash, so worker respawns, cache drift or a damaged payload fail
+    loudly (:class:`WireProtocolError`) instead of corrupting a round.
 
     Compressed variants subclass this and override the
     :meth:`_compress`/:meth:`_decompress` pair.  The protocol hashes
@@ -639,11 +726,20 @@ class DeltaFormat(WireFormat):
     def decode(
         self, payload: Dict[str, Any], *, channel: Optional[str] = None
     ) -> Dict[str, np.ndarray]:
-        channel = payload["channel"]
-        changed = self._inner.decode(payload["inner"])
-        hashes: Dict[str, str] = payload["hashes"]
-        codec: Dict[str, Dict[str, Any]] = payload.get("codec") or {}
-        if payload["full"]:
+        what = f"{self.name} payload"
+        channel = _field(payload, "channel", (str, type(None)), what)
+        full = _field(payload, "full", bool, what)
+        hashes: Dict[str, str] = _field(payload, "hashes", dict, what)
+        if not all(isinstance(value, str) for value in hashes.values()):
+            raise WireProtocolError(f"{what} 'hashes' must map names to strings")
+        codec = payload.get("codec") or {}
+        if not isinstance(codec, dict):
+            raise WireProtocolError(f"{what} 'codec' must be an object")
+        changed = self._inner.decode(_field(payload, "inner", dict, what))
+        stray = sorted(set(changed) - set(hashes))
+        if stray:
+            raise WireProtocolError(f"{what} ships arrays it has no hash for: {stray}")
+        if full:
             base: Dict[str, np.ndarray] = {}
         else:
             cached = self._cache.get(channel)
@@ -654,26 +750,25 @@ class DeltaFormat(WireFormat):
                     "invalidating the channel?)"
                 )
             base = cached
+        # Every delivered array is checked against the sender's content
+        # hash: a codec reconstruction, a shipped array, or one reused
+        # from the cache.
         out: Dict[str, np.ndarray] = {}
         for key, expected in hashes.items():
             meta = codec.get(key)
             if meta is not None:
                 value = self._decompress(key, changed, meta)
-                if array_hash(value) != expected:
-                    raise WireProtocolError(
-                        f"codec reconstruction of {key!r} on channel "
-                        f"{channel!r} does not match the sender's content hash"
-                    )
-                out[key] = value
-                continue
-            if key in changed:
-                out[key] = changed[key]
-                continue
-            value = base.get(key)
+                source = "codec reconstruction"
+            elif key in changed:
+                value = changed[key]
+                source = "shipped array"
+            else:
+                value = base.get(key)
+                source = "delta cache entry"
             if value is None or array_hash(value) != expected:
                 raise WireProtocolError(
-                    f"delta cache for channel {channel!r} does not match the "
-                    f"sender's content hash for array {key!r}"
+                    f"{source} {key!r} on channel {channel!r} does not match "
+                    "the sender's content hash"
                 )
             out[key] = value
         if channel is not None:
@@ -782,6 +877,22 @@ class DeltaQ8Format(DeltaFormat):
         q = entries.get(key)
         if q is None:
             raise WireProtocolError(f"delta-q8 payload is missing array {key!r}")
-        return self._dequantize(
-            q, float(meta["scale"]), int(meta["zero_point"]), np.dtype(meta["dtype"])
-        )
+        what = f"delta-q8 codec entry {key!r}"
+        scale = float(_field(meta, "scale", (int, float), what))
+        zero_point = _field(meta, "zero_point", int, what)
+        dtype = _array_dtype(meta.get("dtype"), what)
+        # What _compress can emit: a positive finite scale, a zero point
+        # inside the int8 range, int8 codes and a float dtype.
+        if not (
+            math.isfinite(scale)
+            and scale > 0
+            and type(zero_point) is int
+            and -128 <= zero_point <= 127
+            and q.dtype == np.int8
+            and dtype.kind == "f"
+        ):
+            raise WireProtocolError(
+                f"{what} is not a q8 encoding: scale {scale!r}, zero point "
+                f"{zero_point!r}, codes {q.dtype}, dtype {dtype.str}"
+            )
+        return self._dequantize(q, scale, zero_point, dtype)

@@ -19,8 +19,9 @@ one :class:`FleetCoordinator` method each:
 5. **aggregate** — the registered aggregator
    (:mod:`repro.fleet.aggregators`) folds the per-device model arrays
    into a new global model (or declines, for ``local-only``);
-6. **broadcast** — the global model overwrites every device's encoder
-   and projector arrays (optimizer moments and buffers stay local);
+6. **broadcast** — every device's encoder and projector entries point
+   at the one read-only copy of the global model (optimizer moments
+   and buffers stay local);
 7. **evaluate** — the global model takes a training-free kNN probe
    on fixed pools, giving the per-round accuracy column;
 8. **record** — the stats row, the timing record and the metrics.
@@ -29,9 +30,10 @@ Device state crosses rounds (and process boundaries) as the
 ``Session.state_dict()`` payload, with the array dict encoded by a
 pluggable, bitwise-lossless ``WIRE_FORMATS`` codec
 (:mod:`repro.experiments.wire`: ``json-b64`` reference, zero-copy
-``shm``, content-hash ``delta``) — so a fleet of one ``fedavg`` device
-is bitwise-identical to a plain single-device Session run under every
-wire format, and coordinator checkpoints
+``shm``, content-hash ``delta``) on the request leg, and on the reply
+leg only when the reply crosses a process — so a fleet of one
+``fedavg`` device is bitwise-identical to a plain single-device Session
+run under every lossless wire format, and coordinator checkpoints
 (:meth:`FleetCoordinator.save_checkpoint` / ``resume``) continue a
 fleet mid-run with bitwise-identical results.  Parallel rounds reuse a
 persistent :mod:`~repro.experiments.pool` worker pool with sticky
@@ -277,12 +279,15 @@ def _device_round_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
     the session continues from the ``Session.state_dict()`` payload.
     ``payload["wire"]`` names the WIRE_FORMATS codec the state's array
     dict was encoded with (None = the raw in-process representation);
-    ``payload["response_wire"]`` names the codec for the reply.  Every
-    codec is lossless, so all paths are bitwise-identical (the
-    serial/parallel equivalence tests compare exactly this).  The
-    worker decodes through the per-process singleton codec, so
-    channel-stateful formats (``delta``) keep their caches across the
-    rounds of a sticky worker's devices.
+    ``payload["response_wire"]`` names the codec for the reply, set
+    only when the reply crosses a process boundary (None = the raw
+    ``state_dict()`` arrays, which an in-process caller stores as they
+    are).  Every reply codec is lossless, so all paths are
+    bitwise-identical (the serial/parallel equivalence tests compare
+    exactly this).  The worker decodes through the per-process
+    singleton codec, so channel-stateful formats (``delta``) keep their
+    caches across the rounds of a sticky worker's devices; the cache
+    holds the reply's own arrays, not a copy.
 
     ``payload["global_overlay"]``, if present, carries the current
     global model as a ``{key: encode_array(value)}`` table — a device
@@ -357,6 +362,14 @@ def _device_round_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
     if telemetry is not None:
         out["_telemetry"] = telemetry
     return out
+
+
+def _read_only(arrays: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+    """Mark every array of ``arrays`` read-only and return the dict: the
+    global model, which every sampled device's state shares."""
+    for value in arrays.values():
+        value.flags.writeable = False
+    return arrays
 
 
 # ----------------------------------------------------------------------
@@ -553,9 +566,10 @@ class FleetCoordinator:
         ``None`` defers to the ``REPRO_WIRE_FORMAT`` environment
         variable, then to the default (``delta``) for parallel rounds
         and the raw in-process representation for ``workers=1``.  An
-        *explicitly selected* format is exercised even at ``workers=1``
-        — every codec is lossless, so results never depend on this
-        knob (the fleet-of-1 identity tests run exactly that way).
+        *explicitly selected* format carries the request leg even at
+        ``workers=1`` — every lossless codec keeps results bitwise, so
+        they never depend on this knob (the fleet-of-1 identity tests
+        run exactly that way); in-process replies stay raw.
 
     All fields are validated here, eagerly, with per-field messages —
     a misconfigured fleet never reaches the first round.
@@ -911,7 +925,7 @@ class FleetCoordinator:
             cast = self._cast()
             pool, wire_name, wire = self._transport(cast.active)
             serialize_start = time.perf_counter()
-            payloads = self._stage(cast, wire_name, wire)
+            payloads = self._stage(cast, wire_name, wire, pool is not None)
             serialize_s = time.perf_counter() - serialize_start
             outputs = self._dispatch(payloads, cast.active, pool, wire)
             merge_start = time.perf_counter()
@@ -970,14 +984,16 @@ class FleetCoordinator:
         sender codec (built lazily, reused across rounds so delta hash
         state survives).
 
-        An explicitly chosen wire format is always exercised (the
-        fleet-of-1 identity hook); otherwise state is encoded exactly
-        when it crosses a process boundary, with the default codec.
-        Lossless codecs never affect results; the lossy delta codecs
-        trade their documented tolerance for bandwidth.  The pool is
-        sized for the whole fleet (not this round's participants) so
-        sticky device -> worker routing stays stable across sampled
-        rounds.
+        An explicitly chosen wire format always carries the request leg
+        (the fleet-of-1 identity hook, and ``delta-q8``'s quantization);
+        otherwise the request is encoded exactly when it crosses a
+        process boundary, with the default codec.  The reply leg goes
+        through the codec only across a process boundary (see
+        :meth:`_stage`).  Lossless codecs never affect results; the
+        lossy delta codecs trade their documented tolerance for
+        bandwidth.  The pool is sized for the whole fleet (not this
+        round's participants) so sticky device -> worker routing stays
+        stable across sampled rounds.
         """
         workers = min(self._workers, len(self._plans))
         pool = get_worker_pool(workers) if workers > 1 and active else None
@@ -1006,11 +1022,23 @@ class FleetCoordinator:
         return pool, wire_name, wire
 
     def _stage(
-        self, cast: _Cast, wire_name: Optional[str], wire: Optional[WireFormat]
+        self,
+        cast: _Cast,
+        wire_name: Optional[str],
+        wire: Optional[WireFormat],
+        cross_process: bool,
     ) -> List[Dict[str, Any]]:
         """Stage, part two: one payload per active device, summing the
-        broadcast volume in the same pass."""
-        response_wire = wire.response_format if wire is not None else None
+        broadcast volume in the same pass.
+
+        A reply crosses a process boundary only when the round has a
+        pool; in-process jobs reply with their raw ``state_dict()``
+        arrays, so the device state this coordinator stores and the
+        codec's receiver base (``note_received``) are the same arrays,
+        held once."""
+        response_wire = (
+            wire.response_format if wire is not None and cross_process else None
+        )
         # Per-codec broadcast volume: approximate encoded array bytes
         # against the raw in-process footprint (the compression-ratio
         # gauge).  Raw rounds ship nothing over a codec, so both stay 0.
@@ -1193,21 +1221,25 @@ class FleetCoordinator:
         ]
 
     def _broadcast(self, new_global: Optional[Dict[str, np.ndarray]]) -> bool:
-        """Broadcast: the aggregated model becomes the global one, is
-        copied into every device ever sampled, and goes to the
-        :meth:`on_broadcast` subscribers.  Returns whether the round
-        synchronized."""
+        """Broadcast: one read-only copy of the aggregated model becomes
+        the global one, every device ever sampled points its model
+        entries at those arrays (no per-device copy), and a copy goes
+        to each :meth:`on_broadcast` subscriber.  Returns whether the
+        round synchronized.
+
+        Sharing is safe because nothing writes into a stored device
+        state: every loader copies on load (``Module``, ``Adam`` and
+        ``DataBuffer.load_state_dict``), and a checkpoint writes the
+        same bytes either way."""
         if new_global is None:
             return False
-        self._global_state = {
-            key: np.asarray(value).copy() for key, value in new_global.items()
-        }
+        self._global_state = _read_only(
+            {key: np.asarray(value).copy() for key, value in new_global.items()}
+        )
         self._global_version += 1
         for state in self._device_states:
-            if state is None:  # a device never yet sampled
-                continue
-            for key, value in self._global_state.items():
-                state["learner"][key] = value.copy()
+            if state is not None:  # None: a device never yet sampled
+                state["learner"].update(self._global_state)
         for fn in self._on_broadcast:
             # Each subscriber gets its own copy: publishing must not
             # alias (or let anyone mutate) the live global arrays.
@@ -1398,7 +1430,7 @@ class FleetCoordinator:
             learner = strip_prefix(arrays, f"device{i}/")
             self._device_states.append({"meta": device_meta, "learner": learner})
         if meta["has_global"]:
-            self._global_state = strip_prefix(arrays, "global/")
+            self._global_state = _read_only(strip_prefix(arrays, "global/"))
         else:
             self._global_state = None
         # Population state.  Pre-population checkpoints lack these keys

@@ -26,8 +26,10 @@ in order without a task per line (pipelined lines, and several
 connections, micro-batch together exactly like in-process callers), and
 one responder, which writes every ready answer in one write.  A
 connection holds at most ``queue_depth`` unanswered lines; past that the
-reader stops reading, and a client that does not read its answers meets
-TCP back-pressure.
+reader stops reading and pauses its transport, so a client that does
+not read its answers meets TCP back-pressure instead of filling the
+server's buffers.  A connection still open when the event loop ends is
+closed quietly.
 """
 
 from __future__ import annotations
@@ -178,12 +180,29 @@ class _Connection:
         self.unanswered.append(answer)
         self._wake(self._more)
 
-    async def _read(self) -> None:
+    async def _wait_for_room(self) -> None:
+        """Wait while ``queue_depth`` lines are unanswered, with the
+        transport paused: the peer's further bytes stay in the kernel's
+        socket buffers (TCP back-pressure), not in the reader's, which
+        asyncio pauses only past twice its 64 MiB limit.  A transport
+        the reader paused itself is left to the reader."""
         loop = asyncio.get_running_loop()
-        while True:
+        transport = self.writer.transport
+        paused = transport.is_reading()
+        if paused:
+            transport.pause_reading()
+        try:
             while self.writing and len(self.unanswered) >= self.server.queue_depth:
                 self._room = loop.create_future()
                 await self._room
+        finally:
+            if paused:
+                transport.resume_reading()  # a no-op once closing
+
+    async def _read(self) -> None:
+        while True:
+            if len(self.unanswered) >= self.server.queue_depth:
+                await self._wait_for_room()
             if not self.writing:
                 return  # the peer stopped taking answers
             try:
@@ -249,7 +268,15 @@ async def serve_tcp(
     async def handle(
         reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        await _Connection(server, reader, writer, limit).serve()
+        try:
+            await _Connection(server, reader, writer, limit).serve()
+        except asyncio.CancelledError:
+            # The loop is ending with the peer still connected; serve()
+            # has closed the writer.  Python 3.11's StreamReaderProtocol
+            # calls exception() on a handler task that ends cancelled
+            # and logs the CancelledError that raises.  Nothing else
+            # awaits this task, so it ends normally instead.
+            return
 
     return await asyncio.start_server(handle, host, port, limit=limit)
 

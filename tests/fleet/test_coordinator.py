@@ -9,7 +9,12 @@ import pytest
 import repro.fleet.coordinator as coordinator_mod
 from repro.experiments.config import StreamExperimentConfig
 from repro.experiments.parallel import TIMING_FIELDS, result_fingerprint
-from repro.experiments.wire import decode_array, decode_state_payload, encode_array
+from repro.experiments.wire import (
+    decode_array,
+    decode_state_payload,
+    encode_array,
+    get_wire_format,
+)
 from repro.fleet import DeviceSpec, FleetConfig, FleetCoordinator
 from repro.registry import BACKENDS
 from repro.session import Session, config_from_dict
@@ -394,6 +399,131 @@ class TestHeterogeneousFleet:
         serial = run_fleet(config, devices=2, rounds=2, workers=1)
         parallel = run_fleet(config, devices=2, rounds=2, workers=2)
         assert serial.fingerprint() == parallel.fingerprint()
+
+
+def repeat_fleet_config(rounds=6):
+    """Four devices, two sampled per round: devices repeat, so a delta
+    send diffs against the base its receiver cached."""
+    return tiny_config(total_samples=96).with_(
+        fleet=FleetConfig(
+            devices=tuple(DeviceSpec() for _ in range(4)),
+            rounds=rounds,
+            participants=2,
+            sampler="uniform",
+        ),
+        aggregator="fedavg",
+    )
+
+
+def root_array(value):
+    """The array that owns ``value``'s memory."""
+    while isinstance(value.base, np.ndarray):
+        value = value.base
+    return value
+
+
+class TestStateHeldOnce:
+    """The coordinator holds each device's state once: in-process
+    replies skip the reply codec, so the stored state and the codec's
+    receiver base are the same arrays, and a broadcast points every
+    device at one read-only global."""
+
+    def test_broadcast_shares_one_read_only_global(self):
+        coordinator = FleetCoordinator(repeat_fleet_config(), workers=1)
+        result = coordinator.run(rounds=2)
+        assert result.rounds[-1].synchronized
+        shared = coordinator._global_state
+        sampled = [state for state in coordinator._device_states if state is not None]
+        assert len(sampled) >= 2
+        for state in sampled:
+            for key, value in shared.items():
+                assert state["learner"][key] is value, key
+        for value in shared.values():
+            with pytest.raises(ValueError, match="read-only"):
+                value[...] = 0
+        for key, value in coordinator.global_model_state.items():
+            assert value.flags.writeable and value is not shared[key]
+
+    @pytest.mark.parametrize("workers, encoded", [(1, False), (2, True)])
+    def test_replies_use_a_codec_only_across_processes(self, workers, encoded, monkeypatch):
+        flags, decoded = [], []
+        real_collect = FleetCoordinator._collect
+        real_decode = coordinator_mod.decode_state_payload
+
+        def recording_collect(self, cast, outputs, wire):
+            flags.extend(output["encoded"] for output in outputs)
+            return real_collect(self, cast, outputs, wire)
+
+        def counting_decode(payload):
+            decoded.append(payload["wire"])
+            return real_decode(payload)
+
+        monkeypatch.setattr(FleetCoordinator, "_collect", recording_collect)
+        monkeypatch.setattr(coordinator_mod, "decode_state_payload", counting_decode)
+        result = FleetCoordinator(
+            repeat_fleet_config(rounds=3), workers=workers, wire_format="delta"
+        ).run()
+        trained = sum(len(stats.devices) for stats in result.rounds)
+        assert flags == [encoded] * trained
+        assert len(decoded) == (trained if encoded else 0)
+
+    @pytest.mark.parametrize("wire", ["delta", "delta-q8"])
+    def test_repeating_devices_agree_across_workers_and_resume(
+        self, wire, tmp_path, monkeypatch
+    ):
+        config = repeat_fleet_config()
+        fulls = []
+        real_run_jobs = coordinator_mod.run_jobs
+
+        def recording_run_jobs(fn, payloads, **kwargs):
+            fulls.extend(
+                p["state"]["learner"]["full"] for p in payloads if p["state"] is not None
+            )
+            return real_run_jobs(fn, payloads, **kwargs)
+
+        monkeypatch.setattr(coordinator_mod, "run_jobs", recording_run_jobs)
+        serial = FleetCoordinator(config, workers=1, wire_format=wire).run().fingerprint()
+        assert False in fulls  # some sends were deltas against a cached base
+        parallel = FleetCoordinator(config, workers=2, wire_format=wire).run().fingerprint()
+        assert parallel == serial
+        splits = []
+        for workers in (1, 2):
+            part = FleetCoordinator(config, workers=workers, wire_format=wire)
+            part.run(rounds=3)
+            path = part.save_checkpoint(str(tmp_path / f"fleet-{workers}"))
+            resumed = FleetCoordinator.resume(path, workers=workers, wire_format=wire)
+            splits.append(resumed.run().fingerprint())
+        assert splits[0] == splits[1]
+        if wire == "delta":
+            assert splits[0] == serial
+        # Under delta-q8 a resumed coordinator's first send to each
+        # device is a full, exact one where the straight run sent a
+        # quantized delta, so its split runs agree with each other.
+
+    @pytest.mark.parametrize("wire", ["delta", "delta-q8"])
+    def test_device_state_is_held_once(self, wire):
+        """Distinct array bytes reachable from the device states, the
+        in-process receiver caches and the global: at most one copy of
+        each device's learner arrays, plus one global."""
+        coordinator = FleetCoordinator(repeat_fleet_config(), workers=1, wire_format=wire)
+        coordinator.run(rounds=4)
+        held = {}
+        states = [state for state in coordinator._device_states if state is not None]
+        caches = [
+            cache
+            for channel, cache in get_wire_format(wire)._cache.items()
+            if channel.startswith(coordinator._channel_prefix + "/")
+        ]
+        assert len(caches) == len(states) >= 3
+        for arrays in [state["learner"] for state in states] + caches:
+            for value in arrays.values():
+                held[id(root_array(value))] = value.nbytes
+        for value in coordinator._global_state.values():
+            held[id(root_array(value))] = value.nbytes
+        bound = sum(
+            value.nbytes for state in states for value in state["learner"].values()
+        ) + sum(value.nbytes for value in coordinator._global_state.values())
+        assert sum(held.values()) <= bound
 
 
 class TestCheckpointResume:

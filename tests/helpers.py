@@ -84,4 +84,7 @@ MALFORMED_ARRAY_SPECS = {
     "object-dtype": {"dtype": "|O", "shape": [1], "data": "AAAAAAAAAAA="},
     "not-base64": {"dtype": "<f4", "shape": [1], "data": "AAAAA"},
     "truncated": {"dtype": "<f4", "shape": [3], "data": "AAAAAAAAAAA="},
+    # zero elements, but numpy refuses the shape: its other dimension
+    # overflows the index type
+    "overflowing-shape": {"dtype": "<f4", "shape": [0, 2**62], "data": ""},
 }

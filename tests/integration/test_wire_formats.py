@@ -327,6 +327,135 @@ class TestPinnedQ8Payloads:
         assert tuple(digests) == Q8_DIGESTS
 
 
+def array_entries(payload):
+    """The per-array entries of a payload: its own table, or a delta
+    payload's inner one."""
+    return (payload["inner"] if "inner" in payload else payload)["arrays"]
+
+
+def _set_in_entry(field, value):
+    def mutate(payload):
+        array_entries(payload)["conv.weight"][field] = value
+
+    return mutate
+
+
+def _drop_top_level_key(payload):
+    payload.pop("hashes" if "hashes" in payload else "arrays")
+
+
+def _corrupt_hash(payload):
+    payload["hashes"]["conv.weight"] = "0" * 32
+
+
+#: Payload defects ``decode_state_payload`` and ``WireFormat.decode``
+#: must answer with a ``WireProtocolError``: ``(mutate, applies)`` per
+#: defect, where ``applies(codec)`` says whether the codec's payload
+#: has the field.
+def _has_manifest(codec):
+    return codec.name == "shm" or getattr(codec, "inner_name", None) == "shm"
+
+
+PAYLOAD_DEFECTS = {
+    "no-wire": (lambda p: p.pop("wire"), lambda codec: True),
+    "unknown-wire": (lambda p: p.update(wire="pigeon"), lambda codec: True),
+    "missing-key": (_drop_top_level_key, lambda codec: True),
+    "missing-shape": (lambda p: array_entries(p)["conv.weight"].pop("shape"), lambda codec: True),
+    "unknown-dtype": (_set_in_entry("dtype", "<q9"), lambda codec: True),
+    "object-dtype": (_set_in_entry("dtype", "|O"), lambda codec: True),
+    "shape-past-data": (_set_in_entry("shape", [1000, 3, 3, 3]), lambda codec: True),
+    "negative-offset": (_set_in_entry("offset", -8), _has_manifest),
+    "missing-offset": (lambda p: array_entries(p)["conv.weight"].pop("offset"), _has_manifest),
+    "hash-mismatch": (_corrupt_hash, lambda codec: isinstance(codec, DeltaFormat)),
+}
+
+
+#: Defects only ``decode_state_payload`` meets: a codec's own decode
+#: does not read the ``wire`` key.
+WIRE_KEY_DEFECTS = ("no-wire", "unknown-wire")
+
+
+def defect_cases(skip=()):
+    cases = []
+    for name in formats_under_test():
+        codec = create_wire_format(name)
+        for defect, (_, applies) in sorted(PAYLOAD_DEFECTS.items()):
+            if applies(codec) and defect not in skip:
+                cases.append(pytest.param(name, defect, id=f"{name}-{defect}"))
+    return cases
+
+
+class TestMalformedPayloads:
+    """Every defect a payload can carry is a ``WireProtocolError`` — the
+    error ``run_jobs(retry_on=...)`` retries — whichever entry point
+    meets it, and no shared-memory segment outlives the failed decode."""
+
+    @staticmethod
+    def _decode_defective(name, defect, decode):
+        sender = create_wire_format(name)
+        payload = sender.encode(sample_state(), channel=f"defect-{name}-{defect}")
+        PAYLOAD_DEFECTS[defect][0](payload)
+        try:
+            with pytest.raises(WireProtocolError):
+                decode(payload)
+        finally:
+            sender.release(payload)
+        assert outstanding_shm_segments() == []
+
+    @pytest.mark.parametrize("name, defect", defect_cases())
+    def test_decode_state_payload_names_the_error(self, name, defect):
+        self._decode_defective(name, defect, decode_state_payload)
+
+    @pytest.mark.parametrize("name, defect", defect_cases(skip=WIRE_KEY_DEFECTS))
+    def test_codec_decode_names_the_error(self, name, defect):
+        self._decode_defective(name, defect, create_wire_format(name).decode)
+
+    @pytest.mark.parametrize("name", formats_under_test())
+    def test_payload_that_is_not_an_object(self, name):
+        with pytest.raises(WireProtocolError, match="object"):
+            decode_state_payload(["wire", name])
+        with pytest.raises(WireProtocolError, match="object"):
+            create_wire_format(name).decode(["wire", name])
+
+    @pytest.mark.parametrize(
+        "meta",
+        [
+            {"scale": 0.0},
+            {"scale": float("inf")},
+            {"scale": "big"},
+            {"zero_point": 500},
+            {"zero_point": 1.5},
+            {"dtype": "<i4"},
+            {"dtype": "<q9"},
+            {"dtype": None},
+        ],
+        ids=lambda meta: "-".join(f"{k}={v}" for k, v in meta.items()),
+    )
+    def test_q8_codec_meta_is_checked(self, meta):
+        """An incremental delta-q8 send whose quantization entry is not
+        one the sender could have written."""
+        sender = WIRE_FORMATS.create("delta-q8", inner="json-b64")
+        receiver = WIRE_FORMATS.create("delta-q8", inner="json-b64")
+        state = sample_state()
+        receiver.decode(sender.encode(state, channel="q"), channel="q")
+        moved = {**state, "conv.weight": state["conv.weight"] * 2}
+        payload = sender.encode(moved, channel="q")
+        assert "conv.weight" in payload["codec"]
+        payload["codec"]["conv.weight"].update(meta)
+        with pytest.raises(WireProtocolError, match="conv.weight"):
+            receiver.decode(payload, channel="q")
+
+    def test_full_delta_checks_shipped_arrays(self):
+        """A full send verifies every shipped array, not only the
+        reused ones: a corrupted hash fails by name."""
+        sender = DeltaFormat(inner="json-b64")
+        payload = sender.encode(sample_state(), channel="full")
+        assert payload["full"]
+        _corrupt_hash(payload)
+        with pytest.raises(WireProtocolError, match="shipped array 'conv.weight'"):
+            DeltaFormat(inner="json-b64").decode(payload)
+
+
 class TestFleetIdentity:
     @pytest.mark.parametrize("name", lossless_formats_under_test())
     def test_fleet_of_one_matches_plain_session(self, name):

@@ -771,6 +771,34 @@ def _line(message):
     return json.dumps(message).encode("utf-8") + b"\n"
 
 
+#: A script whose event loop ends while a TCP client is still connected
+#: (run in a fresh interpreter: asyncio logs to that process's stderr).
+LEFT_CONNECTED = """
+import asyncio
+
+from repro.experiments.config import StreamExperimentConfig
+from repro.serve import ModelRegistry, ScoringServer, TcpClient, serve_tcp
+from repro.session import build_components
+
+config = StreamExperimentConfig(
+    dataset="cifar10", image_size=8, stc=8, total_samples=32, buffer_size=8,
+    encoder_widths=(8, 16), projection_dim=8, seed=0,
+)
+
+
+async def main():
+    server = ScoringServer(build_components(config).scorer, ModelRegistry())
+    await server.start()
+    tcp = await serve_tcp(server)
+    client = await TcpClient.connect("127.0.0.1", tcp.sockets[0].getsockname()[1])
+    assert await client.ping()
+
+
+asyncio.run(main())
+print("done")
+"""
+
+
 class TestRequestPath:
     """The event loop works once per batch: the TCP reader admits lines
     without a task each, the responder writes them back in line order,
@@ -835,6 +863,84 @@ class TestRequestPath:
         assert [r["decision"]["device_id"] for r in replies] == [
             f"line-{i}" for i in range(count)
         ]
+
+    def test_a_client_that_reads_nothing_is_not_buffered(self, published, monkeypatch):
+        # Score lines written for up to 2 s to a queue_depth=4 server,
+        # none of its answers read: the connection pauses its transport
+        # while the queue is full, so its reader holds under 1 MiB
+        # (asyncio pauses on its own only past twice the 64 MiB line
+        # limit); reading afterwards yields every answer in line order.
+        import repro.serve.net as net_mod
+
+        connections = []
+
+        class RecordingConnection(net_mod._Connection):
+            def __init__(self, *args):
+                super().__init__(*args)
+                connections.append(self)
+
+        monkeypatch.setattr(net_mod, "_Connection", RecordingConnection)
+        samples = make_samples(16)
+        chunk, most = 100, 8000
+
+        def lines(start):
+            return b"".join(
+                _line(_score_request(samples[i % 16], f"line-{i}", None, None))
+                for i in range(start, start + chunk)
+            )
+
+        async def run():
+            loop = asyncio.get_running_loop()
+            async with make_server(published, queue_depth=4) as server:
+                tcp, reader, writer = await _serve_connection(server)
+                try:
+                    sent, deadline = 0, loop.time() + 2.0
+                    while sent < most and loop.time() < deadline:
+                        writer.write(lines(sent))
+                        sent += chunk
+                        try:
+                            await asyncio.wait_for(
+                                writer.drain(), max(deadline - loop.time(), 0.01)
+                            )
+                        except asyncio.TimeoutError:
+                            break  # the server stopped reading
+                    await asyncio.sleep(0.2)
+                    buffered = len(connections[0].reader._buffer)
+
+                    async def read_all():
+                        return [json.loads(await reader.readline()) for _ in range(sent)]
+
+                    replies = await asyncio.wait_for(read_all(), 120)
+                finally:
+                    await _close(tcp, writer)
+            return sent, buffered, replies
+
+        sent, buffered, replies = asyncio.run(run())
+        assert buffered < 1 << 20
+        assert all(reply["ok"] for reply in replies)
+        assert [r["decision"]["device_id"] for r in replies] == [
+            f"line-{i}" for i in range(sent)
+        ]
+
+    def test_a_client_left_connected_at_loop_end_logs_nothing(self):
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        import repro
+
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", LEFT_CONNECTED],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "done\n"
+        assert out.stderr == ""
 
     def test_a_peer_reset_mid_burst_is_not_an_unhandled_error(self, published):
         # A client that resets its connection with lines unread and
