@@ -13,7 +13,9 @@ beat (ROADMAP: "fast as the hardware allows"):
    and workspace-backed, ``col2im``) at the stream's scoring batch
    (N=128) and training batch (N=32).
 3. **stream** — end-to-end stage-1 stream steps of one short
-   contrast-scoring :class:`~repro.session.Session` run.
+   contrast-scoring :class:`~repro.session.Session` run, and the
+   step's traced memory at Table II's buffer sizes: its ``tracemalloc``
+   peak and the bytes alive when ``backward()`` starts.
 4. **sweep** — a 4-seed multi-seed sweep, serial vs.
    ``workers=4`` through :mod:`repro.experiments.parallel`.
 5. **backends** — the ``numpy`` reference vs. the ``fused`` inference
@@ -38,7 +40,8 @@ beat (ROADMAP: "fast as the hardware allows"):
    recorded, plus the compressed-delta codecs' steady-state resend
    sizes against the lossless ``delta`` baseline (compression ratios).
 10. **obs** — the telemetry layer's own cost (:mod:`repro.obs`): the
-    same stream steps with metrics recording enabled vs disabled;
+    same stream steps with metrics recording enabled vs disabled, each
+    step timed over the whole step-loop body, instruments included;
     ``overhead_ratio`` is the per-step price of leaving observability
     on, and must stay within 5%.
 
@@ -78,13 +81,14 @@ import numpy as np
 from repro.core.scoring import ContrastScorer
 from repro.experiments.config import bench_scale, bench_seed, default_config
 from repro.experiments.multi_seed import run_multi_seed
+from repro.experiments.table2 import BUFFER_SIZES
 from repro.nn import functional as F
 from repro.nn.backend import use_backend
 from repro.nn.im2col import col2im, default_workspace, im2col
 from repro.nn.tensor import Tensor, no_grad
 from repro.session import Session, build_components
 
-BENCH_VERSION = 8
+BENCH_VERSION = 9
 
 
 def _warm_pool(workers: int) -> None:
@@ -199,6 +203,8 @@ def bench_stream(scale: float, seed: int) -> Dict[str, object]:
     ``workspace_bytes`` is what the process-wide unfold workspace holds
     after the session, its final probe and kNN readout included: the
     eval forwards' blocks bound it, not the 400-image probe pool.
+    ``memory`` is the step's traced memory at each of Table II's buffer
+    sizes (:func:`_step_memory`).
     """
     config = default_config(seed=seed).with_(
         total_samples=max(32 * 8, int(round(1024 * scale))),
@@ -216,6 +222,63 @@ def bench_stream(scale: float, seed: int) -> Dict[str, object]:
         "relative_batch_time": result.relative_batch_time,
         "wall_s": result.wall_seconds,
         "workspace_bytes": workspace.stats()["bytes"],
+        "memory": {
+            str(size): _step_memory(default_config(seed=seed).with_(buffer_size=size))
+            for size in BUFFER_SIZES
+        },
+    }
+
+
+def _step_memory(config, steps: int = 6, warmup: int = 2) -> Dict[str, float]:
+    """Traced memory of one stream step (``tracemalloc``: numpy's
+    buffers, not BLAS scratch or RSS), in MB above what is alive when the
+    step starts: its peak (``step_peak_mb``) and what is alive when its
+    ``backward()`` starts (``backward_start_mb``), the share of the peak
+    the training graph holds.  A step runs from one step callback to the
+    next; medians over ``steps - warmup`` steps (the first steps fill
+    the unfold arenas).  The tiny probe pools only shorten the run's
+    closing readout, which no step sees.
+    """
+    import tracemalloc
+
+    config = config.with_(
+        total_samples=config.buffer_size * steps,
+        probe_epochs=1,
+        probe_train_per_class=2,
+        probe_test_per_class=2,
+    )
+    peaks: List[int] = []
+    at_backward: List[int] = []
+    mark: Dict[str, int] = {}
+    backward = Tensor.backward
+
+    def traced_backward(self, *args, **kwargs):
+        mark["backward"] = tracemalloc.get_traced_memory()[0] - mark["start"]
+        return backward(self, *args, **kwargs)
+
+    def on_step(learner, stats) -> None:
+        peaks.append(tracemalloc.get_traced_memory()[1] - mark["start"])
+        at_backward.append(mark.pop("backward"))
+        tracemalloc.reset_peak()
+        mark["start"] = tracemalloc.get_traced_memory()[0]
+
+    session = (
+        Session.from_config(config, policy="contrast-scoring")
+        .with_eval_points(1)
+        .on_step(on_step)
+    )
+    Tensor.backward = traced_backward
+    tracemalloc.start()
+    mark["start"] = tracemalloc.get_traced_memory()[0]
+    try:
+        session.run()
+    finally:
+        tracemalloc.stop()
+        Tensor.backward = backward
+    return {
+        "steps": len(peaks) - warmup,
+        "step_peak_mb": float(np.median(peaks[warmup:])) / 1e6,
+        "backward_start_mb": float(np.median(at_backward[warmup:])) / 1e6,
     }
 
 
@@ -223,11 +286,14 @@ def bench_obs(scale: float, seed: int) -> Dict[str, object]:
     """Instrumentation overhead: stream steps with metrics on vs off.
 
     Same session shape as the stream section; the only difference is
-    ``config.obs``.  The registry's hot-path design (instruments
-    resolved once outside the loop, a single bool check when disabled)
-    must keep the per-step overhead within 5% — ``--check`` enforces
-    the ratio, and ``metrics_recorded`` confirms the enabled pass
-    really recorded (a silently-off gate would measure nothing).
+    ``config.obs``.  A step is the whole step-loop body of
+    ``Session.run``, instruments included: the wall time between
+    consecutive step callbacks (select and train alone would hold no
+    obs code).  The registry's hot-path design (instruments resolved
+    once outside the loop, a single bool check when disabled) must keep
+    the per-step overhead within 5% — ``--check`` enforces the ratio,
+    and ``metrics_recorded`` confirms the enabled pass really recorded
+    (a silently-off gate would measure nothing).
     """
     from repro.obs import metrics, reset_metrics
 
@@ -238,11 +304,13 @@ def bench_obs(scale: float, seed: int) -> Dict[str, object]:
     repeats = max(3, int(round(5 * scale)))
 
     def mean_step(obs: bool) -> float:
-        session = Session.from_config(
+        stamps: List[float] = []
+        Session.from_config(
             config.with_(obs=obs), policy="contrast-scoring"
-        ).with_eval_points(1)
-        run = session.run()
-        return run.mean_select_seconds + run.mean_train_seconds
+        ).with_eval_points(1).on_step(
+            lambda learner, stats: stamps.append(time.perf_counter())
+        ).run()
+        return (stamps[-1] - stamps[0]) / (len(stamps) - 1)
 
     reset_metrics()
     mean_step(False)  # warmup (BLAS, im2col workspaces)
@@ -778,6 +846,13 @@ def main(argv=None) -> int:
             report["stream"]["workspace_bytes"] / 1e6,
         )
     )
+    for size, memory in report["stream"]["memory"].items():
+        print(
+            "    buffer {}: step peak {:.2f} MB traced, {:.2f} MB alive at "
+            "backward()".format(
+                size, memory["step_peak_mb"], memory["backward_start_mb"]
+            )
+        )
     report["obs"] = bench_obs(scale, seed)
     print(
         "  obs: step {:.4f}s off vs {:.4f}s on -> {:.3f}x overhead "

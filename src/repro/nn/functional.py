@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.nn.backend.base import get_backend
 from repro.nn.im2col import conv_output_size
-from repro.nn.tensor import Tensor, is_grad_enabled
+from repro.nn.tensor import Tensor, _make, is_grad_enabled
 
 __all__ = [
     "relu",
@@ -37,15 +37,6 @@ __all__ = [
 def relu(x: Tensor) -> Tensor:
     """Elementwise rectified linear unit."""
     return x.relu()
-
-
-def _make_op(data, parents, backward) -> Tensor:
-    """Build an op result tensor; mirrors ``Tensor._make`` for free functions."""
-    requires = is_grad_enabled() and any(p.requires_grad for p in parents)
-    out = Tensor(data, requires_grad=requires, _parents=tuple(parents))
-    if requires:
-        out._backward = backward
-    return out
 
 
 def conv2d(
@@ -70,7 +61,8 @@ def conv2d(
     builds a backward closure; its output is a fresh, caller-owned
     array all the same.  Autograd forwards own their columns (the
     backward closure reads them for the weight gradient), so they
-    unfold with ``grad_free=False``.
+    unfold with ``grad_free=False``.  The closure keeps the columns but
+    only ``x``'s shape and ``requires_grad`` flag, never ``x``.
     """
     if x.ndim != 4:
         raise ValueError(f"conv2d expects NCHW input, got shape {x.shape}")
@@ -96,14 +88,15 @@ def conv2d(
     out = np.ascontiguousarray(out.transpose(0, 3, 1, 2))
     if not needs_grad:
         return Tensor(out)
+    x_shape, x_requires_grad = x.shape, x.requires_grad
 
     def backward(g: np.ndarray):
         # g: (N, C_out, oh, ow) -> (N, oh, ow, C_out)
         g_nhwc = g.transpose(0, 2, 3, 1)
         gx = gw = gb = None
-        if x.requires_grad:
+        if x_requires_grad:
             gcols = backend.matmul(g_nhwc, w_mat)  # (N, oh, ow, C*kh*kw)
-            gx = backend.col2im(gcols, x.shape, (kh, kw), stride, padding)
+            gx = backend.col2im(gcols, x_shape, (kh, kw), stride, padding)
         if weight.requires_grad:
             # One 2-D GEMM, (N*oh*ow, C_out)ᵀ @ (N*oh*ow, K): this operand
             # layout fixes the gradient's bits, which the fingerprints pin.
@@ -115,7 +108,7 @@ def conv2d(
             return (gx, gw)
         return (gx, gw, gb)
 
-    return _make_op(out, parents, backward)
+    return _make(out, parents, backward)
 
 
 def conv_bn_relu(x: Tensor, conv, bn, relu: bool = True) -> Tensor:
@@ -184,7 +177,7 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     def backward(g: np.ndarray):
         return (g - softmax_vals * g.sum(axis=axis, keepdims=True),)
 
-    return _make_op(data, (a,), backward)
+    return _make(data, (a,), backward)
 
 
 def l2_normalize(x: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:
@@ -202,4 +195,4 @@ def l2_normalize(x: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:
         dot = (g * data).sum(axis=axis, keepdims=True)
         return ((g - data * dot) / norm,)
 
-    return _make_op(data, (a,), backward)
+    return _make(data, (a,), backward)

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.nn import functional as F
 from repro.nn import init as init_mod
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, _make, is_grad_enabled
 
 __all__ = [
     "Parameter",
@@ -330,9 +330,8 @@ class BatchNorm2d(Module):
         return self._normalize_eval(x)
 
     def _normalize_train(self, x: Tensor, centered: np.ndarray, var: np.ndarray) -> Tensor:
-        """Batch-stat normalization of the centered batch with the full BN backward."""
-        from repro.nn.functional import _make_op  # local import avoids cycle at load
-
+        """Batch-stat normalization of the centered batch with the full BN
+        backward, whose closure keeps ``x``'s ``requires_grad`` flag, not ``x``."""
         eps = self.eps
         v = var.reshape(1, -1, 1, 1)
         inv_std = 1.0 / np.sqrt(v + eps)
@@ -340,11 +339,12 @@ class BatchNorm2d(Module):
         gamma, beta = self.gamma, self.beta
         out = x_hat * gamma.data.reshape(1, -1, 1, 1) + beta.data.reshape(1, -1, 1, 1)
         n = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
+        x_requires_grad = x.requires_grad
 
         def backward(g: np.ndarray):
             gx = ggamma = gbeta = None
             g_hat = g * gamma.data.reshape(1, -1, 1, 1)
-            if x.requires_grad:
+            if x_requires_grad:
                 sum_g = g_hat.sum(axis=(0, 2, 3), keepdims=True)
                 sum_gx = (g_hat * x_hat).sum(axis=(0, 2, 3), keepdims=True)
                 gx = inv_std / n * (n * g_hat - sum_g - x_hat * sum_gx)
@@ -354,18 +354,13 @@ class BatchNorm2d(Module):
                 gbeta = g.sum(axis=(0, 2, 3))
             return (gx, ggamma, gbeta)
 
-        return _make_op(
-            out.astype(x.data.dtype, copy=False), (x, gamma, beta), backward
-        )
+        return _make(out.astype(x.data.dtype, copy=False), (x, gamma, beta), backward)
 
     def _normalize_eval(self, x: Tensor) -> Tensor:
         """Running-stat normalization, ``x * scale + shift`` with the
         affine of :func:`repro.nn.functional.bn_eval_affine` (the
         channels-last chains use the same vectors)."""
-        from repro.nn.functional import _make_op, bn_eval_affine
-        from repro.nn.tensor import is_grad_enabled
-
-        scale, shift = (v.reshape(1, -1, 1, 1) for v in bn_eval_affine(self))
+        scale, shift = (v.reshape(1, -1, 1, 1) for v in F.bn_eval_affine(self))
         mean = self._buffers["running_mean"].reshape(1, -1, 1, 1)
         var = self._buffers["running_var"].reshape(1, -1, 1, 1)
         eps = self.eps
@@ -391,4 +386,4 @@ class BatchNorm2d(Module):
             gbeta = g.sum(axis=(0, 2, 3)) if beta.requires_grad else None
             return (gx, ggamma, gbeta)
 
-        return _make_op(out.astype(x.data.dtype, copy=False), (x, gamma, beta), backward)
+        return _make(out.astype(x.data.dtype, copy=False), (x, gamma, beta), backward)

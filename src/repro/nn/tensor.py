@@ -14,10 +14,25 @@ Design
   :meth:`Tensor.backward`.  Intermediate results pass their gradient on
   to their inputs and keep ``grad`` as ``None``, as in PyTorch, so a
   backward pass holds no activation-sized gradient per op.
-* Every differentiable operation builds a new ``Tensor`` holding a
-  closure (``_backward``) that routes the output gradient to the
-  operation's inputs.  ``backward()`` topologically sorts the graph and
-  runs the closures in reverse.
+* Every differentiable operation links its result to its inputs
+  through a :class:`_Node`: the closure (``_backward``) that routes the
+  output gradient, and the inputs' nodes (``None`` for an input that
+  needs no gradient; a leaf is its own node).  So the graph holds
+  leaves but no op result, and arrays only where a closure reads them
+  (a conv's columns, a ReLU's mask); a closure that needs only an
+  input's shape or ``requires_grad`` flag captures that value, never
+  the input.  An activation backward does not read dies with the
+  forward that moves past it.
+* ``backward()`` runs the closures in reverse topological order and
+  releases each node once it has routed its gradients (closure and
+  parent links dropped, PyTorch's ``retain_graph=False``), so a second
+  ``backward()`` that reaches a released node raises ``RuntimeError``.
+* Allocator policy: the first ``backward()`` of a process frees one
+  16 MiB array.  Under glibc that raises malloc's dynamic mmap and trim
+  thresholds (mallopt(3)), so the next step reuses the heap a step
+  frees instead of faulting it back in (thousands of minor faults per
+  step); elsewhere it does nothing.  Only training pays it: done at
+  import, it would grow the serve server too.
 * Broadcasting follows numpy semantics; gradients of broadcast operands
   are reduced back to the operand's shape by :func:`unbroadcast`.
 * Gradients are plain numpy arrays (no higher-order differentiation);
@@ -35,12 +50,13 @@ Design
 The engine is deliberately small but complete enough for ResNets with
 batch normalization and the NT-Xent contrastive loss.  Convolution and
 pooling live in :mod:`repro.nn.functional` and plug into this graph via
-the same closure mechanism.
+the same :func:`_make` constructor.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+import functools
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -52,6 +68,31 @@ ArrayLike = Union[np.ndarray, float, int, Sequence]
 
 # Module-level switch consulted by every op; `no_grad()` flips it.
 _GRAD_ENABLED = True
+
+
+@functools.lru_cache(maxsize=None)
+def _raise_malloc_thresholds() -> None:
+    """Free one mmapped 16 MiB block, once per process: glibc raises its
+    mmap threshold to that size (at most 32 MiB) and its trim threshold
+    to twice that (see the module docstring)."""
+    block = np.empty(16 << 20, dtype=np.uint8)
+    del block
+
+
+#: The closure of a node an earlier ``backward()`` released.
+_RELEASED = object()
+
+
+class _Node:
+    """One op in the autograd graph: the closure that routes the output
+    gradient, and the inputs' nodes (``None`` for an input that needs no
+    gradient; a leaf tensor is its own node)."""
+
+    __slots__ = ("_backward", "_parents")
+
+    def __init__(self, backward: Callable, parents: tuple) -> None:
+        self._backward = backward
+        self._parents = parents
 
 
 class no_grad:
@@ -102,6 +143,69 @@ def _as_array(value: ArrayLike, dtype: np.dtype) -> np.ndarray:
     return arr
 
 
+def _float_array(data: ArrayLike) -> np.ndarray:
+    """Float arrays and numpy float scalars (numpy 2 returns np.float64
+    scalars from 0-d array ops) keep their dtype; the rest is float32."""
+    if isinstance(data, (np.ndarray, np.generic)) and np.issubdtype(
+        np.asarray(data).dtype, np.floating
+    ):
+        return np.asarray(data)
+    return np.asarray(data, dtype=np.float32)
+
+
+def _make(
+    data: ArrayLike, parents: Sequence["Tensor"], backward: Callable
+) -> "Tensor":
+    """An op's result, with a :class:`_Node` when grad mode is on and an
+    input requires grad: every op builds its result here, not through
+    ``__init__``'s checks."""
+    node = None
+    if _GRAD_ENABLED:
+        for p in parents:
+            if p.requires_grad:
+                node = _Node(
+                    backward,
+                    tuple((q._node or q) if q.requires_grad else None for q in parents),
+                )
+                break
+    if type(data) is not np.ndarray or data.dtype.kind != "f":
+        data = _float_array(data)
+    out = Tensor.__new__(Tensor)
+    out.data = data
+    out.grad = None
+    out.requires_grad = node is not None
+    out._node = node
+    out.name = None
+    return out
+
+
+def _topological_order(root) -> list:
+    """Nodes reachable from ``root``, outputs first (reverse topo);
+    raises before any gradient moves if one was released."""
+    order = []
+    visited: set[int] = set()
+    stack = [(root, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            order.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        if node._backward is _RELEASED:
+            raise RuntimeError(
+                "backward() reached a node an earlier backward() released; "
+                "run the forward again"
+            )
+        visited.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            if parent is not None and id(parent) not in visited:
+                stack.append((parent, False))
+    order.reverse()
+    return order
+
+
 class Tensor:
     """A numpy array with reverse-mode autodiff.
 
@@ -118,29 +222,25 @@ class Tensor:
         its :attr:`grad` stays ``None``, as in PyTorch.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_node", "name")
+
+    # A leaf is its own graph node (a node cached on the leaf and holding
+    # it would be a reference cycle, freed only by the cyclic collector).
+    _backward = None
+    _parents: tuple = ()
 
     def __init__(
         self,
         data: ArrayLike,
         requires_grad: bool = False,
-        _parents: Tuple["Tensor", ...] = (),
         name: Optional[str] = None,
     ) -> None:
         if isinstance(data, Tensor):
             raise TypeError("wrapping a Tensor in a Tensor is almost always a bug")
-        # Preserve float dtypes of arrays AND numpy scalars (numpy 2 returns
-        # np.float64 scalars from 0-d array ops); everything else -> float32.
-        if isinstance(data, (np.ndarray, np.generic)) and np.issubdtype(
-            np.asarray(data).dtype, np.floating
-        ):
-            self.data = np.asarray(data)
-        else:
-            self.data = np.asarray(data, dtype=np.float32)
+        self.data = _float_array(data)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
-        self._backward: Optional[Callable[[np.ndarray], None]] = None
-        self._parents: Tuple[Tensor, ...] = _parents if self.requires_grad else ()
+        self._node: Optional[_Node] = None
         self.name = name
 
     # ------------------------------------------------------------------
@@ -186,18 +286,6 @@ class Tensor:
             return value
         return Tensor(_as_array(value, dtype))
 
-    def _make(
-        self,
-        data: np.ndarray,
-        parents: Tuple["Tensor", ...],
-        backward: Callable[[np.ndarray], None],
-    ) -> "Tensor":
-        requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
-        out = Tensor(data, requires_grad=requires, _parents=parents)
-        if requires:
-            out._backward = backward
-        return out
-
     def _accumulate(self, grad: np.ndarray) -> None:
         """Add ``grad`` into a leaf's ``self.grad``, allocating on first use."""
         if not self.requires_grad:
@@ -216,6 +304,8 @@ class Tensor:
         non-scalar outputs an explicit seed gradient is usually what you
         want.  Gradients accumulate into the ``grad`` of the leaves the
         graph reaches; no op result, this tensor included, gets one.
+        The pass releases the graph: a second call that reaches a node
+        it ran raises ``RuntimeError``.
         """
         if not self.requires_grad:
             raise RuntimeError("backward() on a tensor that does not require grad")
@@ -232,44 +322,28 @@ class Tensor:
                 f"seed gradient shape {grad.shape} != tensor shape {self.data.shape}"
             )
 
-        order = self._topological_order()
-        grads: dict[int, np.ndarray] = {id(self): grad}
+        _raise_malloc_thresholds()
+        root = self._node or self
+        order = _topological_order(root)
+        grads: dict[int, np.ndarray] = {id(root): grad}
         for node in order:
             node_grad = grads.pop(id(node), None)
             if node_grad is None:
                 continue
-            if node._backward is None:
+            closure = node._backward
+            if closure is None:
                 node._accumulate(node_grad)
                 continue
-            parent_grads = node._backward(node_grad)
-            for parent, pgrad in zip(node._parents, parent_grads):
-                if pgrad is None or not parent.requires_grad:
+            parents = node._parents
+            node._backward, node._parents = _RELEASED, ()
+            for parent, pgrad in zip(parents, closure(node_grad)):
+                if pgrad is None or parent is None:
                     continue
                 key = id(parent)
                 if key in grads:
                     grads[key] = grads[key] + pgrad
                 else:
                     grads[key] = pgrad
-
-    def _topological_order(self) -> List["Tensor"]:
-        """Nodes reachable from ``self``, outputs-first (reverse topo)."""
-        order: List[Tensor] = []
-        visited: set[int] = set()
-        stack: List[Tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                order.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if id(parent) not in visited:
-                    stack.append((parent, False))
-        order.reverse()
-        return order
 
     def zero_grad(self) -> None:
         """Drop the accumulated gradient."""
@@ -280,19 +354,19 @@ class Tensor:
     # ------------------------------------------------------------------
     def __add__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
         other = Tensor._lift(other, self.data.dtype)
-        a, b = self, other
-        data = a.data + b.data
+        a_shape, b_shape = self.data.shape, other.data.shape
+        data = self.data + other.data
 
         def backward(g: np.ndarray):
-            return (unbroadcast(g, a.data.shape), unbroadcast(g, b.data.shape))
+            return (unbroadcast(g, a_shape), unbroadcast(g, b_shape))
 
-        return self._make(data, (a, b), backward)
+        return _make(data, (self, other), backward)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Tensor":
         a = self
-        return self._make(-a.data, (a,), lambda g: (-g,))
+        return _make(-a.data, (a,), lambda g: (-g,))
 
     def __sub__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
         return self + (-Tensor._lift(other, self.data.dtype))
@@ -310,7 +384,7 @@ class Tensor:
             gb = unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None
             return (ga, gb)
 
-        return self._make(data, (a, b), backward)
+        return _make(data, (a, b), backward)
 
     __rmul__ = __mul__
 
@@ -328,7 +402,7 @@ class Tensor:
             )
             return (ga, gb)
 
-        return self._make(data, (a, b), backward)
+        return _make(data, (a, b), backward)
 
     def __rtruediv__(self, other: ArrayLike) -> "Tensor":
         return Tensor._lift(other, self.data.dtype) / self
@@ -342,7 +416,7 @@ class Tensor:
         def backward(g: np.ndarray):
             return (g * exponent * a.data ** (exponent - 1),)
 
-        return self._make(data, (a,), backward)
+        return _make(data, (a,), backward)
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
         other = Tensor._lift(other, self.data.dtype)
@@ -370,7 +444,7 @@ class Tensor:
                 gb = unbroadcast(gb, b2.shape).reshape(b_d.shape)
             return (ga, gb)
 
-        return self._make(data, (a, b), backward)
+        return _make(data, (a, b), backward)
 
     # ------------------------------------------------------------------
     # Elementwise nonlinearities
@@ -378,16 +452,16 @@ class Tensor:
     def exp(self) -> "Tensor":
         a = self
         data = np.exp(a.data)
-        return self._make(data, (a,), lambda g: (g * data,))
+        return _make(data, (a,), lambda g: (g * data,))
 
     def log(self) -> "Tensor":
         a = self
-        return self._make(np.log(a.data), (a,), lambda g: (g / a.data,))
+        return _make(np.log(a.data), (a,), lambda g: (g / a.data,))
 
     def sqrt(self) -> "Tensor":
         a = self
         data = np.sqrt(a.data)
-        return self._make(data, (a,), lambda g: (g * 0.5 / data,))
+        return _make(data, (a,), lambda g: (g * 0.5 / data,))
 
     def relu(self) -> "Tensor":
         a = self
@@ -397,12 +471,12 @@ class Tensor:
             return Tensor(get_backend().relu(a.data))
         mask = a.data > 0
         data = np.where(mask, a.data, 0.0).astype(a.data.dtype, copy=False)
-        return self._make(data, (a,), lambda g: (g * mask,))
+        return _make(data, (a,), lambda g: (g * mask,))
 
     def abs(self) -> "Tensor":
         a = self
         sign = np.sign(a.data)
-        return self._make(np.abs(a.data), (a,), lambda g: (g * sign,))
+        return _make(np.abs(a.data), (a,), lambda g: (g * sign,))
 
     def maximum(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
         other = Tensor._lift(other, self.data.dtype)
@@ -415,13 +489,13 @@ class Tensor:
             gb = unbroadcast(g * ~take_a, b.data.shape) if b.requires_grad else None
             return (ga, gb)
 
-        return self._make(data, (a, b), backward)
+        return _make(data, (a, b), backward)
 
     def clip(self, low: float, high: float) -> "Tensor":
         a = self
         data = np.clip(a.data, low, high)
         mask = (a.data >= low) & (a.data <= high)
-        return self._make(data, (a,), lambda g: (g * mask,))
+        return _make(data, (a,), lambda g: (g * mask,))
 
     # ------------------------------------------------------------------
     # Reductions
@@ -429,25 +503,25 @@ class Tensor:
     def sum(
         self, axis: Union[int, Tuple[int, ...], None] = None, keepdims: bool = False
     ) -> "Tensor":
-        a = self
-        data = a.data.sum(axis=axis, keepdims=keepdims)
+        shape = self.data.shape
+        data = self.data.sum(axis=axis, keepdims=keepdims)
 
         def backward(g: np.ndarray):
-            return (_expand_reduced(g, a.data.shape, axis, keepdims),)
+            return (_expand_reduced(g, shape, axis, keepdims),)
 
-        return self._make(np.asarray(data, dtype=a.data.dtype), (a,), backward)
+        return _make(np.asarray(data, dtype=self.data.dtype), (self,), backward)
 
     def mean(
         self, axis: Union[int, Tuple[int, ...], None] = None, keepdims: bool = False
     ) -> "Tensor":
-        a = self
-        count = _reduced_count(a.data.shape, axis)
-        data = a.data.mean(axis=axis, keepdims=keepdims)
+        shape = self.data.shape
+        count = _reduced_count(shape, axis)
+        data = self.data.mean(axis=axis, keepdims=keepdims)
 
         def backward(g: np.ndarray):
-            return (_expand_reduced(g, a.data.shape, axis, keepdims) / count,)
+            return (_expand_reduced(g, shape, axis, keepdims) / count,)
 
-        return self._make(np.asarray(data, dtype=a.data.dtype), (a,), backward)
+        return _make(np.asarray(data, dtype=self.data.dtype), (self,), backward)
 
     def max(
         self, axis: Union[int, None] = None, keepdims: bool = False
@@ -465,7 +539,7 @@ class Tensor:
             g_exp = _expand_reduced(g, a.data.shape, axis, keepdims)
             return (g_exp * mask / mask_sum,)
 
-        return self._make(np.asarray(data, dtype=a.data.dtype), (a,), backward)
+        return _make(np.asarray(data, dtype=a.data.dtype), (a,), backward)
 
     # ------------------------------------------------------------------
     # Shape manipulation
@@ -473,9 +547,9 @@ class Tensor:
     def reshape(self, *shape: int) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        a = self
-        data = a.data.reshape(shape)
-        return self._make(data, (a,), lambda g: (g.reshape(a.data.shape),))
+        old_shape = self.data.shape
+        data = self.data.reshape(shape)
+        return _make(data, (self,), lambda g: (g.reshape(old_shape),))
 
     def transpose(self, *axes: int) -> "Tensor":
         a = self
@@ -485,22 +559,22 @@ class Tensor:
             axes = tuple(axes[0])
         inverse = np.argsort(axes)
         data = a.data.transpose(axes)
-        return self._make(data, (a,), lambda g: (g.transpose(inverse),))
+        return _make(data, (a,), lambda g: (g.transpose(inverse),))
 
     @property
     def T(self) -> "Tensor":
         return self.transpose()
 
     def __getitem__(self, index) -> "Tensor":
-        a = self
-        data = a.data[index]
+        shape, dtype = self.data.shape, self.data.dtype
+        data = self.data[index]
 
         def backward(g: np.ndarray):
-            full = np.zeros_like(a.data)
+            full = np.zeros(shape, dtype)
             np.add.at(full, index, g)
             return (full,)
 
-        return self._make(data, (a,), backward)
+        return _make(data, (self,), backward)
 
     # ------------------------------------------------------------------
     # Comparison (non-differentiable, returns numpy)
@@ -536,17 +610,13 @@ class Tensor:
 
         def backward(g: np.ndarray):
             grads = []
-            for i, t in enumerate(tensors):
+            for i in range(len(sizes)):
                 sl = [slice(None)] * g.ndim
                 sl[axis] = slice(offsets[i], offsets[i + 1])
                 grads.append(g[tuple(sl)])
             return tuple(grads)
 
-        requires = _GRAD_ENABLED and any(t.requires_grad for t in tensors)
-        out = Tensor(data, requires_grad=requires, _parents=tuple(tensors))
-        if requires:
-            out._backward = backward
-        return out
+        return _make(data, tensors, backward)
 
 
 def _raise_item() -> float:

@@ -1,12 +1,19 @@
 """Unit tests for the autograd Tensor: op semantics and gradients."""
 
+import os
+import pathlib
+import platform
+import subprocess
+import sys
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.nn import functional as F
 from repro.nn.layers import BatchNorm2d, Conv2d
 from repro.nn.losses import nt_xent_loss
-from repro.nn.tensor import Tensor, no_grad, unbroadcast
+from repro.nn.tensor import Tensor, _topological_order, no_grad, unbroadcast
 
 from tests.helpers import assert_grad_close, leaf
 
@@ -209,22 +216,30 @@ class TestBackward:
     def test_only_leaves_keep_grad(self, rng):
         """After backward through conv -> BN -> ReLU -> NT-Xent, every op
         result keeps ``grad`` None and every parameter and input leaf
-        has one, as in PyTorch."""
+        has one, as in PyTorch.  ``backward()`` releases the graph, so
+        the op results and the graph's leaves are collected before it."""
         conv = Conv2d(3, 4, 3, padding=1, rng=rng)
         bn = BatchNorm2d(4)
         views = [
             Tensor(rng.normal(size=(4, 3, 6, 6)).astype(np.float32), requires_grad=True)
             for _ in range(2)
         ]
-        z1, z2 = (
-            F.l2_normalize(bn(conv(v)).relu().mean(axis=(2, 3)), axis=1) for v in views
-        )
+        results = []
+
+        def project(v):
+            for op in (conv, bn, Tensor.relu, lambda t: t.mean(axis=(2, 3))):
+                v = op(v)
+                results.append(v)
+            results.append(F.l2_normalize(v, axis=1))
+            return results[-1]
+
+        z1, z2 = (project(v) for v in views)
         loss = nt_xent_loss(z1, z2, 0.5)
-        loss.backward()
-        nodes = loss._topological_order()
-        results = [node for node in nodes if node._backward is not None]
+        results.append(loss)
+        nodes = _topological_order(loss._node)
         leaves = {id(node) for node in nodes if node._backward is None}
-        assert results and all(node.grad is None for node in results)
+        loss.backward()
+        assert all(r.requires_grad and r.grad is None for r in results)
         parameters = conv.parameters() + bn.parameters()
         assert {id(p) for p in parameters + views} <= leaves
         assert all(p.grad is not None and p.grad.shape == p.shape for p in parameters + views)
@@ -248,7 +263,7 @@ class TestBackward:
         with no_grad():
             y = x * 2
         assert not y.requires_grad
-        assert y._backward is None
+        assert y._node is None
 
     def test_no_grad_nesting_restores(self):
         from repro.nn.tensor import is_grad_enabled
@@ -260,6 +275,93 @@ class TestBackward:
                 assert not is_grad_enabled()
             assert not is_grad_enabled()
         assert is_grad_enabled()
+
+
+class TestGraphRetention:
+    """The graph keeps only what backward reads, and backward releases it."""
+
+    def test_forward_frees_activations_backward_does_not_read(self, rng):
+        """A training conv -> BN -> ReLU -> conv -> BN -> residual add ->
+        ReLU chain: no output array outlives the forward (the closures
+        keep columns, masks and normalized inputs, not outputs), and
+        the gradients still reach every leaf."""
+        conv1 = Conv2d(4, 4, 3, padding=1, rng=rng)
+        conv2 = Conv2d(4, 4, 3, padding=1, rng=rng)
+        bn1, bn2 = BatchNorm2d(4), BatchNorm2d(4)
+        x = Tensor(rng.normal(size=(2, 4, 5, 5)).astype(np.float32), requires_grad=True)
+        outputs = []
+
+        def forward():
+            h = x
+            for op in (conv1, bn1, Tensor.relu, conv2, bn2, lambda t: t + x, Tensor.relu):
+                h = op(h)
+                outputs.append(weakref.ref(h.data))
+            return h.mean()
+
+        loss = forward()
+        assert [ref() is None for ref in outputs] == [True] * len(outputs)
+        loss.backward()
+        leaves = [x] + [p for m in (conv1, bn1, conv2, bn2) for p in m.parameters()]
+        assert all(p.grad is not None and p.grad.shape == p.shape for p in leaves)
+
+    def test_second_backward_through_released_graph_raises(self):
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        y = x * 3.0
+        loss = y.sum()
+        loss.backward()
+        with pytest.raises(RuntimeError, match="released"):
+            loss.backward()
+        # A new graph that reaches a released node fails before any
+        # gradient moves.
+        with pytest.raises(RuntimeError, match="released"):
+            (y * 2.0 + x).sum().backward()
+        np.testing.assert_array_equal(x.grad, [3.0, 3.0])
+
+
+#: Prints how many steady-state stream steps it measured and their
+#: median minor page faults: a fresh interpreter runs the default config
+#: for 11 steps; the first 3 warm up (arenas, the first backward()).
+FAULTS_PER_STEP = """
+import resource, statistics
+from repro.experiments.config import default_config
+from repro.session import Session
+
+config = default_config(seed=0)
+config = config.with_(
+    total_samples=11 * config.buffer_size,
+    probe_epochs=1, probe_train_per_class=2, probe_test_per_class=2,
+)
+faults = []
+Session.from_config(config, policy="contrast-scoring").with_eval_points(1).on_step(
+    lambda learner, stats: faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+).run()
+steps = [after - before for before, after in zip(faults[2:], faults[3:])]
+print(len(steps), statistics.median(steps))
+"""
+
+
+@pytest.mark.skipif(
+    platform.libc_ver()[0] != "glibc", reason="the policy sets glibc malloc thresholds"
+)
+def test_steady_stream_step_reuses_the_heap():
+    """The first ``backward()`` raises glibc's mmap and trim thresholds, so
+    a step reuses the memory the previous step freed.  Without that, the
+    heap top a step frees is returned to the kernel and the next step
+    faults it back in: thousands of minor page faults per step."""
+    import repro
+
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", FAULTS_PER_STEP],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    measured, median = out.stdout.split()
+    assert int(measured) == 8
+    assert float(median) < 64
 
 
 class TestGradCheck:
