@@ -37,8 +37,10 @@ beat (ROADMAP: "fast as the hardware allows"):
 9. **population** — a population-scale fleet round (client sampling,
    seeded fault plan, ``fedavg-async``, ``delta-q8`` transport):
    sampled-device throughput with the serial==parallel fingerprint
-   recorded, plus the compressed-delta codecs' steady-state resend
-   sizes against the lossless ``delta`` baseline (compression ratios).
+   recorded, the traced memory of an untimed serial run (bytes per
+   sampled device, and the bytes only codec channel state holds), plus
+   the compressed-delta codecs' steady-state resend sizes against the
+   lossless ``delta`` baseline (compression ratios).
 10. **obs** — the telemetry layer's own cost (:mod:`repro.obs`): the
     same stream steps with metrics recording enabled vs disabled, each
     step timed over the whole step-loop body, instruments included;
@@ -88,7 +90,7 @@ from repro.nn.im2col import col2im, default_workspace, im2col
 from repro.nn.tensor import Tensor, no_grad
 from repro.session import Session, build_components
 
-BENCH_VERSION = 9
+BENCH_VERSION = 10
 
 
 def _warm_pool(workers: int) -> None:
@@ -667,7 +669,8 @@ def bench_population(scale: float, seed: int, workers: int = 4) -> Dict[str, obj
     is ``sampled_devices_per_s`` (device-rounds actually trained per
     wall second); ``results_identical`` records the serial==parallel
     fingerprint agreement under the lossy codec (both ends run the same
-    quantization arithmetic, so it must hold).
+    quantization arithmetic, so it must hold).  ``memory`` is an untimed
+    serial run's traced memory (:func:`_population_memory`).
 
     The codec half measures the steady-state incremental resend — the
     per-round broadcast of a converging fleet — through each delta
@@ -730,6 +733,7 @@ def bench_population(scale: float, seed: int, workers: int = 4) -> Dict[str, obj
         "sampled_devices_per_s": trained / parallel_s,
         "speedup": serial_s / parallel_s,
         "results_identical": serial.fingerprint() == parallel.fingerprint(),
+        "memory": _population_memory(config),
     }
 
     # Compressed-codec resend sizes: same synthetic model state through
@@ -755,6 +759,43 @@ def bench_population(scale: float, seed: int, workers: int = 4) -> Dict[str, obj
     result["resend_bytes"] = sizes
     result["q8_compression_ratio"] = sizes["delta"] / sizes["delta-q8"]
     return result
+
+
+def _population_memory(config) -> Dict[str, float]:
+    """Traced memory of one untimed serial ``delta-q8`` run of the
+    population fleet (``tracemalloc``: numpy's array buffers included).
+
+    ``bytes_per_device`` is what the run leaves alive while its
+    coordinator lives (device states, the global, codec channel state,
+    and any cache the run filled), per device sampled.
+    ``codec_only_bytes`` is what forgetting every channel then frees,
+    in the coordinator's sender and this process's receiver: the bytes
+    that only codec state holds."""
+    import gc
+    import tracemalloc
+
+    from repro.experiments.wire import get_wire_format
+    from repro.fleet import FleetCoordinator
+
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        coordinator = FleetCoordinator(config, workers=1, wire_format="delta-q8")
+        sampled = len(coordinator.run().device_results)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - start
+        coordinator._wire.invalidate()
+        get_wire_format("delta-q8").invalidate()
+        gc.collect()
+        codec_only = held - (tracemalloc.get_traced_memory()[0] - start)
+    finally:
+        tracemalloc.stop()
+    return {
+        "devices_sampled": sampled,
+        "bytes_per_device": held / sampled,
+        "codec_only_bytes": codec_only,
+        "codec_only_bytes_per_device": codec_only / sampled,
+    }
 
 
 def main(argv=None) -> int:
@@ -964,6 +1005,15 @@ def main(argv=None) -> int:
                 report["population"]["sampled_devices_per_s"],
                 report["population"]["results_identical"],
                 report["population"]["q8_compression_ratio"],
+            )
+        )
+        memory = report["population"]["memory"]
+        print(
+            "    traced: {:.1f} KB per sampled device ({} sampled), {:.1f} KB "
+            "of it held only by codec state".format(
+                memory["bytes_per_device"] / 1e3,
+                memory["devices_sampled"],
+                memory["codec_only_bytes_per_device"] / 1e3,
             )
         )
     report["total_wall_s"] = time.perf_counter() - t0

@@ -17,6 +17,7 @@ Stage 2 (classifier on few labels) lives in
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -233,7 +234,8 @@ class OnDeviceContrastiveLearner:
     )
 
     def state_dict(self) -> Dict[str, np.ndarray]:
-        """Everything needed to resume training bitwise-identically.
+        """Everything needed to resume training bitwise-identically,
+        under interned keys (a fleet's stored states share one set).
 
         Covers model weights, optimizer moments, buffer contents and
         bookkeeping, hidden label tracking, iteration counters, and the
@@ -257,7 +259,7 @@ class OnDeviceContrastiveLearner:
             ],
             dtype=np.float64,
         ).reshape(len(self.history), len(self._HISTORY_FIELDS))
-        return out
+        return {sys.intern(key): value for key, value in out.items()}
 
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
         """Restore the exact state written by :meth:`state_dict`.

@@ -65,7 +65,7 @@ import base64
 import hashlib
 import math
 import os
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -175,6 +175,17 @@ class WireFormat:
     def invalidate(self, channel: Optional[str] = None) -> None:
         """Forget channel state so the next encode ships a full payload
         (e.g. the receiver process was respawned).  ``None`` = all."""
+
+    def retire(
+        self,
+        arrays: Dict[str, np.ndarray],
+        *,
+        receiver: Optional["WireFormat"] = None,
+        defer: Iterable[str] = (),
+    ) -> None:
+        """Broadcast hook: drop the channel entries the next send of
+        ``arrays`` ships anyway, here and in ``receiver`` (the in-process
+        receiving codec); channels in ``defer`` wait for a later call."""
 
 
 # ----------------------------------------------------------------------
@@ -657,6 +668,7 @@ class DeltaFormat(WireFormat):
             raise ValueError("delta cannot nest inside itself")
         self._inner: WireFormat = WIRE_FORMATS.create(self.inner_name)
         self._sent_hashes: Dict[str, Dict[str, str]] = {}  # sender side
+        self._replied: set = set()  # channels noted since the last retire
         self._cache: Dict[str, Dict[str, np.ndarray]] = {}  # receiver side
 
     @property
@@ -787,6 +799,7 @@ class DeltaFormat(WireFormat):
         self._sent_hashes[channel] = {
             key: array_hash(value) for key, value in arrays.items()
         }
+        self._replied.add(channel)
 
     def note_received(self, channel: str, arrays: Dict[str, np.ndarray]) -> None:
         self._cache[channel] = dict(arrays)
@@ -798,6 +811,30 @@ class DeltaFormat(WireFormat):
         else:
             self._sent_hashes.pop(channel, None)
             self._cache.pop(channel, None)
+
+    def retire(self, arrays, *, receiver=None, defer=()):
+        # encode skips a key only if its held hash is the new array's content
+        # or reconstruction hash: dropping any other changes no payload.  Each
+        # reply is checked once; later arrays come from later reports.
+        hashes: Dict[str, Tuple[str, str]] = {}
+        tables = [self._sent_hashes] + ([receiver._cache] if receiver is not None else [])
+        kept = self._replied.intersection(defer)
+        for channel in self._replied - kept:
+            held = self._sent_hashes.get(channel, {})
+            stale = set()
+            for key in arrays.keys() & held.keys():
+                if key not in hashes:
+                    array = np.asarray(arrays[key])
+                    true_hash = array_hash(array)
+                    _, meta, recon = self._compress(key, array)
+                    hashes[key] = (true_hash, true_hash if meta is None else array_hash(recon))
+                if held[key] not in hashes[key]:
+                    stale.add(key)
+            # Rebuilt, not deleted from: a dict never shrinks its table.
+            for table in tables:
+                if channel in table:
+                    table[channel] = {k: v for k, v in table[channel].items() if k not in stale}
+        self._replied = kept
 
 
 # ----------------------------------------------------------------------

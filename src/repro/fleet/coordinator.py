@@ -1223,9 +1223,10 @@ class FleetCoordinator:
     def _broadcast(self, new_global: Optional[Dict[str, np.ndarray]]) -> bool:
         """Broadcast: one read-only copy of the aggregated model becomes
         the global one, every device ever sampled points its model
-        entries at those arrays (no per-device copy), and a copy goes
-        to each :meth:`on_broadcast` subscriber.  Returns whether the
-        round synchronized.
+        entries at those arrays (no per-device copy), the codec retires
+        the channel entries this made stale (:meth:`WireFormat.retire`),
+        and a copy goes to each :meth:`on_broadcast` subscriber.
+        Returns whether the round synchronized.
 
         Sharing is safe because nothing writes into a stored device
         state: every loader copies on load (``Module``, ``Adam`` and
@@ -1240,6 +1241,13 @@ class FleetCoordinator:
         for state in self._device_states:
             if state is not None:  # None: a device never yet sampled
                 state["learner"].update(self._global_state)
+        if self._wire is not None:  # defer: a straggler's report may yet be the global
+            local = min(self._workers, len(self._plans)) == 1
+            self._wire.retire(
+                self._global_state,
+                receiver=get_wire_format(self._wire.name) if local else None,
+                defer={self._channel(p["device_index"]) for p in self._pending},
+            )
         for fn in self._on_broadcast:
             # Each subscriber gets its own copy: publishing must not
             # alias (or let anyone mutate) the live global arrays.

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import zipfile
 from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple, TypeVar
 
@@ -50,9 +51,11 @@ def _unreadable(path: str, detail: str) -> ValueError:
 
 
 def strip_prefix(state: Mapping[str, _T], prefix: str) -> Dict[str, _T]:
-    """The entries of ``state`` under ``prefix``, with the prefix removed."""
+    """The entries of ``state`` under ``prefix``, prefix removed, keys interned."""
     return {
-        key[len(prefix) :]: value for key, value in state.items() if key.startswith(prefix)
+        sys.intern(key[len(prefix) :]): value
+        for key, value in state.items()
+        if key.startswith(prefix)
     }
 
 

@@ -1,6 +1,7 @@
 """FleetCoordinator: eager validation, single-device identity,
 heterogeneous fleets, checkpoint/resume and parallel bitwiseness."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -10,12 +11,15 @@ import repro.fleet.coordinator as coordinator_mod
 from repro.experiments.config import StreamExperimentConfig
 from repro.experiments.parallel import TIMING_FIELDS, result_fingerprint
 from repro.experiments.wire import (
+    DeltaFormat,
+    WireFormat,
     decode_array,
     decode_state_payload,
     encode_array,
     get_wire_format,
 )
 from repro.fleet import DeviceSpec, FleetConfig, FleetCoordinator
+from repro.fleet.faults import DeviceFaults, FaultPlan
 from repro.registry import BACKENDS
 from repro.session import Session, config_from_dict
 from repro.train.knn import KnnProbe
@@ -502,28 +506,72 @@ class TestStateHeldOnce:
 
     @pytest.mark.parametrize("wire", ["delta", "delta-q8"])
     def test_device_state_is_held_once(self, wire):
-        """Distinct array bytes reachable from the device states, the
-        in-process receiver caches and the global: at most one copy of
-        each device's learner arrays, plus one global."""
+        """After a synchronizing round the in-process receiver caches
+        hold no array the device states and the global do not (the
+        broadcast retired every replaced model entry), and the stored
+        states share one set of key strings."""
         coordinator = FleetCoordinator(repeat_fleet_config(), workers=1, wire_format=wire)
-        coordinator.run(rounds=4)
-        held = {}
-        states = [state for state in coordinator._device_states if state is not None]
+        result = coordinator.run(rounds=4)
+        assert result.rounds[-1].synchronized
+        states = [state["learner"] for state in coordinator._device_states if state is not None]
         caches = [
             cache
             for channel, cache in get_wire_format(wire)._cache.items()
             if channel.startswith(coordinator._channel_prefix + "/")
         ]
         assert len(caches) == len(states) >= 3
-        for arrays in [state["learner"] for state in states] + caches:
-            for value in arrays.values():
-                held[id(root_array(value))] = value.nbytes
-        for value in coordinator._global_state.values():
-            held[id(root_array(value))] = value.nbytes
-        bound = sum(
-            value.nbytes for state in states for value in state["learner"].values()
-        ) + sum(value.nbytes for value in coordinator._global_state.values())
-        assert sum(held.values()) <= bound
+        stored = {
+            id(root_array(value))
+            for arrays in states + [coordinator._global_state]
+            for value in arrays.values()
+        }
+        extra = {
+            id(root_array(value)): value.nbytes
+            for cache in caches
+            for value in cache.values()
+            if id(root_array(value)) not in stored
+        }
+        assert sum(extra.values()) == 0
+        first = {key: key for key in states[0]}
+        assert all(first[key] is key for key in states[1])
+
+    @pytest.mark.parametrize("aggregator, late", [("fedavg", False), ("best-of", True)])
+    def test_retiring_moves_no_fingerprint(self, aggregator, late, monkeypatch):
+        """The broadcast drops only channel entries the next send ships
+        anyway.  Under best-of a straggler's late report can become the
+        global bit for bit, so its channel keeps its entries until that
+        report lands (dropping them at once moved this fleet)."""
+        config = repeat_fleet_config(rounds=8)
+        if late:
+            config = config.with_(
+                fleet=dataclasses.replace(
+                    config.fleet,
+                    round_deadline_s=1.0,
+                    fault_plan=FaultPlan(
+                        seed=3,
+                        default=DeviceFaults(dropout_prob=0.2),
+                        overrides=((1, DeviceFaults(straggler_delay_s=1.5)),),
+                    ),
+                )
+            )
+        config = config.with_(aggregator=aggregator)
+        retiring = FleetCoordinator(config, workers=1, wire_format="delta-q8").run()
+        monkeypatch.setattr(DeltaFormat, "retire", WireFormat.retire)
+        keeping = FleetCoordinator(config, workers=1, wire_format="delta-q8").run()
+        assert retiring.fingerprint() == keeping.fingerprint()
+
+    def test_fleet_of_one_sends_the_same_under_q8_and_delta(self):
+        """Under fedavg a fleet of one's global is its device's model bit
+        for bit, so the broadcast retires nothing and every later send
+        ships nothing: delta-q8 quantizes no array and matches delta."""
+        config = tiny_config(total_samples=96).with_(
+            fleet=FleetConfig(devices=(DeviceSpec(),), rounds=4), aggregator="fedavg"
+        )
+        q8, delta = (
+            FleetCoordinator(config, workers=1, wire_format=wire).run().fingerprint()
+            for wire in ("delta-q8", "delta")
+        )
+        assert q8 == delta
 
 
 class TestCheckpointResume:

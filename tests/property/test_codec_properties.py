@@ -6,7 +6,8 @@ codec table): its per-element absolute error is at most the affine
 scale and exact zeros stay exactly zero.  Full sends — first contact
 and every send after a respawn/invalidate — are bitwise.  These tests
 drive the contract over random shapes, dtypes, and state transitions,
-and assert the lossless registry metadata stays truthful."""
+check that retiring stale channel entries at a broadcast changes no
+payload, and assert the lossless registry metadata stays truthful."""
 
 import numpy as np
 import pytest
@@ -145,6 +146,99 @@ class TestRespawnResend:
         assert resend["full"]
         decoded = respawned.decode(resend, channel="r")["w"]
         assert array_hash(decoded) == array_hash(second["w"])
+
+
+MODEL_KEYS = ("model/a", "model/b")
+
+
+def q8_reconstruction(array):
+    """What a delta-q8 receiver holds after a quantized send of ``array``."""
+    codec = create_wire_format("delta-q8")
+    codec.decode(codec.encode({"w": np.zeros_like(array)}, channel="q"), channel="q")
+    return codec.decode(codec.encode({"w": array}, channel="q"), channel="q")["w"]
+
+
+@st.composite
+def channel_histories(draw):
+    """One fleet channel: a first reply, then steps that are each a
+    broadcast or a send the device answers with a reply.  Each reply
+    plans, per model key, the next broadcast's array: a fresh one, the
+    reply's own (a fleet of one under fedavg), or one whose q8
+    reconstruction is the reply.  Later broadcasts before the next
+    send are fresh: a reply joins one aggregation."""
+    steps = draw(st.lists(st.sampled_from(("broadcast", "send")), min_size=1, max_size=8))
+    modes = st.sampled_from(("fresh", "echo", "requant"))
+    plans = draw(
+        st.lists(
+            st.lists(modes, min_size=len(MODEL_KEYS), max_size=len(MODEL_KEYS)),
+            min_size=len(steps) + 1,
+            max_size=len(steps) + 1,
+        )
+    )
+    return steps, plans, draw(st.integers(0, 2**31 - 1))
+
+
+class TestRetire:
+    @pytest.mark.parametrize("name", ("delta",) + LOSSY)
+    @settings(**SETTINGS)
+    @given(channel_histories())
+    def test_retiring_changes_no_payload(self, name, history):
+        """A sender/receiver pair that retires at every broadcast sends
+        the same payloads, and delivers the same bytes, as a pair that
+        never retires; right after the first broadcast that follows a
+        reply, the retiring receiver keeps only entries equal to the
+        broadcast array or its reconstruction."""
+        steps, plans, seed = history
+        rng = np.random.default_rng(seed)
+
+        def fresh():
+            return rng.normal(size=96).astype(np.float32)
+
+        pairs = [
+            tuple(WIRE_FORMATS.create(name, inner="json-b64") for _ in range(2))
+            for _ in range(2)
+        ]
+        sender, receiver = pairs[0]
+
+        def reply(plan):
+            state, upcoming = {"opt": fresh()}, {}
+            for key, mode in zip(MODEL_KEYS, plan):
+                upcoming[key] = fresh()
+                if mode == "echo":
+                    state[key] = upcoming[key]
+                elif mode == "requant":
+                    state[key] = q8_reconstruction(upcoming[key])
+                else:
+                    state[key] = fresh()
+            for pair_sender, pair_receiver in pairs:
+                pair_sender.note_sent("c", state)
+                pair_receiver.note_received("c", state)
+            return state, upcoming
+
+        state, upcoming = reply(plans[0])
+        replies = 1
+        for step in steps:
+            if step == "broadcast":
+                first = upcoming is not None
+                arrays = upcoming if first else {key: fresh() for key in MODEL_KEYS}
+                state, upcoming = {**state, **arrays}, None
+                sender.retire(arrays, receiver=receiver)
+                if first:
+                    for key, value in receiver._cache["c"].items():
+                        if key in arrays:
+                            kept = array_hash(value)
+                            assert kept == array_hash(arrays[key]) or (
+                                name in LOSSY
+                                and kept == array_hash(q8_reconstruction(arrays[key]))
+                            ), key
+                continue
+            payloads = [pair_sender.encode(state, channel="c") for pair_sender, _ in pairs]
+            assert payloads[0] == payloads[1]
+            delivered = [r.decode(p, channel="c") for (_, r), p in zip(pairs, payloads)]
+            for key, value in delivered[1].items():
+                assert array_hash(delivered[0][key]) == array_hash(value), key
+            state, upcoming = reply(plans[replies])
+            replies += 1
 
 
 class TestLosslessRegistry:

@@ -15,6 +15,11 @@ the other side and MOVED).  The lines:
   trace and final kNN accuracy, digested the way perfbench does);
 * ``fleet`` — perfbench's ``fleet_config(101, 4)`` run at
   ``workers=1`` over perfbench's wire format (the run fingerprint);
+* ``fleet.repeat`` — fleets whose devices are sampled again, where a
+  ``delta-q8`` send diffs against what its receiver kept (perfbench's
+  ``fleet`` samples no device twice): four devices, two sampled per
+  round (``uniform``), and a fleet of one, both ``fedavg`` at
+  ``workers=1``;
 * ``scorer.score`` and ``scorer.features`` — the raw bytes of the
   numpy backend's contrast scores and encoder features of a fixed
   64-image batch;
@@ -37,8 +42,8 @@ the other side and MOVED).  The lines:
 ``repro`` is imported from the ``src/`` directory next to this file and
 the workload definitions from ``perfbench/``, through names that older
 trees have too, so a copy of this file runs on a parent checkout.  BLAS
-runs one thread, as in perfbench.  Takes about 15 s on 2 CPUs (30 s
-with ``--against``).
+runs one thread, as in perfbench.  Takes about 10 s on 2 CPUs (twice
+that with ``--against``).
 """
 
 from __future__ import annotations
@@ -102,6 +107,30 @@ def fleet_line() -> str:
         fleet_workload.fleet_config(SEED, 4), workers=1, wire_format=fleet_workload.WIRE
     )
     return common.fingerprint_digest(coordinator.run().fingerprint())
+
+
+def fleet_repeat_line() -> str:
+    from repro.experiments.config import StreamExperimentConfig
+    from repro.fleet import DeviceSpec, FleetConfig, FleetCoordinator
+
+    config = StreamExperimentConfig(
+        dataset="cifar10", image_size=8, stc=8, total_samples=96, buffer_size=8,
+        encoder_widths=(8, 16), encoder_blocks=1, projection_dim=8, probe_train_per_class=4,
+        probe_test_per_class=2, probe_epochs=2, seed=0,
+    )
+    fleets = (
+        FleetConfig(
+            devices=tuple(DeviceSpec() for _ in range(4)), rounds=6, participants=2,
+            sampler="uniform",
+        ),
+        FleetConfig(devices=(DeviceSpec(),), rounds=4),
+    )
+    return common.fingerprint_digest([
+        FleetCoordinator(
+            config.with_(fleet=fleet, aggregator="fedavg"), workers=1, wire_format="delta-q8"
+        ).run().fingerprint()
+        for fleet in fleets
+    ])
 
 
 def scorer_lines():
@@ -259,7 +288,9 @@ def against(ref: str) -> int:
 
 
 def main() -> int:
-    digests = {"stream": stream_line(), "fleet": fleet_line()}
+    digests = {
+        "stream": stream_line(), "fleet": fleet_line(), "fleet.repeat": fleet_repeat_line()
+    }
     for name, digest in digests.items():
         print(name, digest, flush=True)
     for lines in (
